@@ -4,12 +4,14 @@ A batch is described by a :class:`BenchSpec`; :func:`run_bench` expands it
 into one solver run per (realization, configuration) pair and records one
 :class:`ResultRow` each.  Identical spec and seed reproduce identical rows
 except for wall time.  Per-run failures become rows with an ``error``
-status and never abort the batch.
+status and never abort the batch; the exception's type and message go to
+standard error and into the row's ``error`` field (JSON output only).
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -99,6 +101,8 @@ class ResultRow:
     peak_regions: int
     wall_time_s: float
     seed: int
+    # "<exception type>: <message>" for status "error"; not a CSV column
+    error: str | None = None
 
 
 def _instance_seed(spec_seed: int, index: int) -> int:
@@ -125,7 +129,12 @@ def _solver_config(spec: BenchSpec, selection: str, reduction: bool, trace: str 
     )
 
 
-def _error_row(instance_id, algorithm, representation, selection, reduction, seed) -> ResultRow:
+def _error_row(
+    instance_id, algorithm, representation, selection, reduction, seed, exc: Exception
+) -> ResultRow:
+    error = f"{type(exc).__name__}: {exc}"
+    label = _config_label(selection, reduction)
+    print(f"{instance_id} {algorithm} {representation} {label}: {error}", file=sys.stderr)
     return ResultRow(
         instance_id=instance_id,
         algorithm=algorithm,
@@ -138,14 +147,15 @@ def _error_row(instance_id, algorithm, representation, selection, reduction, see
         peak_regions=0,
         wall_time_s=0.0,
         seed=seed,
+        error=error,
     )
 
 
 def _run_one(problem, spec, instance_id, algorithm, representation, selection, reduction, seed, trace):
     try:
         res = solve(problem, _solver_config(spec, selection, reduction, trace))
-    except Exception:
-        return _error_row(instance_id, algorithm, representation, selection, reduction, seed)
+    except Exception as exc:
+        return _error_row(instance_id, algorithm, representation, selection, reduction, seed, exc)
     return ResultRow(
         instance_id=instance_id,
         algorithm=algorithm,
@@ -234,8 +244,8 @@ def run_bench(spec: BenchSpec) -> list[ResultRow]:
                 trace = _trace_for(spec, f"{instance_id}-{rep}-{_config_label(sel, red)}", single)
                 try:
                     problem = wsr_problem(net, representation=rep)
-                except Exception:
-                    rows.append(_error_row(instance_id, "brb", rep, sel, red, seed))
+                except Exception as exc:
+                    rows.append(_error_row(instance_id, "brb", rep, sel, red, seed, exc))
                     continue
                 rows.append(
                     _run_one(problem, spec, instance_id, "brb", rep, sel, red, seed, trace)
@@ -281,8 +291,10 @@ def run_bench(spec: BenchSpec) -> list[ResultRow]:
                                 seed=seed,
                             )
                         )
-                    except Exception:
-                        rows.append(_error_row(instance_id, "dinkelbach", "dm", sel, red, seed))
+                    except Exception as exc:
+                        rows.append(
+                            _error_row(instance_id, "dinkelbach", "dm", sel, red, seed, exc)
+                        )
     elif spec.experiment == "aloha":
         for i, (net, seed) in enumerate(_feasible_aloha_instances(spec)):
             instance_id = f"aloha-k{spec.k}-{i:03d}"

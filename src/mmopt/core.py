@@ -71,6 +71,12 @@ class BoxNd:
 
     ``r <= s`` componentwise; zero-width dimensions are allowed.  Boxes are
     the unit of branching, bounding and reduction.
+
+    Constructing a ``BoxNd`` copies both corners, checks them and freezes the
+    copies; every box that enters through the API is built this way.  The
+    children the solver makes by bisection and reduction are valid by
+    construction and are not re-validated: they come from :meth:`_trusted`
+    and may share read-only corner arrays with their parent.
     """
 
     r: np.ndarray
@@ -92,6 +98,21 @@ class BoxNd:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "s", s)
 
+    @classmethod
+    def _trusted(cls, r: np.ndarray, s: np.ndarray, birth_iteration: int) -> BoxNd:
+        """A box over the given corner arrays, without copies or checks.
+
+        The caller guarantees what ``__post_init__`` would enforce: ``r`` and
+        ``s`` are read-only, finite, 1-d float64 arrays of equal shape with
+        ``r <= s``, and ``birth_iteration >= 0``.  The arrays are stored as
+        given, so they may be shared with other boxes.
+        """
+        box = object.__new__(cls)
+        object.__setattr__(box, "r", r)
+        object.__setattr__(box, "s", s)
+        object.__setattr__(box, "birth_iteration", birth_iteration)
+        return box
+
     @property
     def dim(self) -> int:
         return self.r.size
@@ -99,7 +120,7 @@ class BoxNd:
     @property
     def diameter(self) -> float:
         """Longest edge length, max_i (s_i - r_i)."""
-        return float(np.max(self.s - self.r))
+        return float((self.s - self.r).max())
 
     def contains(self, x, tol: float = 0.0) -> bool:
         x = np.asarray(x, dtype=float)
@@ -220,10 +241,11 @@ class SolverConfig:
     """Knobs of the branch-reduce-and-bound loop.
 
     ``eta`` is the optimality tolerance, absolute by default or relative to
-    the incumbent value (``tolerance_mode="relative"``; meaningful for
-    positive optimal values).  ``epsilon_feasibility > 0`` admits incumbents
-    whose constraints hold up to that slack.  ``rng_seed`` only feeds
-    harness-side sampling such as the debug pruning check.
+    the incumbent value gamma (``tolerance_mode="relative"``: a box whose
+    bound does not exceed ``gamma + eta * |gamma|`` is pruned, for either
+    sign).  ``epsilon_feasibility > 0`` admits incumbents whose constraints
+    hold up to that slack.  ``rng_seed`` only feeds harness-side sampling
+    such as the debug pruning check.
     """
 
     eta: float = 0.01

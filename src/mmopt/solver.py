@@ -15,12 +15,14 @@ returned point is eta-optimal.  With the one-sided test only
 corner certificate and the search may not terminate on its own; iteration
 or wall-time limits then return the best incumbent with a limit status.
 Relative tolerance replaces every incumbent-plus-eta cutoff by
-``(1 + eta) * incumbent`` and is meaningful for positive optimal values.
+``incumbent + eta * |incumbent|``, which lies above the incumbent for either
+sign; before any incumbent is found the cutoff stays ``-inf``.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -41,7 +43,7 @@ from .core import (
     SolverConfig,
     SolverResult,
 )
-from .errors import DimensionMismatch, ZeroDiameterBox
+from .errors import DimensionMismatch, MMOptError, NonFiniteEntry, ZeroDiameterBox
 from .feasibility import (
     Feasibility,
     FeasibilityVerdict,
@@ -77,19 +79,31 @@ def bound(objective: MMFunction, box: BoxNd) -> float:
 
 
 def bisect(box: BoxNd, birth_iteration: int = 0) -> tuple[BoxNd, BoxNd]:
-    """Split a box at the midpoint of a longest edge (lowest index on ties)."""
-    width = box.s - box.r
-    if float(np.max(width)) <= 0.0:
+    """Split a box at the midpoint of a longest edge (lowest index on ties).
+
+    Each child copies the one corner the split changes and shares the other
+    with the parent, so the children are valid by construction once the
+    midpoint lies on the edge and the birth index is nonnegative.
+    """
+    r, s = box.r, box.s
+    width = s - r
+    axis = int(width.argmax())
+    if width[axis] <= 0.0:
         raise ZeroDiameterBox("cannot bisect a zero-diameter box")
-    axis = int(np.argmax(width))
-    mid = 0.5 * (box.r[axis] + box.s[axis])
-    lo_s = box.s.copy()
+    mid = 0.5 * (r[axis] + s[axis])
+    if not r[axis] <= mid <= s[axis]:  # r + s overflowed to inf
+        raise NonFiniteEntry("box corners must be finite")
+    if birth_iteration < 0:
+        raise MMOptError("birth_iteration must be nonnegative")
+    lo_s = s.copy()
     lo_s[axis] = mid
-    hi_r = box.r.copy()
+    lo_s.flags.writeable = False
+    hi_r = r.copy()
     hi_r[axis] = mid
+    hi_r.flags.writeable = False
     return (
-        BoxNd(box.r, lo_s, birth_iteration),
-        BoxNd(hi_r, box.s, birth_iteration),
+        BoxNd._trusted(r, lo_s, birth_iteration),
+        BoxNd._trusted(hi_r, s, birth_iteration),
     )
 
 
@@ -236,7 +250,10 @@ def reduce_box(
         s_new = s
     else:
         np.clip(s_new, r_new, s, out=s_new)
-    return BoxNd(r_new, s_new, box.birth_iteration)
+    # the clips keep r <= r_new <= s_new <= s, so the result is a valid box
+    r_new.flags.writeable = False
+    s_new.flags.writeable = False
+    return BoxNd._trusted(r_new, s_new, box.birth_iteration)
 
 
 def _diag_feasible(constraints, x, slack: float) -> bool:
@@ -302,11 +319,14 @@ def _candidate_from_verdict(
 def find_incumbent(box: BoxNd, problem: ProblemInstance, epsilon: float = 0.0):
     """A feasible point in the box, or None when none can be produced.
 
-    Tries, in order: the conclusive witness when the problem's mode permits
-    it, the normal/conormal corner witness, the user incumbent hook, and --
-    in ``mm-sufficient-only`` mode -- the lower corner of a box certified
-    fully feasible.  ``epsilon > 0`` additionally admits the lower corner of
-    an undecided box whose constraints hold within that slack.
+    Returns None when the problem's feasibility test finds the box
+    infeasible.  Otherwise it tries, in order: the witness of a
+    ``FEASIBLE_WITH_WITNESS`` verdict (conclusive, normal, conormal or
+    oracle test); the lower corner of a box certified ``FULLY_FEASIBLE``;
+    with ``epsilon > 0`` in ``mm-sufficient-only`` mode, the lower corner
+    of an undecided box whose constraints hold within that slack; and, when
+    none of these gives a point, the user incumbent hook, whose point must
+    lie in the box and meet the constraints.
     """
     verdict = _verdict_for(problem, box)
     if verdict.kind is Feasibility.INFEASIBLE:
@@ -413,7 +433,11 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
     debug_rng = np.random.default_rng(config.rng_seed) if config.debug_check_pruning else None
 
     def cutoff(g: float) -> float:
-        return (1.0 + eta) * g if relative else g + eta
+        # relative: g + eta*|g|, as (1 + eta) * g for g >= 0 and (1 - eta) * g below;
+        # before any incumbent, -inf + eta stays -inf
+        if not relative or g == -math.inf:
+            return g + eta
+        return (1.0 + eta) * g if g >= 0.0 else (1.0 - eta) * g
 
     state = SolverState(queue=RegionQueue(config.selection_rule))
     queue = state.queue

@@ -17,7 +17,9 @@ from mmopt.bench import (
     write_json,
 )
 from mmopt.cli import main
+from mmopt.core import MMFunction, ProblemInstance
 from mmopt.errors import ParseError, SchemaVersionError, SpecError
+from mmopt.problems import wsr_problem
 
 
 def small_rows():
@@ -148,6 +150,47 @@ class TestRunBench:
         rows = run_bench(spec)
         assert len(rows) == 2
         assert all(row.status == "error" and row.objective is None for row in rows)
+
+    def test_error_rows_keep_their_cause(self, monkeypatch, tmp_path, capsys):
+        def raising(x, y):
+            raise ValueError("objective exploded")
+
+        def exploding_problem(net, representation="mmp"):
+            base = wsr_problem(net, representation)
+            return ProblemInstance(
+                MMFunction(net.K, raising), base.constraints, base.initial_box, "normal"
+            )
+
+        monkeypatch.setattr(bench, "wsr_problem", exploding_problem)
+        rows = run_bench(BenchSpec(experiment="wsr-compare", k=2, realizations=2, seed=0))
+        assert [row.status for row in rows] == ["error", "error"]
+        assert all(row.error == "ValueError: objective exploded" for row in rows)
+        err = capsys.readouterr().err
+        assert "wsr-k2-000 brb mmp best-first: ValueError: objective exploded" in err
+        assert "wsr-k2-001" in err
+
+        json_path, csv_path = tmp_path / "rows.json", tmp_path / "rows.csv"
+        write_json(rows, json_path)
+        payload = json.loads(json_path.read_text())
+        assert all(entry["error"] == "ValueError: objective exploded" for entry in payload)
+        assert read_json(json_path) == rows
+        # the CSV keeps its 11 columns; the cause is JSON-only
+        write_csv(rows, csv_path)
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == CSV_HEADER
+        assert all(len(line.split(",")) == 11 for line in lines)
+        assert all(row.error is None for row in read_csv(csv_path))
+
+    def test_constructor_error_keeps_its_cause(self, monkeypatch, capsys):
+        def failing_constructor(net, representation="mmp"):
+            raise RuntimeError(f"cannot build {representation}")
+
+        monkeypatch.setattr(bench, "wsr_problem", failing_constructor)
+        spec = BenchSpec(experiment="wsr-compare", k=1, realizations=1, representations=("dm",))
+        (row,) = run_bench(spec)
+        assert row.status == "error"
+        assert row.error == "RuntimeError: cannot build dm"
+        assert "RuntimeError: cannot build dm" in capsys.readouterr().err
 
     def test_aloha_batch_screens_feasible(self):
         spec = BenchSpec(experiment="aloha", k=2, realizations=2, seed=5, max_iterations=10**6)

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,9 +15,16 @@ from mmopt.core import (
     SolverConfig,
     make_box,
 )
-from mmopt.errors import ZeroDiameterBox
+from mmopt.errors import MMOptError, NonFiniteEntry, ZeroDiameterBox
 from mmopt.feasibility import Feasibility, FeasibilityVerdict
-from mmopt.problems import InterferenceNetwork, generate_channels, wsr_problem
+from mmopt.problems import (
+    AlohaNetwork,
+    InterferenceNetwork,
+    aloha_feasibility_boundary,
+    aloha_problem,
+    generate_channels,
+    wsr_problem,
+)
 from mmopt.solver import RegionQueue, bisect, bound, find_incumbent, reduce_box, solve
 
 from oracles import wsr_grid_max, wsr_value
@@ -30,6 +39,22 @@ def two_user_symmetric_net(r_min=0.0):
         w=(1.0, 1.0),
         r_min=(r_min, r_min),
     )
+
+
+def symmetric_aloha_near_boundary():
+    """Two users, floors at 0.9 of the symmetric boundary; optimum 2 log(1/4) < 0."""
+    rho = 0.9 * aloha_feasibility_boundary(2)
+    return AlohaNetwork(c=(1.0, 1.0), interferers=((1,), (0,)), r_min=(rho, rho))
+
+
+def assert_valid_box(box):
+    """The box is exactly what the validating constructor would build."""
+    fresh = BoxNd(box.r, box.s, box.birth_iteration)
+    for got, want in ((box.r, fresh.r), (box.s, fresh.s)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+        assert not got.flags.writeable
+    assert box.birth_iteration == fresh.birth_iteration
 
 
 class TestBound:
@@ -79,16 +104,31 @@ class TestBisect:
         with pytest.raises(ZeroDiameterBox):
             bisect(make_box((1.0, 1.0), (1.0, 1.0)))
 
+    def test_midpoint_overflow_raises(self):
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteEntry):
+            bisect(make_box([1e308], [1.7e308]))
+
+    def test_negative_birth_iteration_raises(self):
+        with pytest.raises(MMOptError):
+            bisect(make_box((0.0,), (1.0,)), birth_iteration=-1)
+
     @given(
         st.lists(st.floats(-5, 5), min_size=1, max_size=4),
         st.lists(st.floats(0.01, 3), min_size=1, max_size=4),
+        st.integers(0, 3),
+        st.integers(0, 10**6),
     )
     @settings(max_examples=60, deadline=None)
-    def test_children_partition_parent(self, lower, widths):
+    def test_children_partition_parent(self, lower, widths, depth, birth):
         n = min(len(lower), len(widths))
         lo = np.array(lower[:n])
         parent = make_box(lo, lo + np.array(widths[:n]))
-        a, b = bisect(parent)
+        for _ in range(depth):  # parents built by earlier splits, not validated
+            parent = bisect(parent, birth)[1]
+        a, b = bisect(parent, birth)
+        for child in (a, b):
+            assert_valid_box(child)
+            assert child.birth_iteration == birth
         axis = int(np.argmax(parent.s - parent.r))
         # children agree with the parent away from the split axis
         np.testing.assert_array_equal(a.r, parent.r)
@@ -131,6 +171,28 @@ class TestReduce:
     def test_bound_below_gamma_is_empty(self):
         f = MMFunction(1, lambda x, y: float(x[0]))
         assert reduce_box(make_box((0.0,), (1.0,)), f, (), 2.0) is None
+
+    @given(
+        st.lists(st.floats(-3, 3), min_size=2, max_size=2),
+        st.lists(st.floats(0.0, 2), min_size=2, max_size=2),
+        st.floats(-4, 6),
+        st.floats(-2, 2),
+        st.integers(1, 12),
+        st.integers(0, 1000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_result_is_valid_box_inside_parent(self, lower, widths, gamma, slack, steps, birth):
+        # F(x, y) = x0 + 2 x1 - y0, G(x, y) = x0 - y1 - slack: both mixed monotonic
+        f = MMFunction(2, lambda x, y: float(x[0] + 2.0 * x[1] - y[0]))
+        g = MMConstraint(MMFunction(2, lambda x, y: float(x[0] - y[1] - slack)))
+        lo = np.array(lower)
+        box = BoxNd(lo, lo + np.array(widths), birth)
+        red = reduce_box(box, f, (g,), gamma, steps=steps)
+        if red is None or red is box:
+            return
+        assert_valid_box(red)
+        assert red.birth_iteration == birth
+        assert np.all(box.r <= red.r) and np.all(red.r <= red.s) and np.all(red.s <= box.s)
 
     def test_reduction_never_loses_better_points(self):
         rng = np.random.default_rng(42)
@@ -373,6 +435,7 @@ class TestSolve:
     def test_custom_oracle_mode(self):
         # maximize x + y over the quarter disc of radius 1
         def oracle(box):
+            assert_valid_box(box)
             if float(np.sum(box.s**2)) <= 1.0:
                 return FeasibilityVerdict(Feasibility.FULLY_FEASIBLE, witness=box.r)
             if float(np.sum(box.r**2)) > 1.0:
@@ -415,6 +478,39 @@ class TestSolve:
         res = solve(wsr_problem(net), SolverConfig(eta=0.01))
         assert res.peak_region_count >= 1
 
+    def test_hook_receives_valid_boxes(self):
+        seen = []
+
+        def hook(box):
+            assert_valid_box(box)
+            seen.append(box)
+            return None
+
+        base = wsr_problem(two_user_symmetric_net(r_min=0.4))
+        hooked = ProblemInstance(
+            base.objective,
+            base.constraints,
+            base.initial_box,
+            feasibility_mode="mm-sufficient-only",
+            incumbent_hook=hook,
+        )
+        res = solve(hooked, SolverConfig(eta=0.05, reduction_enabled=True, max_iterations=200))
+        assert len(seen) > res.iterations > 0
+
+    def test_relative_tolerance_negative_optimum(self):
+        # gamma < 0: a cutoff of (1 + eta) * gamma would lie below gamma and
+        # never prune the box holding the incumbent
+        prob = aloha_problem(symmetric_aloha_near_boundary())
+        absolute = solve(prob, SolverConfig(eta=0.01, max_iterations=20_000))
+        relative = solve(
+            prob, SolverConfig(eta=0.01, tolerance_mode="relative", max_iterations=20_000)
+        )
+        assert absolute.status == "eta-optimal"
+        assert relative.status == "relative-eta-optimal"
+        assert relative.iterations <= absolute.iterations
+        assert relative.value < 0.0
+        assert relative.value + 0.01 * abs(relative.value) >= absolute.value
+
     def test_eta_optimal_incumbent_satisfies_constraints(self):
         net = two_user_symmetric_net(r_min=0.3)
         prob = wsr_problem(net)
@@ -423,3 +519,50 @@ class TestSolve:
         for c in prob.constraints:
             assert c.g.eval(res.incumbent, res.incumbent) <= 1e-9
         assert res.value == pytest.approx(wsr_value(net, res.incumbent), abs=1e-12)
+
+
+class TestGoldenTrace:
+    """Trace files and counts of fixed solves, recorded before bisection and
+    reduction stopped re-validating their boxes; any change to the search
+    order, the bounds or the pruning shows up here."""
+
+    CASES = {
+        "wsr3-mmp": (
+            lambda: wsr_problem(generate_channels(3, 2), "mmp"),
+            SolverConfig(eta=0.01),
+            ("eta-optimal", 1161, 207),
+            "7922e657c4528bdf23705806fe6a0620e3a62bee3abd87b4afa0c58cc5de7f20",
+        ),
+        "wsr3-dm": (
+            lambda: wsr_problem(generate_channels(3, 2), "dm"),
+            SolverConfig(eta=0.01),
+            ("eta-optimal", 2211, 484),
+            "4701eb34f1b1d7390ee8fe7ce4e41b39d46f73480fb195a9bb38a9b789a67103",
+        ),
+        "wsr3-floors-oldest-reduce": (
+            lambda: wsr_problem(replace(generate_channels(3, 8), r_min=np.full(3, 0.3))),
+            SolverConfig(
+                eta=0.1,
+                selection_rule="oldest-first",
+                reduction_enabled=True,
+                reduction_bisection_steps=5,
+                max_iterations=20_000,
+            ),
+            ("eta-optimal", 805, 129),
+            "3030fbaf852c9c393d0fbbf8a5f08dfebcd50fdd4f899452b70d061e4ba87426",
+        ),
+        "aloha2-absolute": (
+            lambda: aloha_problem(symmetric_aloha_near_boundary()),
+            SolverConfig(eta=0.01, max_iterations=20_000),
+            ("eta-optimal", 1319, 476),
+            "966da63753114080c9eabec425b7d88666832313651929adfaaad5d4f26b7743",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_trace_and_counts(self, name, tmp_path):
+        build, config, counts, digest = self.CASES[name]
+        trace = tmp_path / "trace.csv"
+        res = solve(build(), replace(config, trace_path=str(trace)))
+        assert (res.status, res.iterations, res.peak_region_count) == counts
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
