@@ -18,6 +18,7 @@ from .calculus import (
     mm_product,
     mm_ratio,
     mm_sum,
+    mm_unimodal,
     mm_weighted_sum,
 )
 from .core import (

@@ -151,9 +151,11 @@ def _error_row(
     )
 
 
-def _run_one(problem, spec, instance_id, algorithm, representation, selection, reduction, seed, trace):
+def _run_one(build, spec, instance_id, algorithm, representation, selection, reduction, seed, trace):
+    """Build the problem with ``build()`` and solve it; a failure of either
+    becomes an error row."""
     try:
-        res = solve(problem, _solver_config(spec, selection, reduction, trace))
+        res = solve(build(), _solver_config(spec, selection, reduction, trace))
     except Exception as exc:
         return _error_row(instance_id, algorithm, representation, selection, reduction, seed, exc)
     return ResultRow(
@@ -181,22 +183,33 @@ def _trace_for(spec: BenchSpec, suffix: str, single: bool) -> str | None:
 
 
 def _aloha_grid_feasible(net: AlohaNetwork, points: int) -> bool:
-    """True when some grid point meets every rate floor."""
+    """True when some grid point meets every rate floor.
+
+    The grid is scanned one slab of the first axis at a time, stopping at
+    the first slab that holds a feasible point; each rate is multiplied out
+    in the same order as on the full grid, so the verdict is the same.
+    """
     k = net.K
     axes = np.linspace(0.0, 1.0, points)
-    feasible = np.ones((points,) * k, dtype=bool)
-    for i in range(k):
-        shape = [1] * k
-        shape[i] = points
-        rate = net.c[i] * axes.reshape(shape)
-        for j in net.interferers[i]:
-            shape_j = [1] * k
-            shape_j[j] = points
-            rate = rate * (1.0 - axes.reshape(shape_j))
-        feasible &= rate >= net.r_min[i]
-        if not feasible.any():
-            return False
-    return True
+    # on a slab, coordinate i >= 1 varies along slab axis i - 1
+    coord = [None] * k
+    for i in range(1, k):
+        shape = [1] * (k - 1)
+        shape[i - 1] = points
+        coord[i] = axes.reshape(shape)
+    for first in axes:
+        coord[0] = first
+        feasible = True
+        for i in range(k):
+            rate = net.c[i] * coord[i]
+            for j in net.interferers[i]:
+                rate = rate * (1.0 - coord[j])
+            feasible = feasible & (rate >= net.r_min[i])
+            if not np.any(feasible):
+                break
+        else:
+            return True
+    return False
 
 
 def _feasible_aloha_instances(spec: BenchSpec):
@@ -242,13 +255,18 @@ def run_bench(spec: BenchSpec) -> list[ResultRow]:
             instance_id = f"wsr-k{spec.k}-{i:03d}"
             for rep, sel, red in configs():
                 trace = _trace_for(spec, f"{instance_id}-{rep}-{_config_label(sel, red)}", single)
-                try:
-                    problem = wsr_problem(net, representation=rep)
-                except Exception as exc:
-                    rows.append(_error_row(instance_id, "brb", rep, sel, red, seed, exc))
-                    continue
                 rows.append(
-                    _run_one(problem, spec, instance_id, "brb", rep, sel, red, seed, trace)
+                    _run_one(
+                        lambda: wsr_problem(net, representation=rep),
+                        spec,
+                        instance_id,
+                        "brb",
+                        rep,
+                        sel,
+                        red,
+                        seed,
+                        trace,
+                    )
                 )
     elif spec.experiment == "gee-compare":
         energy = EnergyModel(phi=np.full(spec.k, 5.0), p_circuit=1.0)
@@ -261,7 +279,7 @@ def run_bench(spec: BenchSpec) -> list[ResultRow]:
                     trace = _trace_for(spec, f"{instance_id}-{_config_label(sel, red)}", single)
                     rows.append(
                         _run_one(
-                            gee_problem(net, energy),
+                            lambda: gee_problem(net, energy),
                             spec,
                             instance_id,
                             "brb",
@@ -303,7 +321,7 @@ def run_bench(spec: BenchSpec) -> list[ResultRow]:
                     trace = _trace_for(spec, f"{instance_id}-{_config_label(sel, red)}", single)
                     rows.append(
                         _run_one(
-                            aloha_problem(net),
+                            lambda: aloha_problem(net),
                             spec,
                             instance_id,
                             "brb",
@@ -320,7 +338,7 @@ def run_bench(spec: BenchSpec) -> list[ResultRow]:
             instance_id = Path(spec.instance_path).stem
             trace = _trace_for(spec, f"{instance_id}-{rep}-{_config_label(sel, red)}", single)
             rows.append(
-                _run_one(problem, spec, instance_id, "brb", rep, sel, red, spec.seed, trace)
+                _run_one(lambda: problem, spec, instance_id, "brb", rep, sel, red, spec.seed, trace)
             )
 
     return rows

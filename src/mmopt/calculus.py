@@ -4,6 +4,10 @@ Each combinator preserves the defining monotonicity (nondecreasing in the
 first argument, nonincreasing in the second), so problem constructors never
 hand-verify it.  Outputs close over their parts; evaluation is pure and
 re-entrant, so results are safe to share.
+
+Sums, minima, maxima, monotone compositions, products and ratios combine
+existing representations; :func:`mm_unimodal` starts one from a univariate
+term with a known peak, and its box bound is exact.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ __all__ = [
     "mm_compose_nonincreasing",
     "mm_product",
     "mm_ratio",
+    "mm_unimodal",
 ]
 
 
@@ -232,3 +237,28 @@ def mm_ratio(numerator: MMFunction, denominator: MMFunction) -> MMFunction:
         return numerator.eval(x, y) / q
 
     return MMFunction(numerator.dim, fn, name=f"{numerator.name}/{denominator.name}")
+
+
+def mm_unimodal(h: Callable[[float], float], index: int, peak: float, dim: int) -> MMFunction:
+    """Exact representation of a unimodal term ``h(x[index])``.
+
+    ``h`` must be nondecreasing up to ``peak`` and nonincreasing beyond it;
+    this is trusted, not checked.  The result is
+    ``F(x, y) = h(min(x_i, peak)) + h(max(y_i, peak)) - h(peak)``: mixed
+    monotonic, equal to ``h(x_i)`` on the diagonal, and ``F(s, r)`` is the
+    maximum of ``h`` over ``[r_i, s_i]``, so the bound is exact on every box.
+    ``h`` may return ``-inf`` (e.g. a log at zero) but must be finite at the
+    peak.
+    """
+    if not 0 <= index < dim:
+        raise DimensionMismatch(f"index {index} out of range for dimension {dim}")
+    h_peak = _apply_scalar(h, peak, "unimodal")
+    if not math.isfinite(h_peak):
+        raise DomainError(f"unimodal: term must be finite at its peak, got {h_peak}")
+
+    def fn(x, y):
+        rise = _apply_scalar(h, min(x[index], peak), "unimodal")
+        fall = _apply_scalar(h, max(y[index], peak), "unimodal")
+        return rise + fall - h_peak
+
+    return MMFunction(dim, fn, name=f"unimodal{index}")

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import (
-    mm_compose_nondecreasing,
     mm_compose_nonincreasing,
     mm_min,
     mm_ratio,
     mm_sum,
+    mm_unimodal,
     mm_weighted_sum,
 )
 from .core import (
@@ -421,28 +421,60 @@ def _aloha_rate(net: AlohaNetwork, k: int) -> MMFunction:
     return MMFunction(net.K, fn, name=f"throughput{k}")
 
 
+def _aloha_utility_term(net: AlohaNetwork, j: int) -> MMFunction:
+    """User j's share of the proportional-fair utility,
+    ``h(t) = log c_j + log t + m log(1 - t)`` with m the number of users j
+    interferes with; unimodal with its peak at ``1 / (1 + m)``."""
+    log_c = math.log(float(net.c[j]))
+    m = sum(j in idx for idx in net.interferers)
+
+    def h(t):
+        value = log_c + _ln(t)
+        # m = 0 must not meet log(0) at t = 1: 0 * -inf is NaN
+        return value + m * _ln(1.0 - t) if m else value
+
+    return mm_unimodal(h, j, 1.0 / (1 + m), net.K)
+
+
 def aloha_problem(net: AlohaNetwork) -> ProblemInstance:
     """Proportional-fair transmit-probability optimization.
 
-    The utility is the sum of log-throughputs; rate floors become
-    swapped-argument gap constraints.  These constraints do not admit a
-    shared monotone split, so the instance relies on the one-sided
-    feasibility test (``mm-sufficient-only``); in practice the search
-    converges quickly, but a limit should be configured.
+    The utility, the sum of log-throughputs, separates by user:
+    ``sum_j log c_j + log p_j + m_j log(1 - p_j)``, where ``m_j`` counts the
+    users that j interferes with.  Each term is unimodal, so the objective
+    is a sum of :func:`~mmopt.calculus.mm_unimodal` terms and its box bound
+    is exact.  Rate floors become swapped-argument gap constraints; they do
+    not admit a shared monotone split, so the instance relies on the
+    one-sided feasibility test (``mm-sufficient-only``).  That test yields
+    incumbents only from boxes lying wholly inside the feasible set, which
+    best-first search on an exact bound rarely visits; the incumbent hook
+    therefore offers each undecided box's midpoint when it meets every
+    floor.
     """
     k = net.K
-    rates = [_aloha_rate(net, i) for i in range(k)]
-    cmax = float(np.max(net.c))
-    objective = mm_sum(
-        [mm_compose_nondecreasing(_ln, rate, check_range=(1e-12, cmax)) for rate in rates]
-    )
+    objective = mm_sum([_aloha_utility_term(net, j) for j in range(k)])
     constraints = tuple(
-        MMConstraint(mm_compose_nonincreasing(lambda t, m=float(net.r_min[i]): m - t, rates[i]))
+        MMConstraint(
+            mm_compose_nonincreasing(
+                lambda t, m=float(net.r_min[i]): m - t, _aloha_rate(net, i)
+            )
+        )
         for i in range(k)
         if net.r_min[i] > 0
     )
+
+    def midpoint(box: BoxNd) -> np.ndarray | None:
+        x = 0.5 * (box.r + box.s)
+        return x if all(c.g.eval(x, x) <= 0.0 for c in constraints) else None
+
     box = BoxNd(np.full(k, _ALOHA_FLOOR), np.ones(k))
-    return ProblemInstance(objective, constraints, box, feasibility_mode="mm-sufficient-only")
+    return ProblemInstance(
+        objective,
+        constraints,
+        box,
+        feasibility_mode="mm-sufficient-only",
+        incumbent_hook=midpoint,
+    )
 
 
 def aloha_feasibility_boundary(k: int) -> float:

@@ -19,7 +19,9 @@ from mmopt.bench import (
 from mmopt.cli import main
 from mmopt.core import MMFunction, ProblemInstance
 from mmopt.errors import ParseError, SchemaVersionError, SpecError
-from mmopt.problems import wsr_problem
+from mmopt.problems import AlohaNetwork, generate_aloha, wsr_problem
+
+from oracles import aloha_grid
 
 
 def small_rows():
@@ -192,11 +194,50 @@ class TestRunBench:
         assert row.error == "RuntimeError: cannot build dm"
         assert "RuntimeError: cannot build dm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "experiment, constructor, algorithms",
+        [
+            ("gee-compare", "gee_problem", ["brb", "dinkelbach"]),
+            ("aloha", "aloha_problem", ["brb"]),
+        ],
+    )
+    def test_constructor_errors_become_rows(self, monkeypatch, experiment, constructor, algorithms):
+        def failing_constructor(*args):
+            raise RuntimeError("cannot build")
+
+        monkeypatch.setattr(bench, constructor, failing_constructor)
+        rows = run_bench(BenchSpec(experiment=experiment, k=1, realizations=2, seed=4))
+        assert [row.algorithm for row in rows] == algorithms * 2
+        brb = [row for row in rows if row.algorithm == "brb"]
+        assert all(row.status == "error" for row in brb)
+        assert all(row.error == "RuntimeError: cannot build" for row in brb)
+        # the Dinkelbach baseline builds its own problems and still runs
+        assert all(row.status != "error" for row in rows if row.algorithm == "dinkelbach")
+
     def test_aloha_batch_screens_feasible(self):
         spec = BenchSpec(experiment="aloha", k=2, realizations=2, seed=5, max_iterations=10**6)
         rows = run_bench(spec)
         assert len(rows) == 2
         assert all(row.status == "eta-optimal" for row in rows)
+
+    def test_aloha_screen_agrees_with_full_grid(self):
+        # slab-by-slab screening must give the full grid's verdict, also for
+        # partial interferer sets; small grids keep the full oracle cheap
+        verdicts = []
+        for k, points in ((1, 257), (2, 101), (3, 31), (4, 13)):
+            rng = np.random.default_rng(k)
+            for seed in range(80):
+                net = generate_aloha(k, seed)
+                if seed % 2:
+                    sets = tuple(
+                        tuple(j for j in range(k) if j != i and rng.random() < 0.6)
+                        for i in range(k)
+                    )
+                    net = AlohaNetwork(c=net.c, interferers=sets, r_min=net.r_min)
+                verdict = bench._aloha_grid_feasible(net, points)
+                assert verdict == aloha_grid(net, points)[0], (k, seed)
+                verdicts.append(verdict)
+        assert 0 < sum(verdicts) < len(verdicts)
 
     def test_gee_compare_pairs(self):
         spec = BenchSpec(experiment="gee-compare", k=1, realizations=2, seed=4)

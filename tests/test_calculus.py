@@ -11,6 +11,7 @@ from mmopt.calculus import (
     mm_product,
     mm_ratio,
     mm_sum,
+    mm_unimodal,
     mm_weighted_sum,
 )
 from mmopt.core import MMFunction, check_mm_property, make_box
@@ -252,6 +253,64 @@ class TestRatio:
         f = mm_ratio(x0(), x0())
         with pytest.raises(NonpositiveDenominator):
             f.eval(np.array([1.0]), np.array([0.0]))
+
+
+def log_barrier_term(m):
+    """log t + m log(1 - t): unimodal on [0, 1] with its peak at 1 / (1 + m)."""
+
+    def h(t):
+        value = math.log(t) if t > 0.0 else -math.inf
+        if m:
+            value += m * (math.log(1.0 - t) if t < 1.0 else -math.inf)
+        return value
+
+    return h
+
+
+class TestUnimodal:
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_is_mm(self, m):
+        f = mm_unimodal(log_barrier_term(m), 1, 1.0 / (1 + m), 3)
+        box = make_box(np.full(3, 1e-9), np.ones(3))
+        assert check_mm_property(f, box, samples=2000, rng_seed=m).violations == 0
+
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_diagonal_is_the_term(self, m):
+        h = log_barrier_term(m)
+        f = mm_unimodal(h, 0, 1.0 / (1 + m), 2)
+        rng = np.random.default_rng(m)
+        for _ in range(500):
+            x = rng.random(2)
+            assert f.eval(x, x) == pytest.approx(h(x[0]), abs=1e-12)
+
+    @pytest.mark.parametrize("m", [0, 1, 4])
+    def test_box_bound_is_the_maximum(self, m):
+        h = log_barrier_term(m)
+        peak = 1.0 / (1 + m)
+        f = mm_unimodal(h, 0, peak, 1)
+        rng = np.random.default_rng(10 + m)
+        for lo, hi in [(0.05, 0.1), (0.1, 0.9), (0.7, 0.95), tuple(np.sort(rng.random(2)))]:
+            u = f.eval(np.array([hi]), np.array([lo]))
+            assert all(u >= h(t) - 1e-12 for t in np.linspace(lo, hi, 1000))
+            assert u == pytest.approx(h(min(max(peak, lo), hi)), abs=1e-12)
+
+    def test_endpoints_give_minus_inf(self):
+        h = log_barrier_term(2)
+        f = mm_unimodal(h, 0, 1.0 / 3.0, 1)
+        # a zero in the rising slot or a one in the falling slot hits a log(0)
+        for x, y in [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.5, 1.0), (0.0, 0.5)]:
+            assert f.eval(np.array([x]), np.array([y])) == -math.inf
+        assert f.eval(np.ones(1), np.zeros(1)) == h(1.0 / 3.0)
+        # m = 0 peaks at the box edge and stays finite there
+        g = mm_unimodal(log_barrier_term(0), 0, 1.0, 1)
+        assert g.eval(np.ones(1), np.ones(1)) == 0.0
+        assert g.eval(np.zeros(1), np.zeros(1)) == -math.inf
+
+    def test_rejects_bad_index_and_peak(self):
+        with pytest.raises(DimensionMismatch):
+            mm_unimodal(log_barrier_term(1), 2, 0.5, 2)
+        with pytest.raises(DomainError):
+            mm_unimodal(log_barrier_term(1), 0, 1.0, 1)
 
 
 class TestRepresentationPerturbation:

@@ -24,6 +24,8 @@ from mmopt.problems import _dinkelbach_aux_objective
 from mmopt.solver import solve
 
 from oracles import (
+    aloha_grid,
+    aloha_rates,
     aloha_utility,
     dm_gap_closed_form,
     gee_grid_max_1d,
@@ -367,6 +369,89 @@ class TestAloha:
         prob = aloha_problem(net)
         assert prob.feasibility_mode == "mm-sufficient-only"
         assert len(prob.constraints) == int(np.sum(net.r_min > 0))
+
+
+def asymmetric_aloha():
+    """Four users with partial interferer sets; user 3 interferes with no one
+    (m = 0), user 2 with three others."""
+    return AlohaNetwork(
+        c=(0.9, 1.4, 0.6, 1.1),
+        interferers=((1, 2), (2,), (), (0, 1, 2)),
+        r_min=(0.05, 0.1, 0.1, 0.05),
+    )
+
+
+class TestAlohaSeparableBound:
+    """The objective is a sum of exact unimodal terms, one per user."""
+
+    @pytest.mark.parametrize("net", [asymmetric_aloha(), generate_aloha(3, seed=63)])
+    def test_mm_and_diagonal(self, net):
+        prob = aloha_problem(net)
+        report = check_mm_property(prob.objective, prob.initial_box, samples=2000, rng_seed=3)
+        assert report.violations == 0
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            theta = rng.random(net.K)
+            assert prob.objective.eval(theta, theta) == pytest.approx(
+                aloha_utility(net, theta), abs=1e-12
+            )
+
+    def test_bound_is_the_box_maximum(self):
+        net = asymmetric_aloha()
+        objective = aloha_problem(net).objective
+        peaks = np.array([1 / 2, 1 / 3, 1 / 4, 1.0])  # 1 / (1 + m_j)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            r, s = random_box(rng, np.zeros(4), np.ones(4), min_width=0.01)
+            u = objective.eval(s, r)
+            points = r + (s - r) * rng.random((1000, 4))
+            assert u >= max(aloha_utility(net, p) for p in points) - 1e-12
+            assert u == pytest.approx(aloha_utility(net, np.clip(peaks, r, s)), abs=1e-12)
+
+    def test_endpoints_give_minus_inf(self):
+        objective = aloha_problem(asymmetric_aloha()).objective
+        inner = np.full(4, 0.3)
+        for i in range(4):
+            for edge in (0.0, 1.0):
+                x = inner.copy()
+                x[i] = edge
+                v = objective.eval(x, x)
+                assert not math.isnan(v)
+                # the m = 0 user keeps a finite utility at probability one
+                assert (v == -math.inf) == (edge == 0.0 or i != 3)
+        assert objective.eval(np.zeros(4), np.ones(4)) == -math.inf
+
+    def test_midpoint_hook(self):
+        net = asymmetric_aloha()
+        prob = aloha_problem(net)
+        rng = np.random.default_rng(12)
+        offered = declined = 0
+        for _ in range(300):
+            r, s = random_box(rng, prob.initial_box.r, prob.initial_box.s)
+            box = make_box(r, s)
+            x = prob.incumbent_hook(box)
+            mid = 0.5 * (r + s)
+            if x is None:
+                declined += 1
+                assert any(c.g.eval(mid, mid) > 0.0 for c in prob.constraints)
+                assert np.any(aloha_rates(net, mid) < net.r_min)
+                continue
+            offered += 1
+            assert box.contains(x)
+            assert all(c.g.eval(x, x) <= 0.0 for c in prob.constraints)
+            assert np.all(aloha_rates(net, x) >= net.r_min - 1e-12)
+        assert offered > 0 and declined > 0
+
+    def test_k4_solves_reach_the_grid_optimum(self):
+        eta = 0.01
+        for seed in (0, 7, 10):
+            net = generate_aloha(4, seed)
+            feasible, grid_value = aloha_grid(net, n=41)
+            assert feasible
+            res = solve(aloha_problem(net), SolverConfig(eta=eta, max_iterations=20_000))
+            assert res.status == "eta-optimal"
+            assert res.value >= grid_value - eta
+            assert np.all(aloha_rates(net, res.incumbent) >= net.r_min - 1e-9)
 
 
 class TestGenerators:

@@ -22,6 +22,7 @@ from mmopt.problems import (
     InterferenceNetwork,
     aloha_feasibility_boundary,
     aloha_problem,
+    generate_aloha,
     generate_channels,
     wsr_problem,
 )
@@ -522,9 +523,15 @@ class TestSolve:
 
 
 class TestGoldenTrace:
-    """Trace files and counts of fixed solves, recorded before bisection and
-    reduction stopped re-validating their boxes; any change to the search
-    order, the bounds or the pruning shows up here."""
+    """Trace files and counts of fixed solves; any change to the search
+    order, the bounds or the pruning shows up here.
+
+    The three WSR cases were recorded before bisection and reduction stopped
+    re-validating their boxes.  The ALOHA case was recorded with the exact
+    separable bound and the midpoint incumbent step; on that bound the
+    two-user symmetric instance solves at the root, so a three-user draw
+    that runs the loop takes its place.
+    """
 
     CASES = {
         "wsr3-mmp": (
@@ -551,11 +558,11 @@ class TestGoldenTrace:
             ("eta-optimal", 805, 129),
             "3030fbaf852c9c393d0fbbf8a5f08dfebcd50fdd4f899452b70d061e4ba87426",
         ),
-        "aloha2-absolute": (
-            lambda: aloha_problem(symmetric_aloha_near_boundary()),
+        "aloha3-draw3000": (
+            lambda: aloha_problem(generate_aloha(3, 3000)),
             SolverConfig(eta=0.01, max_iterations=20_000),
-            ("eta-optimal", 1319, 476),
-            "966da63753114080c9eabec425b7d88666832313651929adfaaad5d4f26b7743",
+            ("eta-optimal", 62, 18),
+            "f34bd56a771151a5a3fc833ac4fbbbbefc1f1b676753941bd236e8cb89eda904",
         ),
     }
 
