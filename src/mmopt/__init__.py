@@ -29,6 +29,7 @@ from .core import (
     ProblemInstance,
     SolverConfig,
     SolverResult,
+    SolveStats,
     check_mm_property,
     make_box,
 )

@@ -65,7 +65,13 @@ def mm_sum(parts: Sequence[MMFunction]) -> MMFunction:
 
 
 def mm_weighted_sum(weights, parts: Sequence[MMFunction]) -> MMFunction:
-    """Nonnegative-weighted sum of mixed monotonic functions."""
+    """Nonnegative-weighted sum of mixed monotonic functions.
+
+    The terms are added in order in Python floats.  Each part is evaluated
+    through ``p.eval`` looked up at call time, not a method bound in
+    advance, so that anything wrapping ``MMFunction.eval`` (a tracer, a
+    counter) sees the nested evaluations too.
+    """
     parts = tuple(parts)
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size != len(parts):
@@ -73,11 +79,13 @@ def mm_weighted_sum(weights, parts: Sequence[MMFunction]) -> MMFunction:
     if np.any(w < 0):
         raise NegativeWeight("weights must be nonnegative")
     dim = _common_dim(parts)
-    w = w.copy()
-    w.flags.writeable = False
+    terms = tuple(zip(w.tolist(), parts))
 
     def fn(x, y):
-        return sum(wi * p.eval(x, y) for wi, p in zip(w, parts))
+        total = 0  # the start and order of sum()
+        for wi, p in terms:
+            total += wi * p.eval(x, y)
+        return total
 
     return MMFunction(dim, fn, name="wsum")
 

@@ -8,7 +8,7 @@ function ``F(x, y)`` is nondecreasing in ``x`` and nonincreasing in ``y``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -28,6 +28,7 @@ __all__ = [
     "ProblemInstance",
     "SolverConfig",
     "SolverResult",
+    "SolveStats",
     "MMPropertyReport",
     "make_box",
     "check_mm_property",
@@ -273,6 +274,22 @@ class SolverConfig:
             raise MMOptError("epsilon_feasibility must be nonnegative")
 
 
+@dataclass
+class SolveStats:
+    """Counts of one solve: why boxes left the search.
+
+    ``boxes_created`` counts the root and every bisection child that
+    survives reduction, so ``boxes_created == 1 + 2 * iterations -
+    boxes_reduced_empty``.
+    """
+
+    boxes_created: int = 0
+    boxes_pruned_infeasible: int = 0
+    boxes_pruned_bound: int = 0
+    boxes_reduced_empty: int = 0
+    peak_region_count: int = 0
+
+
 @dataclass(frozen=True)
 class SolverResult:
     incumbent: np.ndarray | None
@@ -281,6 +298,7 @@ class SolverResult:
     iterations: int
     peak_region_count: int
     wall_time: float
+    stats: SolveStats = field(default_factory=SolveStats)
 
 
 @dataclass(frozen=True)

@@ -191,8 +191,9 @@ def _rate_mm(net: InterferenceNetwork, k: int) -> MMFunction:
     s2 = net.sigma2
 
     def fn(x, y):
-        den = s2 + bkk * x[k] + float(np.dot(cross, y))
-        return math.log2(1.0 + a * x[k] / den)
+        xk = float(x[k])
+        den = s2 + bkk * xk + float(np.dot(cross, y))
+        return math.log2(1.0 + a * xk / den)
 
     return MMFunction(net.K, fn, name=f"rate{k}")
 
@@ -208,8 +209,9 @@ def _rate_constraint(net: InterferenceNetwork, k: int) -> MMFunction:
     rmin = float(net.r_min[k])
 
     def fn(x, y):
-        den = s2 + bkk * y[k] + float(np.dot(cross, x))
-        return rmin - math.log2(1.0 + a * y[k] / den)
+        yk = float(y[k])
+        den = s2 + bkk * yk + float(np.dot(cross, x))
+        return rmin - math.log2(1.0 + a * yk / den)
 
     return MMFunction(net.K, fn, name=f"rate_floor{k}")
 

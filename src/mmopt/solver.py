@@ -9,6 +9,15 @@ points, prunes children that are provably infeasible or whose bound cannot
 beat the incumbent by more than the tolerance, and terminates when no
 remaining box can.
 
+Reduction pulls each face of a child in by a line search whose predicate is
+a conjunction: the objective above the incumbent and every constraint met.
+Each conjunct is monotone along every line on its own, so a phase first
+tests every conjunct once at its extreme corner (a *phase certificate*) and
+drops those that hold there from all of its lines; each line then tests the
+rest at its far end and bisects on the ones that failed there (its
+*binding set*).  The multipliers are those of testing every conjunct at
+every step.
+
 With an exact (conclusive/normal/conormal/oracle) feasibility test the
 returned point is eta-optimal.  With the one-sided test only
 (``mm-sufficient-only``), pruning by infeasibility needs the optimistic
@@ -42,6 +51,7 @@ from .core import (
     ProblemInstance,
     SolverConfig,
     SolverResult,
+    SolveStats,
 )
 from .errors import DimensionMismatch, MMOptError, NonFiniteEntry, ZeroDiameterBox
 from .feasibility import (
@@ -143,23 +153,43 @@ class _CornerCache:
         return self._f_sr
 
 
-def _sup_step(pred, steps: int) -> float:
-    """Largest t in [0, 1] with pred true, rounded up to the bracket top.
+def _face_cuts(base, step, holds, steps: int) -> dict[int, float]:
+    """Line searches of one reduction phase (see :func:`reduce_box`).
 
-    ``pred`` must be monotone (true on an interval [0, t*]); the returned
-    value never undershoots t*, which keeps the reduction conservative.
-    pred(0) is assumed true and not evaluated.
+    Line ``i`` moves coordinate ``i`` of ``base`` to ``base[i] + t * step[i]``
+    for t in [0, 1]; each predicate in ``holds`` is true at t = 0 and
+    monotone along every line.  The shrink phase passes ``step = -width``:
+    ``s + t * (-w)`` rounds exactly as ``s - t * w``.
+
+    Returns the new value of each coordinate whose multiplier, the top of
+    the bracket left by ``steps`` halvings, is below 1.
     """
-    if pred(1.0):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    corner = base + step  # every t = 1 point lies between base and corner
+    holds = [h for h in holds if not h(corner)]  # the phase certificate
+    if not holds:
+        return {}
+    point = base.copy()
+    cuts = {}
+    for i, (origin, delta) in enumerate(zip(base.tolist(), step.tolist())):
+        if delta == 0.0:
+            continue
+        point[i] = origin + delta
+        failing = [h for h in holds if not h(point)]  # the line's binding set
+        if failing:
+            lo, hi = 0.0, 1.0
+            for _ in range(steps):
+                mid = 0.5 * (lo + hi)
+                point[i] = origin + mid * delta
+                for h in failing:
+                    if not h(point):
+                        hi = mid
+                        break
+                else:
+                    lo = mid
+            if hi < 1.0:
+                cuts[i] = origin + hi * delta
+        point[i] = origin
+    return cuts
 
 
 def reduce_box(
@@ -175,10 +205,24 @@ def reduce_box(
     Returns ``None`` when no such point can exist in the box: some
     constraint is violated at the optimistic corner pair, or the bound does
     not exceed gamma.  Otherwise each face is pulled in by a monotone line
-    search; per-coordinate multipliers are found by ``steps`` halvings of
-    [0, 1], rounding up so the surviving region is never undercut.
+    search: first every lower face towards ``s`` (the objective above gamma
+    at ``(x, r)`` and every ``G(r, x) <= 0``), then every upper face towards
+    the new lower corner (at ``(s, y)`` and ``G(y, s) <= 0``).
+    Per-coordinate multipliers are found by ``steps`` halvings of [0, 1],
+    rounding up so the surviving region is never undercut.
     ``gamma = -inf`` disables the objective cut.
+
+    Each condition (a *conjunct*) is monotone along every line on its own,
+    which is what makes the search exact and cheap: a conjunct that holds at
+    the phase's extreme corner (``s - width`` in the shrink phase,
+    ``r_new + (s - r_new)`` in the grow phase) holds on every line and is not
+    evaluated again, and a line's bisection midpoints evaluate only the
+    conjuncts that failed at its far end, constraints before the objective.
+    The multipliers are those of a search that tests every conjunct at
+    every step.
     """
+    if steps < 1:
+        raise MMOptError("steps must be >= 1")
     constraints = tuple(constraints)
     cache = _cache if _cache is not None else _CornerCache(objective, constraints, box)
     for i in range(len(constraints)):
@@ -189,31 +233,16 @@ def reduce_box(
 
     r, s = box.r, box.s
     width = s - r
-    n = box.dim
 
-    r_new = np.array(r)
-    changed = False
-    for i in range(n):
-        if width[i] <= 0.0:
-            continue
-
-        def shrink_ok(t, i=i):
-            x = s.copy()
-            x[i] = s[i] - t * width[i]
-            if objective.eval(x, r) <= gamma:
-                return False
-            for c in constraints:
-                if c.g.eval(r, x) > 0.0:
-                    return False
-            return True
-
-        t_hat = _sup_step(shrink_ok, steps)
-        if t_hat < 1.0:
-            r_new[i] = s[i] - t_hat * width[i]
-            changed = True
-    if not changed:
+    shrink_holds = [lambda x, g=c.g: g.eval(r, x) <= 0.0 for c in constraints]
+    shrink_holds.append(lambda x: objective.eval(x, r) > gamma)
+    cuts = _face_cuts(s, -width, shrink_holds, steps)
+    if not cuts:
         r_new = r
     else:
+        r_new = np.array(r)
+        for i, v in cuts.items():
+            r_new[i] = v
         np.clip(r_new, r, s, out=r_new)
         # the tightened lower corner may already certify emptiness
         for c in constraints:
@@ -222,33 +251,17 @@ def reduce_box(
         if objective.eval(s, r_new) <= gamma:
             return None
 
-    s_new = np.array(s)
-    s_changed = False
-    for i in range(n):
-        top_width = s[i] - r_new[i]
-        if top_width <= 0.0:
-            continue
-
-        def grow_ok(t, i=i, top_width=top_width):
-            y = np.array(r_new)
-            y[i] = r_new[i] + t * top_width
-            if objective.eval(s, y) <= gamma:
-                return False
-            for c in constraints:
-                if c.g.eval(y, s) > 0.0:
-                    return False
-            return True
-
-        t_hat = _sup_step(grow_ok, steps)
-        if t_hat < 1.0:
-            s_new[i] = r_new[i] + t_hat * top_width
-            s_changed = True
-
-    if not changed and not s_changed:
+    grow_holds = [lambda y, g=c.g: g.eval(y, s) <= 0.0 for c in constraints]
+    grow_holds.append(lambda y: objective.eval(s, y) > gamma)
+    top_cuts = _face_cuts(r_new, s - r_new, grow_holds, steps)
+    if not cuts and not top_cuts:
         return box
-    if not s_changed:
+    if not top_cuts:
         s_new = s
     else:
+        s_new = np.array(s)
+        for i, v in top_cuts.items():
+            s_new[i] = v
         np.clip(s_new, r_new, s, out=s_new)
     # the clips keep r <= r_new <= s_new <= s, so the result is a valid box
     r_new.flags.writeable = False
@@ -376,15 +389,6 @@ class RegionQueue:
         if self.discipline == "best-first":
             return -self._heap[0][0] if self._heap else float("-inf")
         return max((u for _, u, _ in self._fifo), default=float("-inf"))
-
-
-@dataclass
-class SolveStats:
-    boxes_created: int = 0
-    boxes_pruned_infeasible: int = 0
-    boxes_pruned_bound: int = 0
-    boxes_reduced_empty: int = 0
-    peak_region_count: int = 0
 
 
 @dataclass
@@ -564,4 +568,5 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
         iterations=state.iteration,
         peak_region_count=state.stats.peak_region_count,
         wall_time=time.perf_counter() - t_start,
+        stats=state.stats,
     )

@@ -2,10 +2,14 @@
 
 Everything here is hand-coded straight from the model formulas (no use of
 the MM representations or the solver) so tests compare two independent
-routes to the same value.
+routes to the same value.  The exception is :func:`reduce_box_reference`,
+the solver's earlier box reduction kept as written, against which the
+current one must agree bit for bit.
 """
 
 import numpy as np
+
+from mmopt.core import BoxNd
 
 
 def wsr_rates(net, p):
@@ -145,3 +149,104 @@ def random_box(rng, lower, upper, min_width=0.0):
         lo = np.minimum(lo, hi - min_width)
         lo = np.maximum(lo, lower)
     return lo, hi
+
+
+def _sup_step(pred, steps):
+    """Largest t in [0, 1] with pred true, rounded up to the bracket top.
+
+    ``pred`` must be monotone (true on an interval [0, t*]); the returned
+    value never undershoots t*, which keeps the reduction conservative.
+    pred(0) is assumed true and not evaluated.
+    """
+    if pred(1.0):
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def reduce_box_reference(box, objective, constraints, gamma, steps=10):
+    """Box reduction that re-evaluates the whole predicate at every step.
+
+    The solver's reduction before it learned to skip conditions that cannot
+    fail; ``mmopt.solver.reduce_box`` must return the same corners.
+    """
+    constraints = tuple(constraints)
+    for c in constraints:
+        if c.g.eval(box.r, box.s) > 0.0:
+            return None
+    if objective.eval(box.s, box.r) <= gamma:
+        return None
+
+    r, s = box.r, box.s
+    width = s - r
+    n = box.dim
+
+    r_new = np.array(r)
+    changed = False
+    for i in range(n):
+        if width[i] <= 0.0:
+            continue
+
+        def shrink_ok(t, i=i):
+            x = s.copy()
+            x[i] = s[i] - t * width[i]
+            if objective.eval(x, r) <= gamma:
+                return False
+            for c in constraints:
+                if c.g.eval(r, x) > 0.0:
+                    return False
+            return True
+
+        t_hat = _sup_step(shrink_ok, steps)
+        if t_hat < 1.0:
+            r_new[i] = s[i] - t_hat * width[i]
+            changed = True
+    if not changed:
+        r_new = r
+    else:
+        np.clip(r_new, r, s, out=r_new)
+        # the tightened lower corner may already certify emptiness
+        for c in constraints:
+            if c.g.eval(r_new, s) > 0.0:
+                return None
+        if objective.eval(s, r_new) <= gamma:
+            return None
+
+    s_new = np.array(s)
+    s_changed = False
+    for i in range(n):
+        top_width = s[i] - r_new[i]
+        if top_width <= 0.0:
+            continue
+
+        def grow_ok(t, i=i, top_width=top_width):
+            y = np.array(r_new)
+            y[i] = r_new[i] + t * top_width
+            if objective.eval(s, y) <= gamma:
+                return False
+            for c in constraints:
+                if c.g.eval(y, s) > 0.0:
+                    return False
+            return True
+
+        t_hat = _sup_step(grow_ok, steps)
+        if t_hat < 1.0:
+            s_new[i] = r_new[i] + t_hat * top_width
+            s_changed = True
+
+    if not changed and not s_changed:
+        return box
+    if not s_changed:
+        s_new = s
+    else:
+        np.clip(s_new, r_new, s, out=s_new)
+    # the clips keep r <= r_new <= s_new <= s, so the result is a valid box
+    r_new.flags.writeable = False
+    s_new.flags.writeable = False
+    return BoxNd._trusted(r_new, s_new, box.birth_iteration)

@@ -110,6 +110,36 @@ class TestWsr:
             p = rng.random(3)
             assert mmp.eval(p, p) == pytest.approx(dm.eval(p, p), abs=1e-12)
 
+    def test_float_leaves_bit_equal_to_numpy_scalar_arithmetic(self):
+        # the rate leaves and the weighted sum compute in Python floats; each
+        # IEEE operation matches the numpy-scalar formula, so values are equal
+        net = generate_channels(3, seed=5)
+        beta = np.array(net.beta)
+        np.fill_diagonal(beta, [0.0, 0.3, 0.7])
+        net = InterferenceNetwork(
+            alpha=net.alpha,
+            beta=beta,
+            sigma2=net.sigma2,
+            p_max=net.p_max,
+            w=(0.5, 1.0, 2.0),
+            r_min=(0.1, 0.2, 0.3),
+        )
+        prob = wsr_problem(net)
+        rng = np.random.default_rng(7)
+        for _ in range(500):
+            x, y = rng.random(3), rng.random(3)
+            rates, gaps = [], []
+            for k in range(3):
+                cross = np.array(beta[k])
+                cross[k] = 0.0
+                bkk, a = float(beta[k, k]), float(net.alpha[k])
+                den = net.sigma2 + bkk * x[k] + float(np.dot(cross, y))
+                rates.append(math.log2(1.0 + a * x[k] / den))
+                den = net.sigma2 + bkk * y[k] + float(np.dot(cross, x))
+                gaps.append(float(net.r_min[k]) - math.log2(1.0 + a * y[k] / den))
+            assert prob.objective.eval(x, y) == sum(wk * v for wk, v in zip(net.w, rates))
+            assert [c.g.eval(x, y) for c in prob.constraints] == gaps
+
     def test_modes(self):
         assert wsr_problem(generate_channels(2, seed=0)).feasibility_mode == "normal"
         net = generate_channels(2, seed=0)

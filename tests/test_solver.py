@@ -28,7 +28,14 @@ from mmopt.problems import (
 )
 from mmopt.solver import RegionQueue, bisect, bound, find_incumbent, reduce_box, solve
 
-from oracles import wsr_grid_max, wsr_value
+from oracles import (
+    aloha_rates,
+    random_box,
+    reduce_box_reference,
+    wsr_grid_max,
+    wsr_rates,
+    wsr_value,
+)
 
 
 def two_user_symmetric_net(r_min=0.0):
@@ -232,6 +239,118 @@ class TestReduce:
             for i, pg in enumerate((p1, p2)):
                 inside &= (pg >= red.r[i] - 1e-12) & (pg <= red.s[i] + 1e-12)
             assert not (better & ~inside).any()
+
+
+    def test_steps_below_one_rejected(self):
+        f = MMFunction(1, lambda x, y: float(x[0]))
+        box = make_box((0.0,), (1.0,))
+        for steps in (0, -1):
+            with pytest.raises(MMOptError):
+                reduce_box(box, f, (), 0.5, steps=steps)
+
+
+def reduction_cases():
+    """Seeded (problem, box, gamma, steps) cases for the reduction oracle.
+
+    Each draw sets its rate floors below the rates at a random point p of
+    the initial box, so p is feasible and its value is a realistic
+    incumbent; each draw is reduced on a random box and on a random box
+    around p.  WSR draws come with and without self-interference.
+    """
+    variants = [("wsr", k, selfint) for k in (2, 3, 4) for selfint in (False, True)]
+    variants += [("aloha", k, False) for k in (2, 3)]
+    for seed in range(8):
+        for family, k, selfint in variants:
+            rng = np.random.default_rng([seed, k, selfint])
+            if family == "wsr":
+                net = generate_channels(k, 300 + seed)
+                if selfint:
+                    beta = np.array(net.beta)
+                    np.fill_diagonal(beta, 0.5 * rng.random(k))
+                    net = replace(net, beta=beta)
+                p = rng.random(k) * net.p_max
+                net = replace(net, r_min=rng.uniform(0.5, 1.0, k) * wsr_rates(net, p))
+                prob = wsr_problem(net)
+            else:
+                net = generate_aloha(k, 3000 + seed)
+                p = rng.uniform(0.05, 0.95, k)
+                net = replace(net, r_min=rng.uniform(0.5, 1.0, k) * aloha_rates(net, p))
+                prob = aloha_problem(net)
+            root = prob.initial_box
+            around_p = (p - rng.random(k) * (p - root.r), p + rng.random(k) * (root.s - p))
+            for corners in (random_box(rng, root.r, root.s), around_p):
+                box = BoxNd(*corners, birth_iteration=seed)
+                top = prob.objective.eval(box.s, box.r)
+                just_below = top - 1e-6 * max(1.0, abs(top))
+                for gamma in (float("-inf"), prob.objective.eval(p, p), just_below):
+                    for steps in (1, 5, 10):
+                        yield prob, box, gamma, steps
+
+
+class TestReduceAgainstReference:
+    def test_bit_identical_to_full_predicate_search(self):
+        outcomes = {"empty": 0, "same": 0, "shrunk": 0}
+        for prob, box, gamma, steps in reduction_cases():
+            got = reduce_box(box, prob.objective, prob.constraints, gamma, steps=steps)
+            want = reduce_box_reference(box, prob.objective, prob.constraints, gamma, steps)
+            if want is None:
+                assert got is None
+                outcomes["empty"] += 1
+                continue
+            assert got is not None
+            assert (got is box) == (want is box)
+            assert np.array_equal(got.r, want.r) and np.array_equal(got.s, want.s)
+            outcomes["same" if want is box else "shrunk"] += 1
+        assert sum(outcomes.values()) >= 500
+        assert min(outcomes.values()) >= 20, outcomes
+
+
+def counting(dim, fn, calls, name):
+    def counted(x, y):
+        calls.append(name)
+        return fn(x, y)
+
+    return MMFunction(dim, counted, name=name)
+
+
+class TestReduceEvaluationCount:
+    def test_slack_conjuncts_evaluated_once_per_phase(self):
+        calls = []
+        f = counting(3, lambda x, y: float(x.sum() - y.sum()), calls, "f")
+        cons = (
+            MMConstraint(counting(3, lambda x, y: float(x[0] - y[1] - 5.0), calls, "g0")),
+            MMConstraint(counting(3, lambda x, y: float(x[2] - 5.0), calls, "g1")),
+        )
+        box = make_box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+        assert reduce_box(box, f, cons, float("-inf"), steps=10) is box
+        # one entry check at the corners, then one certificate per phase
+        assert sorted(calls) == ["f"] * 3 + ["g0"] * 3 + ["g1"] * 3
+        calls.clear()
+        assert reduce_box_reference(box, f, cons, float("-inf"), 10) is box
+        assert len(calls) == 3 * (1 + 2 * 3)
+
+    def test_midpoints_evaluate_only_the_binding_constraint(self):
+        steps = 10
+        calls = []
+        f = counting(3, lambda x, y: float(x.sum()), calls, "f")
+        cons = (
+            MMConstraint(counting(3, lambda x, y: float(0.5 - y[1]), calls, "bind")),
+            MMConstraint(counting(3, lambda x, y: float(x[2] - 2.0), calls, "slack")),
+        )
+        box = make_box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+        got = reduce_box(box, f, cons, float("-inf"), steps=steps)
+        # entry check and shrink certificate; t = 1 on each of the three
+        # lines, then the midpoints of axis 1, the only line where "bind"
+        # fails; the new lower corner's check and the grow certificate,
+        # which drops every conjunct
+        corners = ["bind", "slack", "f"] * 2
+        assert calls == corners + ["bind"] * (3 + steps) + corners
+        assert 0.0 < got.r[1] <= 0.5 and got.r[[0, 2]].tolist() == [0.0, 0.0]
+        new_calls = len(calls)
+        calls.clear()
+        want = reduce_box_reference(box, f, cons, float("-inf"), steps)
+        assert np.array_equal(got.r, want.r) and np.array_equal(got.s, want.s)
+        assert len(calls) > new_calls
 
 
 class TestFindIncumbent:
@@ -573,3 +692,14 @@ class TestGoldenTrace:
         res = solve(build(), replace(config, trace_path=str(trace)))
         assert (res.status, res.iterations, res.peak_region_count) == counts
         assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
+
+    def test_solve_returns_its_counts(self):
+        build, config, counts, _ = self.CASES["wsr3-floors-oldest-reduce"]
+        res = solve(build(), config)
+        stats = res.stats
+        assert (res.status, res.iterations, res.peak_region_count) == counts
+        assert stats.boxes_reduced_empty > 0
+        # every bisection child is counted once it survives reduction
+        assert stats.boxes_created == 1 + 2 * res.iterations - stats.boxes_reduced_empty
+        assert stats.peak_region_count == res.peak_region_count
+        assert stats.boxes_pruned_infeasible + stats.boxes_pruned_bound > 0
