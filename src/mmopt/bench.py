@@ -10,10 +10,12 @@ standard error and into the row's ``error`` field (JSON output only).
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -46,8 +48,6 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-EXPERIMENTS = ("wsr-compare", "gee-compare", "aloha", "single-solve")
-
 CSV_HEADER = (
     "instance_id,algorithm,representation,selection,reduction,"
     "status,objective,iterations,peak_regions,wall_time_s,seed"
@@ -76,7 +76,7 @@ class BenchSpec:
     trace_path: str | None = None
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in _EXPERIMENTS:
             raise SpecError(f"unknown experiment {self.experiment!r}")
         if self.realizations < 1:
             raise SpecError("realizations must be >= 1")
@@ -86,6 +86,9 @@ class BenchSpec:
             raise SpecError("selections, reductions and representations must be nonempty")
         if self.experiment == "single-solve" and self.instance_path is None:
             raise SpecError("single-solve needs an instance file")
+        takes_representation = _EXPERIMENTS[self.experiment].takes_representation
+        if not takes_representation and tuple(self.representations) != ("mmp",):
+            raise SpecError(f"{self.experiment} takes no representation other than mmp")
 
 
 @dataclass(frozen=True)
@@ -129,47 +132,33 @@ def _solver_config(spec: BenchSpec, selection: str, reduction: bool, trace: str 
     )
 
 
-def _error_row(
-    instance_id, algorithm, representation, selection, reduction, seed, exc: Exception
-) -> ResultRow:
-    error = f"{type(exc).__name__}: {exc}"
-    label = _config_label(selection, reduction)
-    print(f"{instance_id} {algorithm} {representation} {label}: {error}", file=sys.stderr)
-    return ResultRow(
-        instance_id=instance_id,
-        algorithm=algorithm,
-        representation=representation,
-        selection=selection,
-        reduction=reduction,
-        status="error",
-        objective=None,
-        iterations=0,
-        peak_regions=0,
-        wall_time_s=0.0,
-        seed=seed,
-        error=error,
-    )
-
-
-def _run_one(build, spec, instance_id, algorithm, representation, selection, reduction, seed, trace):
-    """Build the problem with ``build()`` and solve it; a failure of either
-    becomes an error row."""
+def _run_one(run, spec: BenchSpec, trace: str | None, **fields) -> ResultRow:
+    """Call ``run(config)`` for a solver result and record it in a row with
+    ``fields`` (instance_id, algorithm, representation, selection, reduction,
+    seed); any failure, building the problem included, becomes an error row."""
+    selection, reduction = fields["selection"], fields["reduction"]
     try:
-        res = solve(build(), _solver_config(spec, selection, reduction, trace))
+        res = run(_solver_config(spec, selection, reduction, trace))
     except Exception as exc:
-        return _error_row(instance_id, algorithm, representation, selection, reduction, seed, exc)
+        error = f"{type(exc).__name__}: {exc}"
+        run_name = " ".join(str(fields[k]) for k in ("instance_id", "algorithm", "representation"))
+        print(f"{run_name} {_config_label(selection, reduction)}: {error}", file=sys.stderr)
+        return ResultRow(
+            **fields,
+            status="error",
+            objective=None,
+            iterations=0,
+            peak_regions=0,
+            wall_time_s=0.0,
+            error=error,
+        )
     return ResultRow(
-        instance_id=instance_id,
-        algorithm=algorithm,
-        representation=representation,
-        selection=selection,
-        reduction=reduction,
+        **fields,
         status=res.status,
         objective=res.value,
         iterations=res.iterations,
         peak_regions=res.peak_region_count,
         wall_time_s=res.wall_time,
-        seed=seed,
     )
 
 
@@ -212,7 +201,13 @@ def _aloha_grid_feasible(net: AlohaNetwork, points: int) -> bool:
     return False
 
 
-def _feasible_aloha_instances(spec: BenchSpec):
+def _channel_instances(spec: BenchSpec, family: str):
+    for i in range(spec.realizations):
+        seed = _instance_seed(spec.seed, i)
+        yield f"{family}-k{spec.k}-{i:03d}", generate_channels(spec.k, seed), seed
+
+
+def _aloha_instances(spec: BenchSpec):
     """Draw networks until the requested number of feasible ones is found.
 
     Floors are drawn around the feasibility boundary, so roughly half the
@@ -230,117 +225,83 @@ def _feasible_aloha_instances(spec: BenchSpec):
         net = generate_aloha(spec.k, seed)
         draw += 1
         if _aloha_grid_feasible(net, points):
-            kept.append((net, seed))
+            kept.append((f"aloha-k{spec.k}-{len(kept):03d}", net, seed))
     return kept
+
+
+def _loaded_instances(spec: BenchSpec):
+    # loaded before any run, so that a bad file fails the batch, not a row
+    path = spec.instance_path
+    problems = {rep: load_instance(path, representation=rep) for rep in spec.representations}
+    return [(Path(path).stem, problems, spec.seed)]
+
+
+def _gee_energy(k: int) -> EnergyModel:
+    return EnergyModel(phi=np.full(k, 5.0), p_circuit=1.0)
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    # spec -> (instance_id, instance, seed) per instance
+    instances: Callable
+    # (instance, representation) -> ProblemInstance for the BRB runs
+    build: Callable
+    # whether runs vary over spec.representations and trace names carry it
+    takes_representation: bool = False
+    # (instance, SolverConfig) -> SolverResult, run after each BRB run
+    baseline: Callable | None = None
+
+
+_EXPERIMENTS = {
+    "wsr-compare": _Experiment(
+        lambda spec: _channel_instances(spec, "wsr"),
+        lambda net, rep: wsr_problem(net, representation=rep),
+        takes_representation=True,
+    ),
+    "gee-compare": _Experiment(
+        lambda spec: _channel_instances(spec, "gee"),
+        lambda net, rep: gee_problem(net, _gee_energy(net.K)),
+        baseline=lambda net, config: dinkelbach_gee(net, _gee_energy(net.K), config),
+    ),
+    "aloha": _Experiment(_aloha_instances, lambda net, rep: aloha_problem(net)),
+    "single-solve": _Experiment(
+        _loaded_instances, lambda problems, rep: problems[rep], takes_representation=True
+    ),
+}
 
 
 def run_bench(spec: BenchSpec) -> list[ResultRow]:
     """Expand a spec into solver runs and collect one row per run."""
+    experiment = _EXPERIMENTS[spec.experiment]
+    configs = list(itertools.product(spec.representations, spec.selections, spec.reductions))
+    single = spec.realizations == 1 and len(configs) == 1
     rows: list[ResultRow] = []
-    n_runs = 0
-
-    def configs():
-        for rep in spec.representations:
-            for sel in spec.selections:
-                for red in spec.reductions:
-                    yield rep, sel, red
-
-    total_configs = sum(1 for _ in configs())
-    single = spec.realizations == 1 and total_configs == 1
-
-    if spec.experiment == "wsr-compare":
-        for i in range(spec.realizations):
-            seed = _instance_seed(spec.seed, i)
-            net = generate_channels(spec.k, seed)
-            instance_id = f"wsr-k{spec.k}-{i:03d}"
-            for rep, sel, red in configs():
-                trace = _trace_for(spec, f"{instance_id}-{rep}-{_config_label(sel, red)}", single)
+    for instance_id, instance, seed in experiment.instances(spec):
+        for rep, sel, red in configs:
+            fields = dict(instance_id=instance_id, selection=sel, reduction=red, seed=seed)
+            name = f"{instance_id}-{rep}" if experiment.takes_representation else instance_id
+            trace = _trace_for(spec, f"{name}-{_config_label(sel, red)}", single)
+            rows.append(
+                _run_one(
+                    lambda config: solve(experiment.build(instance, rep), config),
+                    spec,
+                    trace,
+                    algorithm="brb",
+                    representation=rep,
+                    **fields,
+                )
+            )
+            if experiment.baseline is not None:
                 rows.append(
                     _run_one(
-                        lambda: wsr_problem(net, representation=rep),
+                        lambda config: experiment.baseline(instance, config),
                         spec,
-                        instance_id,
-                        "brb",
-                        rep,
-                        sel,
-                        red,
-                        seed,
-                        trace,
+                        None,
+                        algorithm="dinkelbach",
+                        representation="dm",
+                        **fields,
                     )
                 )
-    elif spec.experiment == "gee-compare":
-        energy = EnergyModel(phi=np.full(spec.k, 5.0), p_circuit=1.0)
-        for i in range(spec.realizations):
-            seed = _instance_seed(spec.seed, i)
-            net = generate_channels(spec.k, seed)
-            instance_id = f"gee-k{spec.k}-{i:03d}"
-            for sel in spec.selections:
-                for red in spec.reductions:
-                    trace = _trace_for(spec, f"{instance_id}-{_config_label(sel, red)}", single)
-                    rows.append(
-                        _run_one(
-                            lambda: gee_problem(net, energy),
-                            spec,
-                            instance_id,
-                            "brb",
-                            "mmp",
-                            sel,
-                            red,
-                            seed,
-                            trace,
-                        )
-                    )
-                    try:
-                        res = dinkelbach_gee(
-                            net, energy, _solver_config(spec, sel, red, None)
-                        )
-                        rows.append(
-                            ResultRow(
-                                instance_id=instance_id,
-                                algorithm="dinkelbach",
-                                representation="dm",
-                                selection=sel,
-                                reduction=red,
-                                status=res.status,
-                                objective=res.value,
-                                iterations=res.iterations,
-                                peak_regions=res.peak_region_count,
-                                wall_time_s=res.wall_time,
-                                seed=seed,
-                            )
-                        )
-                    except Exception as exc:
-                        rows.append(
-                            _error_row(instance_id, "dinkelbach", "dm", sel, red, seed, exc)
-                        )
-    elif spec.experiment == "aloha":
-        for i, (net, seed) in enumerate(_feasible_aloha_instances(spec)):
-            instance_id = f"aloha-k{spec.k}-{i:03d}"
-            for sel in spec.selections:
-                for red in spec.reductions:
-                    trace = _trace_for(spec, f"{instance_id}-{_config_label(sel, red)}", single)
-                    rows.append(
-                        _run_one(
-                            lambda: aloha_problem(net),
-                            spec,
-                            instance_id,
-                            "brb",
-                            "mmp",
-                            sel,
-                            red,
-                            seed,
-                            trace,
-                        )
-                    )
-    else:  # single-solve
-        for rep, sel, red in configs():
-            problem = load_instance(spec.instance_path, representation=rep)
-            instance_id = Path(spec.instance_path).stem
-            trace = _trace_for(spec, f"{instance_id}-{rep}-{_config_label(sel, red)}", single)
-            rows.append(
-                _run_one(lambda: problem, spec, instance_id, "brb", rep, sel, red, spec.seed, trace)
-            )
-
     return rows
 
 
@@ -457,18 +418,36 @@ def _require(doc: dict, field: str):
     return doc[field]
 
 
-def _parse_vector(doc, field, k, default=None):
+def _parse_array(doc, field, shape, default=None):
     if field not in doc:
         if default is None:
             raise ParseError(f"missing field {field!r}")
-        return np.full(k, default, dtype=float)
+        return np.full(shape, default, dtype=float)
     try:
         arr = np.asarray(doc[field], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"field {field!r} is not numeric") from exc
-    if arr.shape != (k,):
-        raise ParseError(f"field {field!r} must have length {k}")
+    if arr.shape != shape:
+        raise ParseError(f"field {field!r} must have shape {shape}")
     return arr
+
+
+def _parse_number(doc, field, default=None) -> float:
+    value = _require(doc, field) if default is None else doc.get(field, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"field {field!r} is not a number") from exc
+
+
+def _parse_interferers(doc, k):
+    raw = doc["interferers"]
+    if not isinstance(raw, list) or len(raw) != k:
+        raise ParseError(f"field 'interferers' must list {k} index sets")
+    try:
+        return tuple(tuple(int(j) for j in entry) for entry in raw)
+    except (TypeError, ValueError) as exc:
+        raise ParseError("field 'interferers' must list sets of integer indices") from exc
 
 
 def load_instance(path, representation: str = "mmp") -> ProblemInstance:
@@ -494,13 +473,10 @@ def load_instance(path, representation: str = "mmp") -> ProblemInstance:
         raise ParseError("field 'K' must be >= 1")
 
     if kind == "aloha":
-        c = _parse_vector(doc, "c", k)
-        r_min = _parse_vector(doc, "rmin", k, default=0.0)
+        c = _parse_array(doc, "c", (k,))
+        r_min = _parse_array(doc, "rmin", (k,), default=0.0)
         if "interferers" in doc:
-            raw = doc["interferers"]
-            if not isinstance(raw, list) or len(raw) != k:
-                raise ParseError(f"field 'interferers' must list {k} index sets")
-            interferers = tuple(tuple(int(j) for j in entry) for entry in raw)
+            interferers = _parse_interferers(doc, k)
         else:
             interferers = tuple(tuple(j for j in range(k) if j != i) for i in range(k))
         try:
@@ -509,14 +485,12 @@ def load_instance(path, representation: str = "mmp") -> ProblemInstance:
         except Exception as exc:
             raise ParseError(str(exc)) from exc
 
-    alpha = _parse_vector(doc, "alpha", k)
-    beta = np.asarray(_require(doc, "beta"), dtype=float)
-    if beta.shape != (k, k):
-        raise ParseError(f"field 'beta' must be a {k}x{k} matrix")
-    sigma2 = float(_require(doc, "sigma2"))
-    p_max = _parse_vector(doc, "P", k)
-    w = _parse_vector(doc, "w", k, default=1.0)
-    r_min = _parse_vector(doc, "rmin", k, default=0.0)
+    alpha = _parse_array(doc, "alpha", (k,))
+    beta = _parse_array(doc, "beta", (k, k))
+    sigma2 = _parse_number(doc, "sigma2")
+    p_max = _parse_array(doc, "P", (k,))
+    w = _parse_array(doc, "w", (k,), default=1.0)
+    r_min = _parse_array(doc, "rmin", (k,), default=0.0)
     try:
         net = InterferenceNetwork(
             alpha=alpha, beta=beta, sigma2=sigma2, p_max=p_max, w=w, r_min=r_min
@@ -527,13 +501,13 @@ def load_instance(path, representation: str = "mmp") -> ProblemInstance:
     if kind == "wsr":
         return wsr_problem(net, representation=representation)
 
-    phi = _parse_vector(doc, "phi", k)
-    bandwidth = float(doc.get("B", 1.0))
+    phi = _parse_array(doc, "phi", (k,))
+    bandwidth = _parse_number(doc, "B", default=1.0)
     try:
         if kind == "gee":
-            pc = float(_require(doc, "Pc"))
+            pc = _parse_number(doc, "Pc")
             return gee_problem(net, EnergyModel(phi=phi, p_circuit=pc, bandwidth=bandwidth))
-        pc = _parse_vector(doc, "Pc", k)
+        pc = _parse_array(doc, "Pc", (k,))
         energy = EnergyModel(phi=phi, p_circuit=pc, bandwidth=bandwidth)
         return wsee_problem(net, energy) if kind == "wsee" else wmee_problem(net, energy)
     except ParseError:

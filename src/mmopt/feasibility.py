@@ -6,23 +6,26 @@ For a feasible set cut out by mixed monotonic constraints
 * ``G_i(s, r) <= 0`` for all ``i`` certifies the whole box feasible, and
   ``G_i(r, s) > 0`` for some ``i`` certifies it empty -- one-sided tests.
 * When every constraint depends only on the I-coordinates of ``x`` and the
-  complementary coordinates of ``y`` (a shared ``monotone_split``), the test
-  ``G_i(r, s) <= 0`` becomes conclusive and yields the witness mixing the
-  lower corner on I with the upper corner elsewhere.
-* Normal sets (sublevel sets of nondecreasing maps) reduce to a test at the
-  lower corner, conormal sets (superlevel sets) to a test at the upper
-  corner; both are special cases of the conclusive test.
+  complementary coordinates of ``y`` (a shared ``monotone_split``), one
+  corner decides: the box meets the feasible set iff every
+  ``G_i(w, w) <= 0`` at the corner ``w`` taking ``r`` on I and ``s``
+  elsewhere, and ``w`` is then the witness.
+* Normal sets (sublevel sets of nondecreasing maps) are this corner test
+  with I = every coordinate (``w = r``), conormal sets (superlevel sets)
+  with I = no coordinate (``w = s``).  :func:`mm_conclusive_test` is the one
+  implementation; :func:`normal_set_test` and :func:`conormal_set_test`
+  run it on plain callables of ``x``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Collection, Sequence
 
 import numpy as np
 
-from .core import BoxNd, MMConstraint
+from .core import BoxNd, MMConstraint, MMFunction
 from .errors import MissingMonotoneSplit
 
 __all__ = [
@@ -75,62 +78,58 @@ def mm_sufficient_test(
 
 
 def mm_conclusive_test(
-    box: BoxNd, constraints: Sequence[MMConstraint], _cache=None
+    box: BoxNd, constraints: Sequence[MMConstraint], split: Collection[int] | None = None
 ) -> FeasibilityVerdict:
-    """Conclusive test for constraints sharing a monotone split.
+    """Exact corner test: the box meets the feasible set iff every
+    ``G_i(w, w) <= 0`` at the corner ``w`` taking ``r`` on the split I (a
+    collection of distinct coordinate indices) and ``s`` elsewhere, which
+    is then the witness.  Never UNKNOWN.
 
-    Requires every constraint to carry the same index set I; the box meets
-    the feasible set iff all ``G_i(r, s) <= 0``, in which case the point
-    taking ``r`` on I and ``s`` elsewhere is feasible.  Never UNKNOWN.
+    Without ``split``, I is the ``monotone_split`` every constraint must
+    share (no constraints: every coordinate); ``G_i`` then depends only on
+    ``x_I`` and ``y`` off I, so ``G_i(w, w) = G_i(r, s)``.  Every coordinate
+    gives the normal-set test at ``r``, no coordinate the conormal-set test
+    at ``s``.
     """
-    constraints = tuple(constraints)
-    if not constraints:
-        return FeasibilityVerdict(Feasibility.FEASIBLE_WITH_WITNESS, witness=box.r)
-    split = constraints[0].monotone_split
     if split is None:
-        raise MissingMonotoneSplit("constraint carries no monotone_split")
-    for c in constraints[1:]:
-        if c.monotone_split != split:
+        constraints = tuple(constraints)
+        split = constraints[0].monotone_split if constraints else range(box.dim)
+        if split is None:
+            raise MissingMonotoneSplit("constraint carries no monotone_split")
+        if any(c.monotone_split != split for c in constraints):
             raise MissingMonotoneSplit("constraints disagree on the monotone split")
     r, s = box.r, box.s
-    for i, c in enumerate(constraints):
-        g_rs = _cache.g_rs(i) if _cache is not None else c.g.eval(r, s)
-        if g_rs > 0.0:
+    if len(split) == r.size:
+        w = r
+    elif not split:
+        w = s
+    else:
+        w = s.copy()
+        idx = sorted(split)
+        w[idx] = r[idx]
+        w.flags.writeable = False
+    for c in constraints:
+        if c.g.eval(w, w) > 0.0:
             return FeasibilityVerdict(Feasibility.INFEASIBLE)
-    witness = s.copy()
-    idx = sorted(split)
-    witness[idx] = r[idx]
-    witness.flags.writeable = False
-    return FeasibilityVerdict(Feasibility.FEASIBLE_WITH_WITNESS, witness=witness)
+    return FeasibilityVerdict(Feasibility.FEASIBLE_WITH_WITNESS, w)
 
 
 def normal_set_test(
     box: BoxNd, nondecreasing: Sequence[Callable[[np.ndarray], float]]
 ) -> FeasibilityVerdict:
-    """Feasibility over a normal set ``{x | g_i(x) <= 0}``, g_i nondecreasing.
-
-    The box meets the set iff every ``g_i`` is nonpositive at the lower
-    corner, which is then the witness.
-    """
-    r = box.r
-    for g in nondecreasing:
-        if float(g(r)) > 0.0:
-            return FeasibilityVerdict(Feasibility.INFEASIBLE)
-    return FeasibilityVerdict(Feasibility.FEASIBLE_WITH_WITNESS, witness=r)
+    """Feasibility over a normal set ``{x | g_i(x) <= 0}``, g_i nondecreasing:
+    the corner test with every coordinate as the split (the lower corner)."""
+    return mm_conclusive_test(box, _diagonal(box, nondecreasing, 1.0), range(box.dim))
 
 
 def conormal_set_test(
     box: BoxNd, nondecreasing: Sequence[Callable[[np.ndarray], float]]
 ) -> FeasibilityVerdict:
-    """Feasibility over a conormal set ``{x | h_i(x) >= 0}``, h_i nondecreasing.
+    """Feasibility over a conormal set ``{x | h_i(x) >= 0}``, h_i nondecreasing:
+    the corner test with no coordinate as the split (the upper corner)."""
+    return mm_conclusive_test(box, _diagonal(box, nondecreasing, -1.0), ())
 
-    The box meets the set iff every ``h_i`` is nonnegative at the upper
-    corner, which is then the witness.  (Testing the lower corner instead
-    would reject boxes that straddle the boundary yet contain feasible
-    points.)
-    """
-    s = box.s
-    for h in nondecreasing:
-        if float(h(s)) < 0.0:
-            return FeasibilityVerdict(Feasibility.INFEASIBLE)
-    return FeasibilityVerdict(Feasibility.FEASIBLE_WITH_WITNESS, witness=s)
+
+def _diagonal(box: BoxNd, funcs, sign: float) -> list[MMConstraint]:
+    # each callable f of x as the constraint G(x, y) = sign * f(x)
+    return [MMConstraint(MMFunction(box.dim, lambda x, y, f=f: sign * f(x))) for f in funcs]

@@ -181,9 +181,10 @@ class AlohaNetwork:
 # weighted sum rate
 
 
-def _rate_mm(net: InterferenceNetwork, k: int) -> MMFunction:
-    """Per-user rate with own power in the increasing slot and interference
-    in the decreasing slot (self-interference stays with the own power)."""
+def _rate(net: InterferenceNetwork, k: int):
+    """Per-user rate as a plain ``(x, y) -> float`` with own power in the
+    increasing slot and interference in the decreasing slot
+    (self-interference stays with the own power)."""
     a = float(net.alpha[k])
     bkk = float(net.beta[k, k])
     cross = np.array(net.beta[k])
@@ -195,37 +196,35 @@ def _rate_mm(net: InterferenceNetwork, k: int) -> MMFunction:
         den = s2 + bkk * xk + float(np.dot(cross, y))
         return math.log2(1.0 + a * xk / den)
 
-    return MMFunction(net.K, fn, name=f"rate{k}")
+    return fn
+
+
+def _rate_mm(net: InterferenceNetwork, k: int) -> MMFunction:
+    return MMFunction(net.K, _rate(net, k), name=f"rate{k}")
 
 
 def _rate_constraint(net: InterferenceNetwork, k: int) -> MMFunction:
     """Minimum-rate gap r_min - rate, with the argument roles swapped so the
     gap is again nondecreasing in the first slot."""
-    a = float(net.alpha[k])
-    bkk = float(net.beta[k, k])
-    cross = np.array(net.beta[k])
-    cross[k] = 0.0
-    s2 = net.sigma2
+    rate = _rate(net, k)
     rmin = float(net.r_min[k])
 
     def fn(x, y):
-        yk = float(y[k])
-        den = s2 + bkk * yk + float(np.dot(cross, x))
-        return rmin - math.log2(1.0 + a * yk / den)
+        return rmin - rate(y, x)
 
     return MMFunction(net.K, fn, name=f"rate_floor{k}")
 
 
-def _dm_objective(net: InterferenceNetwork) -> MMFunction:
+def _dm_objective(net: InterferenceNetwork, weights) -> MMFunction:
     """Weighted sum rate as a difference of two increasing log terms: every
     power in the signal-plus-interference log binds to the increasing slot,
     every power in the interference log to the decreasing slot."""
-    alpha, beta, s2, w = net.alpha, net.beta, net.sigma2, net.w
+    alpha, beta, s2 = net.alpha, net.beta, net.sigma2
 
     def fn(x, y):
         plus = np.log2(alpha * x + s2 + beta @ x)
         minus = np.log2(s2 + beta @ y)
-        return float(np.dot(w, plus) - np.dot(w, minus))
+        return float(np.dot(weights, plus) - np.dot(weights, minus))
 
     return MMFunction(net.K, fn, name="wsr_dm")
 
@@ -245,7 +244,7 @@ def wsr_problem(net: InterferenceNetwork, representation: str = "mmp") -> Proble
     if representation == "mmp":
         objective = mm_weighted_sum(net.w, [_rate_mm(net, k) for k in range(net.K)])
     elif representation == "dm":
-        objective = _dm_objective(net)
+        objective = _dm_objective(net, net.w)
     else:
         raise InvalidNetwork(f"unknown representation {representation!r}")
     constraints = _wsr_constraints(net)
@@ -257,7 +256,7 @@ def wsr_problem(net: InterferenceNetwork, representation: str = "mmp") -> Proble
 def bound_gap_mmp_vs_dm(net: InterferenceNetwork, box: BoxNd) -> float:
     """Bound of the difference-of-logs split minus the per-rate bound on a
     box; nonnegative up to roundoff, zero on degenerate boxes."""
-    u_dm = _dm_objective(net).eval(box.s, box.r)
+    u_dm = _dm_objective(net, net.w).eval(box.s, box.r)
     u_mmp = mm_weighted_sum(net.w, [_rate_mm(net, k) for k in range(net.K)]).eval(box.s, box.r)
     return u_dm - u_mmp
 
@@ -331,17 +330,15 @@ def _sum_rate(net: InterferenceNetwork, p: np.ndarray) -> float:
 def _dinkelbach_aux_objective(
     net: InterferenceNetwork, energy: EnergyModel, lam: float
 ) -> MMFunction:
-    """Throughput minus lam-scaled power draw, in the difference-of-logs
-    representation; the linear power term binds to the decreasing slot."""
-    alpha, beta, s2 = net.alpha, net.beta, net.sigma2
-    phi, pc, b = energy.phi, float(energy.p_circuit), energy.bandwidth
+    """Throughput minus lam-scaled power draw: the difference-of-logs sum
+    rate plus a penalty whose linear power term binds to the decreasing slot."""
+    phi, pc = energy.phi, float(energy.p_circuit)
 
-    def fn(x, y):
-        plus = float(np.sum(np.log2(alpha * x + s2 + beta @ x)))
-        minus = float(np.sum(np.log2(s2 + beta @ y)))
-        return b * (plus - minus) - lam * (float(np.dot(phi, y)) + pc)
+    def penalty(x, y):
+        return -lam * (float(np.dot(phi, y)) + pc)
 
-    return MMFunction(net.K, fn, name=f"aux(lam={lam:.6g})")
+    throughput = mm_weighted_sum([energy.bandwidth], [_dm_objective(net, np.ones(net.K))])
+    return mm_sum([throughput, MMFunction(net.K, penalty, name=f"draw(lam={lam:.6g})")])
 
 
 def dinkelbach_gee(

@@ -18,11 +18,16 @@ rest at its far end and bisects on the ones that failed there (its
 *binding set*).  The multipliers are those of testing every conjunct at
 every step.
 
-With an exact (conclusive/normal/conormal/oracle) feasibility test the
-returned point is eta-optimal.  With the one-sided test only
-(``mm-sufficient-only``), pruning by infeasibility needs the optimistic
-corner certificate and the search may not terminate on its own; iteration
-or wall-time limits then return the best incumbent with a limit status.
+Feasibility is decided per box by one of three tests: a user oracle, the
+one-sided test, or the exact corner test
+(:func:`~mmopt.feasibility.mm_conclusive_test`).  The ``normal``,
+``conormal`` and ``mm-conclusive`` modes all run the corner test, with the
+split set to every coordinate, to no coordinate, and to the constraints'
+shared split.  With an exact test (corner or oracle) the returned point is
+eta-optimal.  With the one-sided test only (``mm-sufficient-only``),
+pruning by infeasibility needs the optimistic corner certificate and the
+search may not terminate on its own; iteration or wall-time limits then
+return the best incumbent with a limit status.
 Relative tolerance replaces every incumbent-plus-eta cutoff by
 ``incumbent + eta * |incumbent|``, which lies above the incumbent for either
 sign; before any incumbent is found the cutoff stays ``-inf``.
@@ -54,7 +59,9 @@ from .core import (
     SolveStats,
 )
 from .errors import DimensionMismatch, MMOptError, NonFiniteEntry, ZeroDiameterBox
-from .feasibility import (
+
+# all four tests stay importable from here so that a tracer can wrap them by name
+from .feasibility import (  # noqa: F401
     Feasibility,
     FeasibilityVerdict,
     conormal_set_test,
@@ -273,35 +280,18 @@ def _diag_feasible(constraints, x, slack: float) -> bool:
     return all(c.g.eval(x, x) <= slack for c in constraints)
 
 
-def _normal_funcs(constraints):
-    return [lambda x, c=c: c.g.eval(x, x) for c in constraints]
-
-
-def _conormal_funcs(constraints):
-    return [lambda x, c=c: -c.g.eval(x, x) for c in constraints]
-
-
 def _verdict_for(
-    problem: ProblemInstance,
-    box: BoxNd,
-    cache: _CornerCache | None = None,
-    normal_funcs=None,
-    conormal_funcs=None,
+    problem: ProblemInstance, box: BoxNd, cache: _CornerCache | None = None
 ) -> FeasibilityVerdict:
     mode = problem.feasibility_mode
-    if mode == "mm-conclusive":
-        return mm_conclusive_test(box, problem.constraints, _cache=cache)
-    if mode == "normal":
-        funcs = normal_funcs if normal_funcs is not None else _normal_funcs(problem.constraints)
-        return normal_set_test(box, funcs)
-    if mode == "conormal":
-        funcs = (
-            conormal_funcs if conormal_funcs is not None else _conormal_funcs(problem.constraints)
-        )
-        return conormal_set_test(box, funcs)
     if mode == "custom-oracle":
         return problem.feasibility_oracle(box)
-    return mm_sufficient_test(box, problem.constraints, _cache=cache)
+    if mode == "mm-sufficient-only":
+        return mm_sufficient_test(box, problem.constraints, _cache=cache)
+    # the corner test; its split is every coordinate for a normal set, none
+    # for a conormal set, and the constraints' shared split otherwise
+    split = range(box.dim) if mode == "normal" else () if mode == "conormal" else None
+    return mm_conclusive_test(box, problem.constraints, split)
 
 
 def _candidate_from_verdict(
@@ -334,8 +324,9 @@ def find_incumbent(box: BoxNd, problem: ProblemInstance, epsilon: float = 0.0):
 
     Returns None when the problem's feasibility test finds the box
     infeasible.  Otherwise it tries, in order: the witness of a
-    ``FEASIBLE_WITH_WITNESS`` verdict (conclusive, normal, conormal or
-    oracle test); the lower corner of a box certified ``FULLY_FEASIBLE``;
+    ``FEASIBLE_WITH_WITNESS`` verdict (the corner test of the
+    ``mm-conclusive``, ``normal`` and ``conormal`` modes, or an oracle);
+    the lower corner of a box certified ``FULLY_FEASIBLE``;
     with ``epsilon > 0`` in ``mm-sufficient-only`` mode, the lower corner
     of an undecided box whose constraints hold within that slack; and, when
     none of these gives a point, the user incumbent hook, whose point must
@@ -432,8 +423,6 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
     relative = config.tolerance_mode == "relative"
     eps = config.epsilon_feasibility
     best_first = config.selection_rule == "best-first"
-    normal_funcs = _normal_funcs(constraints)
-    conormal_funcs = _conormal_funcs(constraints)
     debug_rng = np.random.default_rng(config.rng_seed) if config.debug_check_pruning else None
 
     def cutoff(g: float) -> float:
@@ -514,7 +503,7 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
                         candidates.append(x)
                     continue
 
-                verdict = _verdict_for(problem, child, cache, normal_funcs, conormal_funcs)
+                verdict = _verdict_for(problem, child, cache)
                 if verdict.kind is Feasibility.INFEASIBLE:
                     state.stats.boxes_pruned_infeasible += 1
                     if debug_rng is not None:

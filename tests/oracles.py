@@ -2,14 +2,18 @@
 
 Everything here is hand-coded straight from the model formulas (no use of
 the MM representations or the solver) so tests compare two independent
-routes to the same value.  The exception is :func:`reduce_box_reference`,
-the solver's earlier box reduction kept as written, against which the
-current one must agree bit for bit.
+routes to the same value.  The exceptions are :func:`reduce_box_reference`,
+the solver's earlier box reduction, and the three exact feasibility tests
+that the corner test replaced (:func:`normal_set_test_reference`,
+:func:`conormal_set_test_reference`, :func:`mm_conclusive_test_reference`),
+kept as written; the current code must agree with them bit for bit.
 """
 
 import numpy as np
 
 from mmopt.core import BoxNd
+from mmopt.errors import MissingMonotoneSplit
+from mmopt.feasibility import Feasibility, FeasibilityVerdict
 
 
 def wsr_rates(net, p):
@@ -24,6 +28,19 @@ def wsr_rates(net, p):
 
 def wsr_value(net, p):
     return float(np.dot(net.w, wsr_rates(net, p)))
+
+
+def wsr_budget_grid_max(net, budget, n=101):
+    """Best weighted sum rate over the points of an n-per-dimension grid
+    whose total power is at most ``budget`` (K = 3 only)."""
+    assert net.K == 3
+    axes = [np.linspace(0.0, net.p_max[i], n) for i in range(3)]
+    p = np.meshgrid(*axes, indexing="ij")
+    value = np.zeros_like(p[0])
+    for k in range(3):
+        den = net.sigma2 + sum(net.beta[k, j] * p[j] for j in range(3))
+        value += net.w[k] * np.log2(1.0 + net.alpha[k] * p[k] / den)
+    return float(value[p[0] + p[1] + p[2] <= budget].max())
 
 
 def wsr_grid_max(net, n=1001):
@@ -250,3 +267,59 @@ def reduce_box_reference(box, objective, constraints, gamma, steps=10):
     r_new.flags.writeable = False
     s_new.flags.writeable = False
     return BoxNd._trusted(r_new, s_new, box.birth_iteration)
+
+
+def mm_conclusive_test_reference(box, constraints, _cache=None):
+    """Conclusive test for constraints sharing a monotone split.
+
+    Requires every constraint to carry the same index set I; the box meets
+    the feasible set iff all ``G_i(r, s) <= 0``, in which case the point
+    taking ``r`` on I and ``s`` elsewhere is feasible.  Never UNKNOWN.
+    """
+    constraints = tuple(constraints)
+    if not constraints:
+        return FeasibilityVerdict(Feasibility.FEASIBLE_WITH_WITNESS, witness=box.r)
+    split = constraints[0].monotone_split
+    if split is None:
+        raise MissingMonotoneSplit("constraint carries no monotone_split")
+    for c in constraints[1:]:
+        if c.monotone_split != split:
+            raise MissingMonotoneSplit("constraints disagree on the monotone split")
+    r, s = box.r, box.s
+    for i, c in enumerate(constraints):
+        g_rs = _cache.g_rs(i) if _cache is not None else c.g.eval(r, s)
+        if g_rs > 0.0:
+            return FeasibilityVerdict(Feasibility.INFEASIBLE)
+    witness = s.copy()
+    idx = sorted(split)
+    witness[idx] = r[idx]
+    witness.flags.writeable = False
+    return FeasibilityVerdict(Feasibility.FEASIBLE_WITH_WITNESS, witness=witness)
+
+
+def normal_set_test_reference(box, nondecreasing):
+    """Feasibility over a normal set ``{x | g_i(x) <= 0}``, g_i nondecreasing.
+
+    The box meets the set iff every ``g_i`` is nonpositive at the lower
+    corner, which is then the witness.
+    """
+    r = box.r
+    for g in nondecreasing:
+        if float(g(r)) > 0.0:
+            return FeasibilityVerdict(Feasibility.INFEASIBLE)
+    return FeasibilityVerdict(Feasibility.FEASIBLE_WITH_WITNESS, witness=r)
+
+
+def conormal_set_test_reference(box, nondecreasing):
+    """Feasibility over a conormal set ``{x | h_i(x) >= 0}``, h_i nondecreasing.
+
+    The box meets the set iff every ``h_i`` is nonnegative at the upper
+    corner, which is then the witness.  (Testing the lower corner instead
+    would reject boxes that straddle the boundary yet contain feasible
+    points.)
+    """
+    s = box.s
+    for h in nondecreasing:
+        if float(h(s)) < 0.0:
+            return FeasibilityVerdict(Feasibility.INFEASIBLE)
+    return FeasibilityVerdict(Feasibility.FEASIBLE_WITH_WITNESS, witness=s)

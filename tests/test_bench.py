@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -100,6 +101,14 @@ class TestSpec:
     def test_single_solve_needs_instance(self):
         with pytest.raises(SpecError):
             BenchSpec(experiment="single-solve")
+
+    @pytest.mark.parametrize("experiment", ["gee-compare", "aloha"])
+    @pytest.mark.parametrize("representations", [("dm",), ("mmp", "dm"), ("mmp", "mmp")])
+    def test_representation_only_where_it_is_used(self, experiment, representations):
+        with pytest.raises(SpecError, match="representation"):
+            BenchSpec(experiment=experiment, representations=representations)
+        BenchSpec(experiment=experiment, representations=("mmp",))
+        BenchSpec(experiment="wsr-compare", representations=representations)
 
 
 class TestRunBench:
@@ -258,7 +267,35 @@ def write_instance(tmp_path, doc, name="inst.json"):
     return path
 
 
+_WSR2 = {
+    "schema": "mmp-bench/1",
+    "type": "wsr",
+    "K": 2,
+    "alpha": [1.0, 1.0],
+    "beta": [[0.0, 0.5], [0.5, 0.0]],
+    "sigma2": 0.01,
+    "P": [1.0, 1.0],
+}
+_GEE2 = dict(_WSR2, type="gee", phi=[5.0, 5.0], Pc=1.0)
+_ALOHA2 = {"schema": "mmp-bench/1", "type": "aloha", "K": 2, "c": [1.0, 1.0]}
+
+# malformed documents, each with the field its error must name
+MALFORMED = [
+    (dict(_WSR2, sigma2="abc"), "sigma2"),
+    (dict(_WSR2, sigma2=[1, 2]), "sigma2"),
+    (dict(_WSR2, beta=[["a", 0.5], [0.5, 0.0]]), "beta"),
+    (dict(_GEE2, B="x"), "B"),
+    (dict(_ALOHA2, interferers=[1, 0]), "interferers"),
+    (dict(_ALOHA2, interferers=[["x"], [0]]), "interferers"),
+]
+
+
 class TestLoadInstance:
+    @pytest.mark.parametrize("doc, field", MALFORMED)
+    def test_malformed_field_raises_parse_error(self, tmp_path, doc, field):
+        with pytest.raises(ParseError, match=f"'{field}'"):
+            load_instance(write_instance(tmp_path, doc))
+
     def test_minimal_single_user(self, tmp_path):
         path = write_instance(
             tmp_path,
@@ -412,6 +449,17 @@ class TestCli:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    def test_malformed_instance_exit_code(self, tmp_path, capsys):
+        path = write_instance(tmp_path, dict(_WSR2, sigma2="abc"))
+        rc = main(["--experiment", "single-solve", "--instance", str(path)])
+        assert rc == 1
+        assert "error: field 'sigma2'" in capsys.readouterr().err
+
+    def test_representation_on_gee_exit_code(self, capsys):
+        rc = main(["--experiment", "gee-compare", "--k", "1", "--repr", "dm"])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_error_rows_exit_code(self, tmp_path, monkeypatch):
         def exploding_solve(problem, config):
             raise RuntimeError("boom")
@@ -443,3 +491,131 @@ class TestCli:
         )
         assert rc == 0
         assert capsys.readouterr().out.startswith(CSV_HEADER)
+
+
+# Rows of four small batches, without wall_time_s, and the trace file names
+# they write, recorded before run_bench became one loop over a table of
+# experiments.  Objectives are the exact floats; no row has an error.
+GOLDEN_DOC = {
+    "schema": "mmp-bench/1",
+    "type": "wsr",
+    "K": 2,
+    "alpha": [1.0, 0.7],
+    "beta": [[0.0, 0.4], [0.9, 0.0]],
+    "sigma2": 0.01,
+    "P": [1.0, 1.0],
+    "w": [1.0, 2.0],
+}
+GOLDEN_SPECS = {
+    "wsr-compare": dict(
+        experiment="wsr-compare",
+        k=2,
+        realizations=2,
+        seed=5,
+        representations=("mmp", "dm"),
+        selections=("best-first", "oldest-first"),
+        reductions=(True, False),
+    ),
+    "gee-compare": dict(experiment="gee-compare", k=2, realizations=2, seed=5),
+    "aloha": dict(experiment="aloha", k=2, realizations=2, seed=5),
+    "single-solve": dict(experiment="single-solve", representations=("mmp", "dm")),
+}
+# (instance_id, seed) -> rows in order, each (algorithm, representation,
+# selection, reduction, status, objective, iterations, peak_regions)
+GOLDEN_ROWS = {
+    "wsr-compare": {
+        ("wsr-k2-000", 15658875773272509128): [
+            ("brb", "mmp", "best-first", True, "eta-optimal", 6.601647019353274, 11, 3),
+            ("brb", "mmp", "best-first", False, "eta-optimal", 6.601647019353274, 25, 8),
+            ("brb", "mmp", "oldest-first", True, "eta-optimal", 6.601647019353274, 13, 3),
+            ("brb", "mmp", "oldest-first", False, "eta-optimal", 6.601647019353274, 39, 6),
+            ("brb", "dm", "best-first", True, "eta-optimal", 6.604443992146226, 19, 6),
+            ("brb", "dm", "best-first", False, "eta-optimal", 6.604443992146226, 54, 12),
+            ("brb", "dm", "oldest-first", True, "eta-optimal", 6.604443992146226, 27, 5),
+            ("brb", "dm", "oldest-first", False, "eta-optimal", 6.604443992146226, 70, 12),
+        ],
+        ("wsr-k2-001", 6924645418555453511): [
+            ("brb", "mmp", "best-first", True, "eta-optimal", 6.378864034430083, 11, 5),
+            ("brb", "mmp", "best-first", False, "eta-optimal", 6.383050188152673, 71, 13),
+            ("brb", "mmp", "oldest-first", True, "eta-optimal", 6.378864034430083, 15, 3),
+            ("brb", "mmp", "oldest-first", False, "eta-optimal", 6.383050188152673, 86, 8),
+            ("brb", "dm", "best-first", True, "eta-optimal", 6.381656152768604, 19, 5),
+            ("brb", "dm", "best-first", False, "eta-optimal", 6.383050188152673, 107, 18),
+            ("brb", "dm", "oldest-first", True, "eta-optimal", 6.381656152768604, 27, 5),
+            ("brb", "dm", "oldest-first", False, "eta-optimal", 6.383050188152673, 130, 16),
+        ],
+    },
+    "gee-compare": {
+        ("gee-k2-000", 15658875773272509128): [
+            ("brb", "mmp", "best-first", False, "eta-optimal", 2.283550313822412, 172, 31),
+            ("dinkelbach", "dm", "best-first", False, "eta-optimal", 2.2835516640790834, 2287, 84),
+        ],
+        ("gee-k2-001", 6924645418555453511): [
+            ("brb", "mmp", "best-first", False, "eta-optimal", 2.154416619858372, 436, 83),
+            ("dinkelbach", "dm", "best-first", False, "eta-optimal", 2.154417964163976, 4666, 177),
+        ],
+    },
+    "aloha": {
+        ("aloha-k2-000", 1725439304048894018): [
+            ("brb", "mmp", "best-first", False, "eta-optimal", -3.965136907834448, 45, 11),
+        ],
+        ("aloha-k2-001", 13230002727910310950): [
+            ("brb", "mmp", "best-first", False, "eta-optimal", -10.770871420925069, 20, 11),
+        ],
+    },
+    "single-solve": {
+        ("net2", 0): [
+            ("brb", "mmp", "best-first", False, "eta-optimal", 12.293932728745416, 28, 8),
+            ("brb", "dm", "best-first", False, "eta-optimal", 12.296714823834499, 52, 14),
+        ],
+    },
+}
+GOLDEN_TRACES = {
+    "wsr-compare": [
+        "t-wsr-k2-000-dm-best-first+red.csv",
+        "t-wsr-k2-000-dm-best-first.csv",
+        "t-wsr-k2-000-dm-oldest-first+red.csv",
+        "t-wsr-k2-000-dm-oldest-first.csv",
+        "t-wsr-k2-000-mmp-best-first+red.csv",
+        "t-wsr-k2-000-mmp-best-first.csv",
+        "t-wsr-k2-000-mmp-oldest-first+red.csv",
+        "t-wsr-k2-000-mmp-oldest-first.csv",
+        "t-wsr-k2-001-dm-best-first+red.csv",
+        "t-wsr-k2-001-dm-best-first.csv",
+        "t-wsr-k2-001-dm-oldest-first+red.csv",
+        "t-wsr-k2-001-dm-oldest-first.csv",
+        "t-wsr-k2-001-mmp-best-first+red.csv",
+        "t-wsr-k2-001-mmp-best-first.csv",
+        "t-wsr-k2-001-mmp-oldest-first+red.csv",
+        "t-wsr-k2-001-mmp-oldest-first.csv",
+    ],
+    "gee-compare": [
+        "t-gee-k2-000-best-first.csv",
+        "t-gee-k2-001-best-first.csv",
+    ],
+    "aloha": [
+        "t-aloha-k2-000-best-first.csv",
+        "t-aloha-k2-001-best-first.csv",
+    ],
+    "single-solve": [
+        "t-net2-dm-best-first.csv",
+        "t-net2-mmp-best-first.csv",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+def test_golden_bench_rows(name, tmp_path):
+    kwargs = dict(GOLDEN_SPECS[name])
+    if name == "single-solve":
+        kwargs["instance_path"] = str(write_instance(tmp_path, GOLDEN_DOC, name="net2.json"))
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    rows = run_bench(BenchSpec(**kwargs, trace_path=str(traces / "t.csv")))
+    assert all(row.error is None for row in rows)
+    got = {}
+    for row in rows:
+        got.setdefault((row.instance_id, row.seed), []).append(astuple(row)[1:9])
+    assert list(got.items()) == list(GOLDEN_ROWS[name].items())
+    assert sorted(p.name for p in traces.iterdir()) == GOLDEN_TRACES[name]
+

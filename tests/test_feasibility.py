@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mmopt.core import MMConstraint, MMFunction, make_box
-from mmopt.errors import MissingMonotoneSplit
+from mmopt.core import MMConstraint, MMFunction, ProblemInstance, make_box
+from mmopt.errors import EvaluationError, MissingMonotoneSplit
 from mmopt.feasibility import (
     Feasibility,
     conormal_set_test,
@@ -11,6 +11,13 @@ from mmopt.feasibility import (
     normal_set_test,
 )
 from mmopt.problems import generate_aloha, generate_channels, wsr_problem
+from mmopt.solver import _verdict_for
+
+from oracles import (
+    conormal_set_test_reference,
+    mm_conclusive_test_reference,
+    normal_set_test_reference,
+)
 
 
 def linear_constraint(dim, a_x, b_y, offset, split=None):
@@ -151,3 +158,124 @@ def test_witnesses_are_feasible_and_inside():
             assert box.contains(w, tol=1e-12)
             for c in constraints:
                 assert c.g.eval(w, w) <= 1e-9
+
+
+def _diagonal_constraint(a, b, curved, offset):
+    """G(x, y) = a.x - b.y + offset (+ 0.5 a.x^2 if curved), a, b >= 0: both
+    slots matter off the diagonal; G(x, x) is nondecreasing when a >= b and,
+    without the curved term, nonincreasing when a <= b."""
+
+    def g_fn(x, y):
+        value = float(a @ x) - float(b @ y)
+        if curved:
+            value = value + 0.5 * float(a @ (x * x))
+        return value + offset
+
+    return MMConstraint(MMFunction(a.size, g_fn))
+
+
+class TestCornerTestMatchesReference:
+    """The corner test against the three exact tests it replaced, kept in
+    ``oracles.py``: same verdict kinds and bit-identical witnesses, through
+    the public tests and through the solver's per-mode dispatch."""
+
+    OBJECTIVE = {d: MMFunction(d, lambda x, y: 0.0) for d in (1, 2, 3, 4)}
+
+    @staticmethod
+    def assert_same(verdict, reference):
+        assert verdict.kind is reference.kind
+        if reference.witness is None:
+            assert verdict.witness is None
+        else:
+            assert np.array_equal(verdict.witness, reference.witness)
+
+    def solver_verdict(self, box, constraints, mode):
+        problem = ProblemInstance(self.OBJECTIVE[box.dim], constraints, box, feasibility_mode=mode)
+        return _verdict_for(problem, box)
+
+    def random_box(self, rng, dim):
+        lo = rng.random(dim)
+        return make_box(lo, lo + rng.random(dim) + 0.05)
+
+    def test_conclusive_on_criterion_09_constraints(self):
+        rng = np.random.default_rng(909)
+        kinds = set()
+        for case in range(300):
+            dim = 2 if case < 150 else 3
+            split = frozenset(int(i) for i in range(dim) if rng.random() < 0.5)
+            constraints = []
+            for _ in range(int(rng.integers(1, 4))):
+                a = np.zeros(dim)
+                b = np.zeros(dim)
+                for i in range(dim):
+                    if i in split:
+                        a[i] = rng.random() * 2.0
+                    else:
+                        b[i] = rng.random() * 2.0
+                offset = float(rng.normal(scale=1.0))
+                curved = bool(rng.random() < 0.3)
+
+                def g_fn(x, y, a=a, b=b, offset=offset, curved=curved):
+                    up = float(a @ x)
+                    down = float(b @ y)
+                    if curved:
+                        up = up + 0.5 * float(a @ (x * x))
+                    return up - down + offset
+
+                constraints.append(MMConstraint(MMFunction(dim, g_fn), monotone_split=split))
+            constraints = tuple(constraints)
+            box = self.random_box(rng, dim)
+            reference = mm_conclusive_test_reference(box, constraints)
+            self.assert_same(mm_conclusive_test(box, constraints), reference)
+            self.assert_same(self.solver_verdict(box, constraints, "mm-conclusive"), reference)
+            kinds.add(reference.kind)
+        assert kinds == {Feasibility.INFEASIBLE, Feasibility.FEASIBLE_WITH_WITNESS}
+
+    @pytest.mark.parametrize("mode", ["normal", "conormal"])
+    def test_normal_and_conormal_on_diagonal_constraints(self, mode):
+        # the modes constrain only the diagonal G(x, x): nondecreasing for a
+        # normal set (a >= b), nonincreasing for a conormal set (a <= b)
+        rng = np.random.default_rng(11 if mode == "normal" else 12)
+        kinds = set()
+        for case in range(300):
+            dim = 1 + case % 4
+            constraints = []
+            for _ in range(int(rng.integers(0, 4))):
+                big = rng.random(dim) * 2.0
+                small = big * rng.random(dim) * float(rng.random() < 0.7)
+                offset = float(rng.normal(scale=1.5))
+                if mode == "normal":
+                    c = _diagonal_constraint(big, small, bool(rng.random() < 0.3), offset)
+                else:
+                    c = _diagonal_constraint(small, big, False, offset)
+                constraints.append(c)
+            constraints = tuple(constraints)
+            box = self.random_box(rng, dim)
+            if mode == "normal":
+                funcs = [lambda x, c=c: c.g.eval(x, x) for c in constraints]
+                reference = normal_set_test_reference(box, funcs)
+                self.assert_same(normal_set_test(box, funcs), reference)
+                split = frozenset(range(dim))
+            else:
+                funcs = [lambda x, c=c: -c.g.eval(x, x) for c in constraints]
+                reference = conormal_set_test_reference(box, funcs)
+                self.assert_same(conormal_set_test(box, funcs), reference)
+                split = frozenset()
+            self.assert_same(mm_conclusive_test(box, constraints, split), reference)
+            self.assert_same(self.solver_verdict(box, constraints, mode), reference)
+            kinds.add(reference.kind)
+        assert kinds == {Feasibility.INFEASIBLE, Feasibility.FEASIBLE_WITH_WITNESS}
+
+    @pytest.mark.parametrize(
+        "mode, corner", [("normal", "r"), ("conormal", "s"), ("mm-conclusive", "r")]
+    )
+    def test_no_constraints_witness_is_the_corner(self, mode, corner):
+        box = make_box((0.0, 1.0), (2.0, 3.0))
+        verdict = self.solver_verdict(box, (), mode)
+        assert verdict.kind is Feasibility.FEASIBLE_WITH_WITNESS
+        assert verdict.witness is getattr(box, corner)
+
+    @pytest.mark.parametrize("test", [normal_set_test, conormal_set_test])
+    def test_aliases_reject_nan_like_every_constraint(self, test):
+        with pytest.raises(EvaluationError):
+            test(make_box((0.0,), (1.0,)), [lambda x: float("nan")])

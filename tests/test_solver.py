@@ -32,6 +32,7 @@ from oracles import (
     aloha_rates,
     random_box,
     reduce_box_reference,
+    wsr_budget_grid_max,
     wsr_grid_max,
     wsr_rates,
     wsr_value,
@@ -703,3 +704,50 @@ class TestGoldenTrace:
         assert stats.boxes_created == 1 + 2 * res.iterations - stats.boxes_reduced_empty
         assert stats.peak_region_count == res.peak_region_count
         assert stats.boxes_pruned_infeasible + stats.boxes_pruned_bound > 0
+
+
+class TestConstrainedNormalSet:
+    """A normal-mode solve with a constraint that binds: WSR K=3 under a
+    total-power budget ``sum(p) <= 1.5`` (network seed 34, whose
+    unconstrained optimum spends 2).  The budget is a normal set, so the
+    corner test runs at the lower corner, as in ``mm-conclusive`` mode with
+    every coordinate as the split."""
+
+    BUDGET = 1.5
+    # trace digest and counts recorded with the separate normal-set test
+    # that the corner test replaced
+    COUNTS = ("eta-optimal", 829, 172)
+    DIGEST = "75acfed13bc649ce797c5d1ccf2de0b916975dfabada6e95d826a9bf99d74cde"
+
+    def problem(self, mode, split=None):
+        net = generate_channels(3, 34)
+        base = wsr_problem(net)
+        budget = MMFunction(3, lambda x, y: float(np.sum(x)) - self.BUDGET, name="budget")
+        constraint = MMConstraint(budget, monotone_split=split)
+        return net, ProblemInstance(
+            base.objective, (constraint,), base.initial_box, feasibility_mode=mode
+        )
+
+    def solve_traced(self, problem, path):
+        res = solve(problem, SolverConfig(eta=0.01, trace_path=str(path)))
+        return res, path.read_bytes()
+
+    def test_against_grid_and_conclusive_mode(self, tmp_path):
+        net, normal = self.problem("normal")
+        res, trace = self.solve_traced(normal, tmp_path / "normal.csv")
+        assert (res.status, res.iterations, res.peak_region_count) == self.COUNTS
+        assert hashlib.sha256(trace).hexdigest() == self.DIGEST
+        assert res.incumbent.sum() <= self.BUDGET
+        assert res.value == pytest.approx(wsr_value(net, res.incumbent), abs=1e-12)
+        grid = wsr_budget_grid_max(net, self.BUDGET, n=101)
+        assert grid - 0.01 - 1e-9 <= res.value <= grid + 0.01
+        # the budget binds: without it the optimum spends more
+        free = solve(wsr_problem(net), SolverConfig(eta=0.01))
+        assert free.incumbent.sum() > self.BUDGET
+
+        _, conclusive = self.problem("mm-conclusive", split=frozenset(range(3)))
+        res_c, trace_c = self.solve_traced(conclusive, tmp_path / "conclusive.csv")
+        assert trace_c == trace
+        assert (res_c.status, res_c.iterations, res_c.peak_region_count) == self.COUNTS
+        assert repr(res_c.value) == repr(res.value)
+        assert np.array_equal(res_c.incumbent, res.incumbent)
