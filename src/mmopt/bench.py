@@ -10,17 +10,18 @@ standard error and into the row's ``error`` field (JSON output only).
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .core import ProblemInstance, SolverConfig
-from .errors import ParseError, SchemaVersionError, SpecError
+from .errors import MMOptError, ParseError, SchemaVersionError, SpecError
 from .problems import (
     AlohaNetwork,
     EnergyModel,
@@ -47,11 +48,6 @@ __all__ = [
     "load_instance",
     "CSV_HEADER",
 ]
-
-CSV_HEADER = (
-    "instance_id,algorithm,representation,selection,reduction,"
-    "status,objective,iterations,peak_regions,wall_time_s,seed"
-)
 
 # aloha feasibility screening grids; finer than this is pointless at bench scale
 _ALOHA_SCREEN_POINTS = {1: 4097, 2: 401, 3: 201, 4: 61}
@@ -89,6 +85,23 @@ class BenchSpec:
         takes_representation = _EXPERIMENTS[self.experiment].takes_representation
         if not takes_representation and tuple(self.representations) != ("mmp",):
             raise SpecError(f"{self.experiment} takes no representation other than mmp")
+        # the solver settings of every run, checked here so that a bad value
+        # fails the spec instead of every run; runs replace only the
+        # selection, the reduction and the trace path
+        try:
+            config = SolverConfig(
+                eta=self.eta,
+                tolerance_mode=self.tolerance_mode,
+                reduction_bisection_steps=self.reduction_bisection_steps,
+                epsilon_feasibility=self.epsilon_feasibility,
+                max_iterations=self.max_iterations,
+                max_wall_time=self.max_wall_time,
+            )
+            for selection in self.selections:
+                replace(config, selection_rule=selection)
+        except MMOptError as exc:
+            raise SpecError(str(exc)) from exc
+        object.__setattr__(self, "_base_config", config)
 
 
 @dataclass(frozen=True)
@@ -108,6 +121,20 @@ class ResultRow:
     error: str | None = None
 
 
+# CSV columns in the order of the fields of ResultRow, each with its parser
+_CSV_PARSERS = {
+    "str": str,
+    "bool": lambda v: v == "on",
+    "int": int,
+    "float": float,
+    "float | None": lambda v: float(v) if v else None,
+}
+_CSV_COLUMNS = tuple(
+    (f.name, _CSV_PARSERS[f.type]) for f in dataclasses.fields(ResultRow) if f.name != "error"
+)
+CSV_HEADER = ",".join(name for name, _ in _CSV_COLUMNS)
+
+
 def _instance_seed(spec_seed: int, index: int) -> int:
     # stable per-instance derivation; independent of how many configs run
     seq = np.random.SeedSequence(entropy=spec_seed, spawn_key=(index,))
@@ -118,27 +145,16 @@ def _config_label(selection: str, reduction: bool) -> str:
     return f"{selection}{'+red' if reduction else ''}"
 
 
-def _solver_config(spec: BenchSpec, selection: str, reduction: bool, trace: str | None):
-    return SolverConfig(
-        eta=spec.eta,
-        tolerance_mode=spec.tolerance_mode,
-        selection_rule=selection,
-        reduction_enabled=reduction,
-        reduction_bisection_steps=spec.reduction_bisection_steps,
-        epsilon_feasibility=spec.epsilon_feasibility,
-        max_iterations=spec.max_iterations,
-        max_wall_time=spec.max_wall_time,
-        trace_path=trace,
-    )
-
-
 def _run_one(run, spec: BenchSpec, trace: str | None, **fields) -> ResultRow:
     """Call ``run(config)`` for a solver result and record it in a row with
     ``fields`` (instance_id, algorithm, representation, selection, reduction,
     seed); any failure, building the problem included, becomes an error row."""
     selection, reduction = fields["selection"], fields["reduction"]
+    config = replace(
+        spec._base_config, selection_rule=selection, reduction_enabled=reduction, trace_path=trace
+    )
     try:
-        res = run(_solver_config(spec, selection, reduction, trace))
+        res = run(config)
     except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
         run_name = " ".join(str(fields[k]) for k in ("instance_id", "algorithm", "representation"))
@@ -319,39 +335,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv_fh(rows, fh):
-    fh.write(CSV_HEADER + "\n")
-    for row in rows:
-        fh.write(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    row.instance_id,
-                    row.algorithm,
-                    row.representation,
-                    row.selection,
-                    row.reduction,
-                    row.status,
-                    row.objective,
-                    row.iterations,
-                    row.peak_regions,
-                    row.wall_time_s,
-                    row.seed,
-                )
-            )
-            + "\n"
-        )
+def _write_text(text: str, target):
+    """Write to an open text handle, or to a new file at a path."""
+    if hasattr(target, "write"):
+        target.write(text)
+        return
+    with open(target, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def write_csv(rows, path):
-    if hasattr(path, "write"):
-        _write_csv_fh(rows, path)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_csv_fh(rows, fh)
+    lines = [CSV_HEADER]
+    lines += (",".join(_fmt(getattr(row, name)) for name, _ in _CSV_COLUMNS) for row in rows)
+    _write_text("\n".join(lines) + "\n", path)
 
 
-def _write_json_fh(rows, fh):
+def write_json(rows, path):
     payload = []
     for row in rows:
         d = asdict(row)
@@ -359,16 +358,7 @@ def _write_json_fh(rows, fh):
         if row.objective is not None:
             d["objective"] = float(f"{row.objective:.12g}")
         payload.append(d)
-    json.dump(payload, fh, indent=1)
-    fh.write("\n")
-
-
-def write_json(rows, path):
-    if hasattr(path, "write"):
-        _write_json_fh(rows, path)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_json_fh(rows, fh)
+    _write_text(json.dumps(payload, indent=1) + "\n", path)
 
 
 def read_csv(path) -> list[ResultRow]:
@@ -379,23 +369,10 @@ def read_csv(path) -> list[ResultRow]:
             raise ParseError(f"unexpected CSV header: {header!r}")
         for line in fh:
             parts = line.rstrip("\n").split(",")
-            if len(parts) != 11:
-                raise ParseError(f"expected 11 fields, got {len(parts)}")
-            rows.append(
-                ResultRow(
-                    instance_id=parts[0],
-                    algorithm=parts[1],
-                    representation=parts[2],
-                    selection=parts[3],
-                    reduction=parts[4] == "on",
-                    status=parts[5],
-                    objective=float(parts[6]) if parts[6] else None,
-                    iterations=int(parts[7]),
-                    peak_regions=int(parts[8]),
-                    wall_time_s=float(parts[9]),
-                    seed=int(parts[10]),
-                )
-            )
+            if len(parts) != len(_CSV_COLUMNS):
+                raise ParseError(f"expected {len(_CSV_COLUMNS)} fields, got {len(parts)}")
+            values = {name: parse(v) for (name, parse), v in zip(_CSV_COLUMNS, parts)}
+            rows.append(ResultRow(**values))
     return rows
 
 
@@ -418,11 +395,29 @@ def _require(doc: dict, field: str):
     return doc[field]
 
 
+def _has_bool(value) -> bool:
+    # json.load gives Python bools, which float() and numpy take as 0 and 1
+    if isinstance(value, list):
+        return any(_has_bool(v) for v in value)
+    return isinstance(value, bool)
+
+
+def _parse_int(value, field: str) -> int:
+    """A JSON integer, or a float with an integral value."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"field {field!r} must hold integers, got {value!r}")
+    return value
+
+
 def _parse_array(doc, field, shape, default=None):
     if field not in doc:
         if default is None:
             raise ParseError(f"missing field {field!r}")
         return np.full(shape, default, dtype=float)
+    if _has_bool(doc[field]):
+        raise ParseError(f"field {field!r} is not numeric")
     try:
         arr = np.asarray(doc[field], dtype=float)
     except (TypeError, ValueError) as exc:
@@ -434,6 +429,8 @@ def _parse_array(doc, field, shape, default=None):
 
 def _parse_number(doc, field, default=None) -> float:
     value = _require(doc, field) if default is None else doc.get(field, default)
+    if _has_bool(value):
+        raise ParseError(f"field {field!r} is not a number")
     try:
         return float(value)
     except (TypeError, ValueError) as exc:
@@ -445,8 +442,8 @@ def _parse_interferers(doc, k):
     if not isinstance(raw, list) or len(raw) != k:
         raise ParseError(f"field 'interferers' must list {k} index sets")
     try:
-        return tuple(tuple(int(j) for j in entry) for entry in raw)
-    except (TypeError, ValueError) as exc:
+        return tuple(tuple(_parse_int(j, "interferers") for j in entry) for entry in raw)
+    except TypeError as exc:
         raise ParseError("field 'interferers' must list sets of integer indices") from exc
 
 
@@ -465,10 +462,7 @@ def load_instance(path, representation: str = "mmp") -> ProblemInstance:
     kind = _require(doc, "type")
     if kind not in _TYPES:
         raise ParseError(f"unknown problem type {kind!r}")
-    try:
-        k = int(_require(doc, "K"))
-    except (TypeError, ValueError) as exc:
-        raise ParseError("field 'K' must be an integer") from exc
+    k = _parse_int(_require(doc, "K"), "K")
     if k < 1:
         raise ParseError("field 'K' must be >= 1")
 

@@ -51,17 +51,23 @@ def _common_dim(parts: Sequence[MMFunction]) -> int:
     return dim
 
 
-def mm_sum(parts: Sequence[MMFunction]) -> MMFunction:
-    """Pointwise sum of mixed monotonic functions."""
+def _pointwise(combine, parts: Sequence[MMFunction], name: str) -> MMFunction:
+    """``combine`` (sum, min or max) of the parts' values at each argument
+    pair; a single part is returned as it is."""
     parts = tuple(parts)
     dim = _common_dim(parts)
     if len(parts) == 1:
         return parts[0]
 
     def fn(x, y):
-        return sum(p.eval(x, y) for p in parts)
+        return combine(p.eval(x, y) for p in parts)
 
-    return MMFunction(dim, fn, name="sum")
+    return MMFunction(dim, fn, name=name)
+
+
+def mm_sum(parts: Sequence[MMFunction]) -> MMFunction:
+    """Pointwise sum of mixed monotonic functions."""
+    return _pointwise(sum, parts, "sum")
 
 
 def mm_weighted_sum(weights, parts: Sequence[MMFunction]) -> MMFunction:
@@ -92,28 +98,12 @@ def mm_weighted_sum(weights, parts: Sequence[MMFunction]) -> MMFunction:
 
 def mm_min(parts: Sequence[MMFunction]) -> MMFunction:
     """Pointwise minimum of mixed monotonic functions."""
-    parts = tuple(parts)
-    dim = _common_dim(parts)
-    if len(parts) == 1:
-        return parts[0]
-
-    def fn(x, y):
-        return min(p.eval(x, y) for p in parts)
-
-    return MMFunction(dim, fn, name="min")
+    return _pointwise(min, parts, "min")
 
 
 def mm_max(parts: Sequence[MMFunction]) -> MMFunction:
     """Pointwise maximum of mixed monotonic functions."""
-    parts = tuple(parts)
-    dim = _common_dim(parts)
-    if len(parts) == 1:
-        return parts[0]
-
-    def fn(x, y):
-        return max(p.eval(x, y) for p in parts)
-
-    return MMFunction(dim, fn, name="max")
+    return _pointwise(max, parts, "max")
 
 
 def _spot_check_direction(g, lo: float, hi: float, nondecreasing: bool):

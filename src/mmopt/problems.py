@@ -17,14 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import (
-    mm_compose_nonincreasing,
-    mm_min,
-    mm_ratio,
-    mm_sum,
-    mm_unimodal,
-    mm_weighted_sum,
-)
+from .calculus import mm_min, mm_ratio, mm_sum, mm_unimodal, mm_weighted_sum
 from .core import (
     STATUS_ETA_OPTIMAL,
     STATUS_RELATIVE_ETA_OPTIMAL,
@@ -203,16 +196,47 @@ def _rate_mm(net: InterferenceNetwork, k: int) -> MMFunction:
     return MMFunction(net.K, _rate(net, k), name=f"rate{k}")
 
 
-def _rate_constraint(net: InterferenceNetwork, k: int) -> MMFunction:
-    """Minimum-rate gap r_min - rate, with the argument roles swapped so the
-    gap is again nondecreasing in the first slot."""
-    rate = _rate(net, k)
-    rmin = float(net.r_min[k])
+def _floors(net: InterferenceNetwork | AlohaNetwork, rate) -> tuple[MMConstraint, ...]:
+    """Minimum-rate constraints ``r_min[k] - rate_k(y, x) <= 0``, for the
+    WSR and the ALOHA families alike.
 
-    def fn(x, y):
-        return rmin - rate(y, x)
+    ``rate(net, k)`` is user k's rate as a plain ``(x, y) -> float``,
+    nondecreasing in ``x`` and nonincreasing in ``y``; the argument roles are
+    swapped so that each gap is again nondecreasing in its first slot.
+    Floors at zero are vacuous (rates are nonnegative) and are skipped.
+    """
 
-    return MMFunction(net.K, fn, name=f"rate_floor{k}")
+    def floor(k: int) -> MMConstraint:
+        rate_k = rate(net, k)
+        rmin = float(net.r_min[k])
+
+        def fn(x, y):
+            return rmin - rate_k(y, x)
+
+        return MMConstraint(MMFunction(net.K, fn, name=f"rate_floor{k}"))
+
+    return tuple(floor(k) for k in range(net.K) if net.r_min[k] > 0)
+
+
+def _power_problem(
+    net: InterferenceNetwork, objective: MMFunction, constraints: tuple[MMConstraint, ...] = ()
+) -> ProblemInstance:
+    """Maximize ``objective`` over the power box [0, p_max].
+
+    Without constraints the feasible set is the whole box, a normal set.  The
+    constraints are rate floors, built by :func:`_floors` like the ALOHA
+    floors; they share no monotone split, so the instance then relies on the
+    one-sided test (``mm-sufficient-only``), as :func:`aloha_problem` does.
+    """
+    mode = "mm-sufficient-only" if constraints else "normal"
+    box = BoxNd(np.zeros(net.K), net.p_max)
+    return ProblemInstance(objective, constraints, box, feasibility_mode=mode)
+
+
+def _mmp_objective(net: InterferenceNetwork, weights) -> MMFunction:
+    """Weighted sum of the per-user rates, each with its own power inside its
+    fraction."""
+    return mm_weighted_sum(weights, [_rate_mm(net, k) for k in range(net.K)])
 
 
 def _dm_objective(net: InterferenceNetwork, weights) -> MMFunction:
@@ -229,11 +253,6 @@ def _dm_objective(net: InterferenceNetwork, weights) -> MMFunction:
     return MMFunction(net.K, fn, name="wsr_dm")
 
 
-def _wsr_constraints(net: InterferenceNetwork) -> tuple[MMConstraint, ...]:
-    # rate floors at zero are vacuous (rates are nonnegative); skip them
-    return tuple(MMConstraint(_rate_constraint(net, k)) for k in range(net.K) if net.r_min[k] > 0)
-
-
 def wsr_problem(net: InterferenceNetwork, representation: str = "mmp") -> ProblemInstance:
     """Weighted sum rate maximization over the power box [0, p_max].
 
@@ -242,22 +261,19 @@ def wsr_problem(net: InterferenceNetwork, representation: str = "mmp") -> Proble
     (always looser, never tighter).
     """
     if representation == "mmp":
-        objective = mm_weighted_sum(net.w, [_rate_mm(net, k) for k in range(net.K)])
+        objective = _mmp_objective(net, net.w)
     elif representation == "dm":
         objective = _dm_objective(net, net.w)
     else:
         raise InvalidNetwork(f"unknown representation {representation!r}")
-    constraints = _wsr_constraints(net)
-    mode = "mm-sufficient-only" if constraints else "normal"
-    box = BoxNd(np.zeros(net.K), net.p_max)
-    return ProblemInstance(objective, constraints, box, feasibility_mode=mode)
+    return _power_problem(net, objective, _floors(net, _rate))
 
 
 def bound_gap_mmp_vs_dm(net: InterferenceNetwork, box: BoxNd) -> float:
     """Bound of the difference-of-logs split minus the per-rate bound on a
     box; nonnegative up to roundoff, zero on degenerate boxes."""
     u_dm = _dm_objective(net, net.w).eval(box.s, box.r)
-    u_mmp = mm_weighted_sum(net.w, [_rate_mm(net, k) for k in range(net.K)]).eval(box.s, box.r)
+    u_mmp = _mmp_objective(net, net.w).eval(box.s, box.r)
     return u_dm - u_mmp
 
 
@@ -276,17 +292,14 @@ def gee_problem(net: InterferenceNetwork, energy: EnergyModel) -> ProblemInstanc
         raise InvalidNetwork("phi dimension differs from the network")
     if energy.per_user_circuit:
         raise InvalidNetwork("network energy efficiency takes a scalar p_circuit")
-    b = energy.bandwidth
-    numerator = mm_weighted_sum(np.full(net.K, b), [_rate_mm(net, k) for k in range(net.K)])
+    numerator = _mmp_objective(net, np.full(net.K, energy.bandwidth))
     phi, pc = energy.phi, float(energy.p_circuit)
 
     def den_fn(x, y):
         return float(np.dot(phi, x)) + pc
 
     denominator = MMFunction(net.K, den_fn, name="power_draw")
-    objective = mm_ratio(numerator, denominator)
-    box = BoxNd(np.zeros(net.K), net.p_max)
-    return ProblemInstance(objective, (), box, feasibility_mode="normal")
+    return _power_problem(net, mm_ratio(numerator, denominator))
 
 
 def _per_user_efficiency_terms(net: InterferenceNetwork, energy: EnergyModel) -> list[MMFunction]:
@@ -310,16 +323,12 @@ def _per_user_efficiency_terms(net: InterferenceNetwork, energy: EnergyModel) ->
 
 def wsee_problem(net: InterferenceNetwork, energy: EnergyModel) -> ProblemInstance:
     """Weighted sum of per-user energy efficiencies."""
-    objective = mm_sum(_per_user_efficiency_terms(net, energy))
-    box = BoxNd(np.zeros(net.K), net.p_max)
-    return ProblemInstance(objective, (), box, feasibility_mode="normal")
+    return _power_problem(net, mm_sum(_per_user_efficiency_terms(net, energy)))
 
 
 def wmee_problem(net: InterferenceNetwork, energy: EnergyModel) -> ProblemInstance:
     """Weighted minimum of per-user energy efficiencies."""
-    objective = mm_min(_per_user_efficiency_terms(net, energy))
-    box = BoxNd(np.zeros(net.K), net.p_max)
-    return ProblemInstance(objective, (), box, feasibility_mode="normal")
+    return _power_problem(net, mm_min(_per_user_efficiency_terms(net, energy)))
 
 
 def _sum_rate(net: InterferenceNetwork, p: np.ndarray) -> float:
@@ -362,16 +371,12 @@ def dinkelbach_gee(
     if energy.per_user_circuit:
         raise InvalidNetwork("the ratio baseline takes a scalar p_circuit")
     t0 = time.perf_counter()
-    box = BoxNd(np.zeros(net.K), net.p_max)
     lam = 0.0
     total_iterations = 0
     peak = 0
     ok_statuses = (STATUS_ETA_OPTIMAL, STATUS_RELATIVE_ETA_OPTIMAL)
     for _ in range(max_outer):
-        aux = ProblemInstance(
-            _dinkelbach_aux_objective(net, energy, lam), (), box, feasibility_mode="normal"
-        )
-        res = solve(aux, inner_config)
+        res = solve(_power_problem(net, _dinkelbach_aux_objective(net, energy, lam)), inner_config)
         total_iterations += res.iterations
         peak = max(peak, res.peak_region_count)
         if res.status not in ok_statuses or res.incumbent is None:
@@ -408,16 +413,17 @@ def _ln(t: float) -> float:
     return float("-inf") if t == 0.0 else float("nan")
 
 
-def _aloha_rate(net: AlohaNetwork, k: int) -> MMFunction:
-    """Throughput of user k: success rate times own transmit probability
-    times the probability that no interferer transmits."""
+def _aloha_rate(net: AlohaNetwork, k: int):
+    """Throughput of user k as a plain ``(x, y) -> float``: success rate
+    times own transmit probability times the probability that no interferer
+    transmits."""
     ck = float(net.c[k])
     idx = np.array(net.interferers[k], dtype=int)
 
     def fn(x, y):
         return ck * x[k] * float(np.prod(1.0 - y[idx])) if idx.size else ck * x[k]
 
-    return MMFunction(net.K, fn, name=f"throughput{k}")
+    return fn
 
 
 def _aloha_utility_term(net: AlohaNetwork, j: int) -> MMFunction:
@@ -442,7 +448,8 @@ def aloha_problem(net: AlohaNetwork) -> ProblemInstance:
     ``sum_j log c_j + log p_j + m_j log(1 - p_j)``, where ``m_j`` counts the
     users that j interferes with.  Each term is unimodal, so the objective
     is a sum of :func:`~mmopt.calculus.mm_unimodal` terms and its box bound
-    is exact.  Rate floors become swapped-argument gap constraints; they do
+    is exact.  The rate floors are built like the WSR floors (see
+    :func:`_floors`), as swapped-argument gaps over the throughputs; they do
     not admit a shared monotone split, so the instance relies on the
     one-sided feasibility test (``mm-sufficient-only``).  That test yields
     incumbents only from boxes lying wholly inside the feasible set, which
@@ -452,15 +459,7 @@ def aloha_problem(net: AlohaNetwork) -> ProblemInstance:
     """
     k = net.K
     objective = mm_sum([_aloha_utility_term(net, j) for j in range(k)])
-    constraints = tuple(
-        MMConstraint(
-            mm_compose_nonincreasing(
-                lambda t, m=float(net.r_min[i]): m - t, _aloha_rate(net, i)
-            )
-        )
-        for i in range(k)
-        if net.r_min[i] > 0
-    )
+    constraints = _floors(net, _aloha_rate)
 
     def midpoint(box: BoxNd) -> np.ndarray | None:
         x = 0.5 * (box.r + box.s)

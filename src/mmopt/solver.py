@@ -39,7 +39,6 @@ import heapq
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,7 +71,6 @@ from .feasibility import (  # noqa: F401
 
 __all__ = [
     "RegionQueue",
-    "SolverState",
     "SolveStats",
     "bound",
     "bisect",
@@ -382,17 +380,6 @@ class RegionQueue:
         return max((u for _, u, _ in self._fifo), default=float("-inf"))
 
 
-@dataclass
-class SolverState:
-    """Mutable loop state; gamma is nondecreasing over iterations."""
-
-    queue: RegionQueue
-    gamma: float = float("-inf")
-    incumbent: np.ndarray | None = None
-    iteration: int = 0
-    stats: SolveStats = field(default_factory=SolveStats)
-
-
 def _debug_check_prune(problem, box, gamma_cut, rng, reason: str):
     """Sample the pruned box; a feasible sample beating the cutoff is a bug."""
     if problem.feasibility_mode == "custom-oracle":
@@ -432,21 +419,25 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
             return g + eta
         return (1.0 + eta) * g if g >= 0.0 else (1.0 - eta) * g
 
-    state = SolverState(queue=RegionQueue(config.selection_rule))
-    queue = state.queue
+    # loop state; gamma is nondecreasing over iterations
+    queue = RegionQueue(config.selection_rule)
+    gamma = -math.inf
+    incumbent = None
+    iteration = 0
+    stats = SolveStats()
     root = problem.initial_box
 
     x0 = find_incumbent(root, problem, eps)
     if x0 is not None:
-        state.gamma = objective.eval(x0, x0)
-        state.incumbent = x0
+        gamma = objective.eval(x0, x0)
+        incumbent = x0
 
     next_box_id = 0
     if root.diameter >= _POINT_DIAMETER:
         queue.push(root, bound(objective, root), next_box_id)
         next_box_id += 1
-    state.stats.boxes_created = 1
-    state.stats.peak_region_count = len(queue)
+    stats.boxes_created = 1
+    stats.peak_region_count = len(queue)
 
     trace = None
     status = None
@@ -458,10 +449,10 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
         while True:
             if len(queue) == 0:
                 break
-            if best_first or state.iteration % 64 == 0:
-                if queue.max_bound() <= cutoff(state.gamma):
+            if best_first or iteration % 64 == 0:
+                if queue.max_bound() <= cutoff(gamma):
                     break
-            if config.max_iterations is not None and state.iteration >= config.max_iterations:
+            if config.max_iterations is not None and iteration >= config.max_iterations:
                 status = STATUS_ITERATION_LIMIT
                 break
             if (
@@ -471,14 +462,13 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
                 status = STATUS_TIME_LIMIT
                 break
 
-            state.iteration += 1
-            k = state.iteration
+            iteration += 1
             box, selected_u, selected_id = queue.pop()
-            gamma_before = state.gamma  # reduction cuts on the pre-update incumbent
+            gamma_before = gamma  # reduction cuts on the pre-update incumbent
 
             candidates = []
             survivors = []
-            for child in bisect(box, birth_iteration=k):
+            for child in bisect(box, birth_iteration=iteration):
                 cache = _CornerCache(objective, constraints, child)
                 if config.reduction_enabled:
                     reduced = reduce_box(
@@ -490,12 +480,12 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
                         _cache=cache,
                     )
                     if reduced is None:
-                        state.stats.boxes_reduced_empty += 1
+                        stats.boxes_reduced_empty += 1
                         continue
                     if reduced is not child:
                         child = reduced
                         cache = _CornerCache(objective, constraints, child)
-                state.stats.boxes_created += 1
+                stats.boxes_created += 1
 
                 if child.diameter < _POINT_DIAMETER:
                     x = find_incumbent(child, problem, eps)
@@ -505,7 +495,7 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
 
                 verdict = _verdict_for(problem, child, cache)
                 if verdict.kind is Feasibility.INFEASIBLE:
-                    state.stats.boxes_pruned_infeasible += 1
+                    stats.boxes_pruned_infeasible += 1
                     if debug_rng is not None:
                         _debug_check_prune(problem, child, None, debug_rng, "infeasible")
                     continue
@@ -516,32 +506,32 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
 
             for x in candidates:
                 value = objective.eval(x, x)
-                if value > state.gamma:
-                    state.gamma = value
-                    state.incumbent = x
+                if value > gamma:
+                    gamma = value
+                    incumbent = x
 
-            gamma_cut = cutoff(state.gamma)
+            gamma_cut = cutoff(gamma)
             for child, child_u in survivors:
                 if child_u <= gamma_cut:
-                    state.stats.boxes_pruned_bound += 1
+                    stats.boxes_pruned_bound += 1
                     if debug_rng is not None:
                         _debug_check_prune(problem, child, gamma_cut, debug_rng, "bound")
                     continue
                 queue.push(child, child_u, next_box_id)
                 next_box_id += 1
 
-            if len(queue) > state.stats.peak_region_count:
-                state.stats.peak_region_count = len(queue)
+            if len(queue) > stats.peak_region_count:
+                stats.peak_region_count = len(queue)
             if trace is not None:
                 trace.write(
-                    f"{k},{selected_id},{selected_u:.12g},{state.gamma:.12g},{len(queue)}\n"
+                    f"{iteration},{selected_id},{selected_u:.12g},{gamma:.12g},{len(queue)}\n"
                 )
     finally:
         if trace is not None:
             trace.close()
 
     if status is None:
-        if state.incumbent is None:
+        if incumbent is None:
             status = STATUS_INFEASIBLE
         elif eps > 0.0:
             status = STATUS_EPS_ETA_APPROXIMATE
@@ -551,11 +541,11 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
             status = STATUS_ETA_OPTIMAL
 
     return SolverResult(
-        incumbent=state.incumbent,
-        value=state.gamma,
+        incumbent=incumbent,
+        value=gamma,
         status=status,
-        iterations=state.iteration,
-        peak_region_count=state.stats.peak_region_count,
+        iterations=iteration,
+        peak_region_count=stats.peak_region_count,
         wall_time=time.perf_counter() - t_start,
-        stats=state.stats,
+        stats=stats,
     )

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from dataclasses import astuple
@@ -88,6 +89,69 @@ class TestSerialization:
         objective_field = path.read_text().splitlines()[1].split(",")[6]
         assert objective_field == f"{math.pi:.12g}"
 
+    # the texts below were recorded before the column order was derived from
+    # the fields of ResultRow
+    def test_csv_header_literal(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_csv([], path)
+        assert path.read_text() == (
+            "instance_id,algorithm,representation,selection,reduction,"
+            "status,objective,iterations,peak_regions,wall_time_s,seed\n"
+        )
+
+    def test_csv_text_exact(self):
+        out = io.StringIO()
+        write_csv(small_rows(), out)
+        assert out.getvalue() == (
+            "instance_id,algorithm,representation,selection,reduction,"
+            "status,objective,iterations,peak_regions,wall_time_s,seed\n"
+            "wsr-k1-000,brb,mmp,best-first,off,eta-optimal,1.5,12,3,0.125,7\n"
+            "wsr-k1-001,brb,dm,oldest-first,on,error,,0,0,0,8\n"
+        )
+
+    def test_json_text_exact(self, tmp_path):
+        path = tmp_path / "rows.json"
+        write_json(small_rows(), path)
+        common = dict(algorithm="brb", iterations=0, peak_regions=0, error=None)
+        first = dict(
+            instance_id="wsr-k1-000",
+            representation="mmp",
+            selection="best-first",
+            reduction=False,
+            status="eta-optimal",
+            objective=1.5,
+            iterations=12,
+            peak_regions=3,
+            wall_time_s=0.125,
+            seed=7,
+        )
+        second = dict(
+            instance_id="wsr-k1-001",
+            representation="dm",
+            selection="oldest-first",
+            reduction=True,
+            status="error",
+            objective=None,
+            wall_time_s=0.0,
+            seed=8,
+        )
+        order = [
+            "instance_id",
+            "algorithm",
+            "representation",
+            "selection",
+            "reduction",
+            "status",
+            "objective",
+            "iterations",
+            "peak_regions",
+            "wall_time_s",
+            "seed",
+            "error",
+        ]
+        payload = [{k: {**common, **row}[k] for k in order} for row in (first, second)]
+        assert path.read_text() == json.dumps(payload, indent=1) + "\n"
+
 
 class TestSpec:
     def test_zero_realizations_rejected(self):
@@ -109,6 +173,20 @@ class TestSpec:
             BenchSpec(experiment=experiment, representations=representations)
         BenchSpec(experiment=experiment, representations=("mmp",))
         BenchSpec(experiment="wsr-compare", representations=representations)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (dict(eta=-1.0), "eta must be positive"),
+            (dict(tolerance_mode="percent"), "tolerance_mode"),
+            (dict(selections=("best-first", "random")), "selection_rule"),
+            (dict(reduction_bisection_steps=0), "reduction_bisection_steps"),
+            (dict(epsilon_feasibility=-0.5), "epsilon_feasibility"),
+        ],
+    )
+    def test_bad_solver_setting_rejected(self, bad, message):
+        with pytest.raises(SpecError, match=message):
+            BenchSpec(experiment="wsr-compare", **bad)
 
 
 class TestRunBench:
@@ -289,12 +367,31 @@ MALFORMED = [
     (dict(_ALOHA2, interferers=[["x"], [0]]), "interferers"),
 ]
 
+_WSR1 = dict(_WSR2, K=1, alpha=[1.0], beta=[[0.0]], P=[1.0])
+
+# documents that used to load with a truncated or coerced field
+NON_INTEGRAL_OR_BOOLEAN = [
+    (dict(_WSR1, K=1.9), "K"),
+    (dict(_WSR1, K=True), "K"),
+    (dict(_ALOHA2, interferers=[[1.7], [0.2]]), "interferers"),
+    (dict(_WSR2, sigma2=True), "sigma2"),
+]
+
 
 class TestLoadInstance:
     @pytest.mark.parametrize("doc, field", MALFORMED)
     def test_malformed_field_raises_parse_error(self, tmp_path, doc, field):
         with pytest.raises(ParseError, match=f"'{field}'"):
             load_instance(write_instance(tmp_path, doc))
+
+    @pytest.mark.parametrize("doc, field", NON_INTEGRAL_OR_BOOLEAN)
+    def test_non_integral_or_boolean_field_rejected(self, tmp_path, doc, field):
+        with pytest.raises(ParseError, match=f"'{field}'"):
+            load_instance(write_instance(tmp_path, doc))
+
+    def test_integral_floats_accepted(self, tmp_path):
+        doc = dict(_ALOHA2, K=2.0, interferers=[[1.0], [0]])
+        assert load_instance(write_instance(tmp_path, doc)).dim == 2
 
     def test_minimal_single_user(self, tmp_path):
         path = write_instance(
@@ -454,6 +551,13 @@ class TestCli:
         rc = main(["--experiment", "single-solve", "--instance", str(path)])
         assert rc == 1
         assert "error: field 'sigma2'" in capsys.readouterr().err
+
+    def test_bad_solver_setting_exit_code(self, capsys):
+        rc = main(["--experiment", "wsr-compare", "--k", "1", "--eta", "-1"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: eta must be positive" in captured.err
 
     def test_representation_on_gee_exit_code(self, capsys):
         rc = main(["--experiment", "gee-compare", "--k", "1", "--repr", "dm"])

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -356,6 +358,58 @@ class TestDinkelbach:
         for _ in range(100):
             x, y = rng.random(2), rng.random(2)
             assert aux.eval(x, y) == pytest.approx(dm.eval(x, y), abs=1e-12)
+
+
+def result_digest(res):
+    """SHA-256 over everything a result reports except its wall time."""
+    incumbent = None if res.incumbent is None else res.incumbent.tobytes().hex()
+    fields = (
+        res.status,
+        res.iterations,
+        res.peak_region_count,
+        repr(res.value),
+        incumbent,
+        astuple(res.stats),
+    )
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+def _golden_energy_run(name):
+    net = generate_channels(3, 5)
+    scalar = EnergyModel(phi=np.full(3, 5.0), p_circuit=1.0)
+    vector = EnergyModel(phi=np.full(3, 5.0), p_circuit=np.ones(3))
+    if name == "gee":
+        return solve(gee_problem(net, scalar), SolverConfig(eta=0.01))
+    if name == "wsee":
+        return solve(wsee_problem(net, vector), SolverConfig(eta=0.01))
+    if name == "wmee-oldest-reduce":
+        config = SolverConfig(
+            eta=0.01,
+            selection_rule="oldest-first",
+            reduction_enabled=True,
+            reduction_bisection_steps=5,
+        )
+        return solve(wmee_problem(net, vector), config)
+    net2 = generate_channels(2, 5)
+    energy2 = EnergyModel(phi=np.full(2, 5.0), p_circuit=1.0)
+    return dinkelbach_gee(net2, energy2, SolverConfig(eta=0.01))
+
+
+class TestGoldenEnergySolves:
+    """Full results (stats included) of fixed energy-efficiency solves,
+    recorded before every power-control family built its box and objective
+    through one helper."""
+
+    DIGESTS = {
+        "gee": "1ad9cc92b70ec3128887440f7ffb1eddd2950b801a8824e7f932e8c05a74b318",
+        "wsee": "1ded2d011442639bef2636d0694b1ede0832ec5f409f7bdaeb045dbd6d55a62b",
+        "wmee-oldest-reduce": "50a755f043345bd1774c35b320754ee9c50be380d5c7a128997e4eb09e7b08f9",
+        "dinkelbach": "1f79148ff65e4bbac98bc3bd7d9d8a5f9ea0200a01524d6bfdb0f882aad78a15",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_result_digest(self, name):
+        assert result_digest(_golden_energy_run(name)) == self.DIGESTS[name]
 
 
 class TestAloha:
