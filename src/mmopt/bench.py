@@ -23,6 +23,7 @@ import numpy as np
 from .core import ProblemInstance, SolverConfig
 from .errors import MMOptError, ParseError, SchemaVersionError, SpecError
 from .problems import (
+    REPRESENTATIONS,
     AlohaNetwork,
     EnergyModel,
     InterferenceNetwork,
@@ -82,6 +83,9 @@ class BenchSpec:
             raise SpecError("selections, reductions and representations must be nonempty")
         if self.experiment == "single-solve" and self.instance_path is None:
             raise SpecError("single-solve needs an instance file")
+        for rep in self.representations:
+            if rep not in REPRESENTATIONS:
+                raise SpecError(f"unknown representation {rep!r}")
         takes_representation = _EXPERIMENTS[self.experiment].takes_representation
         if not takes_representation and tuple(self.representations) != ("mmp",):
             raise SpecError(f"{self.experiment} takes no representation other than mmp")
@@ -124,7 +128,7 @@ class ResultRow:
 # CSV columns in the order of the fields of ResultRow, each with its parser
 _CSV_PARSERS = {
     "str": str,
-    "bool": lambda v: v == "on",
+    "bool": {"on": True, "off": False}.__getitem__,
     "int": int,
     "float": float,
     "float | None": lambda v: float(v) if v else None,
@@ -367,19 +371,37 @@ def read_csv(path) -> list[ResultRow]:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ParseError(f"unexpected CSV header: {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split(",")
             if len(parts) != len(_CSV_COLUMNS):
-                raise ParseError(f"expected {len(_CSV_COLUMNS)} fields, got {len(parts)}")
-            values = {name: parse(v) for (name, parse), v in zip(_CSV_COLUMNS, parts)}
+                raise ParseError(
+                    f"line {lineno}: expected {len(_CSV_COLUMNS)} fields, got {len(parts)}"
+                )
+            values = {}
+            for (name, parse), v in zip(_CSV_COLUMNS, parts):
+                try:
+                    values[name] = parse(v)
+                except (KeyError, ValueError) as exc:
+                    raise ParseError(f"line {lineno}, column {name!r}: bad value {v!r}") from exc
             rows.append(ResultRow(**values))
     return rows
 
 
 def read_json(path) -> list[ResultRow]:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return [ResultRow(**entry) for entry in payload]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(payload, list) or not all(isinstance(e, dict) for e in payload):
+        raise ParseError("result JSON must be a list of objects")
+    rows = []
+    for i, entry in enumerate(payload):
+        try:
+            rows.append(ResultRow(**entry))
+        except TypeError as exc:  # a missing or unknown key
+            raise ParseError(f"entry {i}: {exc}") from exc
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +417,17 @@ def _require(doc: dict, field: str):
     return doc[field]
 
 
-def _has_bool(value) -> bool:
-    # json.load gives Python bools, which float() and numpy take as 0 and 1
-    if isinstance(value, list):
-        return any(_has_bool(v) for v in value)
-    return isinstance(value, bool)
+def _numeric(value, shape: tuple[int, ...]) -> bool:
+    """A JSON number for ``shape == ()``, else nested lists of them in exactly
+    that shape.  Strings and bools, which float() and numpy would take, fail,
+    and so does an integer that float() cannot convert."""
+    if not shape:
+        return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
+    return (
+        isinstance(value, list)
+        and len(value) == shape[0]
+        and all(_numeric(v, shape[1:]) for v in value)
+    )
 
 
 def _parse_int(value, field: str) -> int:
@@ -416,25 +444,16 @@ def _parse_array(doc, field, shape, default=None):
         if default is None:
             raise ParseError(f"missing field {field!r}")
         return np.full(shape, default, dtype=float)
-    if _has_bool(doc[field]):
-        raise ParseError(f"field {field!r} is not numeric")
-    try:
-        arr = np.asarray(doc[field], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"field {field!r} is not numeric") from exc
-    if arr.shape != shape:
-        raise ParseError(f"field {field!r} must have shape {shape}")
-    return arr
+    if not _numeric(doc[field], shape):
+        raise ParseError(f"field {field!r} must hold numbers in shape {shape}")
+    return np.array(doc[field], dtype=float)
 
 
 def _parse_number(doc, field, default=None) -> float:
     value = _require(doc, field) if default is None else doc.get(field, default)
-    if _has_bool(value):
+    if not _numeric(value, ()):
         raise ParseError(f"field {field!r} is not a number")
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"field {field!r} is not a number") from exc
+    return float(value)
 
 
 def _parse_interferers(doc, k):

@@ -61,10 +61,6 @@ def spec_from_args(args: argparse.Namespace) -> BenchSpec:
         reductions = tuple(_REDUCTIONS[s] for s in _csv_list(args.reduction))
     except KeyError as exc:
         raise MMOptError(f"unknown flag value {exc.args[0]!r}") from exc
-    representations = _csv_list(args.representation)
-    for rep in representations:
-        if rep not in ("mmp", "dm"):
-            raise MMOptError(f"unknown representation {rep!r}")
     return BenchSpec(
         experiment=args.experiment,
         k=args.k,
@@ -73,7 +69,7 @@ def spec_from_args(args: argparse.Namespace) -> BenchSpec:
         tolerance_mode="relative" if args.relative else "absolute",
         selections=selections,
         reductions=reductions,
-        representations=representations,
+        representations=_csv_list(args.representation),
         seed=args.seed,
         max_iterations=args.max_iter,
         max_wall_time=args.timeout_s,

@@ -55,9 +55,7 @@ class FeasibilityVerdict:
         return self.kind in (Feasibility.FULLY_FEASIBLE, Feasibility.FEASIBLE_WITH_WITNESS)
 
 
-def mm_sufficient_test(
-    box: BoxNd, constraints: Sequence[MMConstraint], _cache=None
-) -> FeasibilityVerdict:
+def mm_sufficient_test(box: BoxNd, constraints: Sequence[MMConstraint]) -> FeasibilityVerdict:
     """One-sided feasibility test from constraint values at opposite corners.
 
     Returns FULLY_FEASIBLE when every constraint is satisfied at the
@@ -66,13 +64,11 @@ def mm_sufficient_test(
     straddling a constraint boundary.
     """
     r, s = box.r, box.s
-    for i, c in enumerate(constraints):
-        g_rs = _cache.g_rs(i) if _cache is not None else c.g.eval(r, s)
-        if g_rs > 0.0:
+    for c in constraints:
+        if c.g.eval(r, s) > 0.0:
             return FeasibilityVerdict(Feasibility.INFEASIBLE)
-    for i, c in enumerate(constraints):
-        g_sr = _cache.g_sr(i) if _cache is not None else c.g.eval(s, r)
-        if g_sr > 0.0:
+    for c in constraints:
+        if c.g.eval(s, r) > 0.0:
             return FeasibilityVerdict(Feasibility.UNKNOWN)
     return FeasibilityVerdict(Feasibility.FULLY_FEASIBLE, witness=r)
 

@@ -32,6 +32,7 @@ from .errors import InnerSolveFailed, InvalidNetwork
 from .solver import solve
 
 __all__ = [
+    "REPRESENTATIONS",
     "InterferenceNetwork",
     "EnergyModel",
     "AlohaNetwork",
@@ -253,19 +254,21 @@ def _dm_objective(net: InterferenceNetwork, weights) -> MMFunction:
     return MMFunction(net.K, fn, name="wsr_dm")
 
 
+# the weighted-sum-rate bound of each representation name
+_WSR_OBJECTIVES = {"mmp": _mmp_objective, "dm": _dm_objective}
+REPRESENTATIONS = tuple(_WSR_OBJECTIVES)
+
+
 def wsr_problem(net: InterferenceNetwork, representation: str = "mmp") -> ProblemInstance:
     """Weighted sum rate maximization over the power box [0, p_max].
 
-    ``representation`` selects the bound: ``"mmp"`` keeps each rate's own
-    power inside its fraction, ``"dm"`` uses the difference-of-logs split
-    (always looser, never tighter).
+    ``representation`` (one of :data:`REPRESENTATIONS`) selects the bound:
+    ``"mmp"`` keeps each rate's own power inside its fraction, ``"dm"`` uses
+    the difference-of-logs split (always looser, never tighter).
     """
-    if representation == "mmp":
-        objective = _mmp_objective(net, net.w)
-    elif representation == "dm":
-        objective = _dm_objective(net, net.w)
-    else:
+    if representation not in _WSR_OBJECTIVES:
         raise InvalidNetwork(f"unknown representation {representation!r}")
+    objective = _WSR_OBJECTIVES[representation](net, net.w)
     return _power_problem(net, objective, _floors(net, _rate))
 
 

@@ -122,42 +122,6 @@ def bisect(box: BoxNd, birth_iteration: int = 0) -> tuple[BoxNd, BoxNd]:
     )
 
 
-class _CornerCache:
-    """Memoized corner evaluations for one box within one iteration.
-
-    Feasibility, reduction and pruning all consume the same values of the
-    constraints at the (lower, upper) / (upper, lower) corner pairs and of
-    the objective bound, so each is computed at most once per box.
-    """
-
-    __slots__ = ("_obj", "_cons", "_box", "_g_rs", "_g_sr", "_f_sr")
-
-    def __init__(self, objective, constraints, box):
-        self._obj = objective
-        self._cons = constraints
-        self._box = box
-        self._g_rs = [None] * len(constraints)
-        self._g_sr = [None] * len(constraints)
-        self._f_sr = None
-
-    def g_rs(self, i: int) -> float:
-        v = self._g_rs[i]
-        if v is None:
-            v = self._g_rs[i] = self._cons[i].g.eval(self._box.r, self._box.s)
-        return v
-
-    def g_sr(self, i: int) -> float:
-        v = self._g_sr[i]
-        if v is None:
-            v = self._g_sr[i] = self._cons[i].g.eval(self._box.s, self._box.r)
-        return v
-
-    def f_sr(self) -> float:
-        if self._f_sr is None:
-            self._f_sr = self._obj.eval(self._box.s, self._box.r)
-        return self._f_sr
-
-
 def _face_cuts(base, step, holds, steps: int) -> dict[int, float]:
     """Line searches of one reduction phase (see :func:`reduce_box`).
 
@@ -203,13 +167,13 @@ def reduce_box(
     constraints: tuple[MMConstraint, ...] | list[MMConstraint],
     gamma: float,
     steps: int = 10,
-    _cache: _CornerCache | None = None,
 ) -> BoxNd | None:
     """Shrink a box without losing any feasible point of value above gamma.
 
     Returns ``None`` when no such point can exist in the box: some
     constraint is violated at the optimistic corner pair, or the bound does
-    not exceed gamma.  Otherwise each face is pulled in by a monotone line
+    not exceed gamma, on the box or on it with its lower corner tightened by
+    the first phase.  Otherwise each face is pulled in by a monotone line
     search: first every lower face towards ``s`` (the objective above gamma
     at ``(x, r)`` and every ``G(r, x) <= 0``), then every upper face towards
     the new lower corner (at ``(s, y)`` and ``G(y, s) <= 0``).
@@ -229,14 +193,18 @@ def reduce_box(
     if steps < 1:
         raise MMOptError("steps must be >= 1")
     constraints = tuple(constraints)
-    cache = _cache if _cache is not None else _CornerCache(objective, constraints, box)
-    for i in range(len(constraints)):
-        if cache.g_rs(i) > 0.0:
-            return None
-    if cache.f_sr() <= gamma:
-        return None
+
+    def empty(lo, hi) -> bool:
+        # no feasible point above gamma in [lo, hi]: a violated optimistic
+        # constraint, else a bound not above gamma
+        for c in constraints:
+            if c.g.eval(lo, hi) > 0.0:
+                return True
+        return objective.eval(hi, lo) <= gamma
 
     r, s = box.r, box.s
+    if empty(r, s):
+        return None
     width = s - r
 
     shrink_holds = [lambda x, g=c.g: g.eval(r, x) <= 0.0 for c in constraints]
@@ -249,11 +217,7 @@ def reduce_box(
         for i, v in cuts.items():
             r_new[i] = v
         np.clip(r_new, r, s, out=r_new)
-        # the tightened lower corner may already certify emptiness
-        for c in constraints:
-            if c.g.eval(r_new, s) > 0.0:
-                return None
-        if objective.eval(s, r_new) <= gamma:
+        if empty(r_new, s):  # the tightened lower corner may certify emptiness
             return None
 
     grow_holds = [lambda y, g=c.g: g.eval(y, s) <= 0.0 for c in constraints]
@@ -278,14 +242,12 @@ def _diag_feasible(constraints, x, slack: float) -> bool:
     return all(c.g.eval(x, x) <= slack for c in constraints)
 
 
-def _verdict_for(
-    problem: ProblemInstance, box: BoxNd, cache: _CornerCache | None = None
-) -> FeasibilityVerdict:
+def _verdict_for(problem: ProblemInstance, box: BoxNd) -> FeasibilityVerdict:
     mode = problem.feasibility_mode
     if mode == "custom-oracle":
         return problem.feasibility_oracle(box)
     if mode == "mm-sufficient-only":
-        return mm_sufficient_test(box, problem.constraints, _cache=cache)
+        return mm_sufficient_test(box, problem.constraints)
     # the corner test; its split is every coordinate for a normal set, none
     # for a conormal set, and the constraints' shared split otherwise
     split = range(box.dim) if mode == "normal" else () if mode == "conormal" else None
@@ -409,6 +371,7 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
     eta = config.eta
     relative = config.tolerance_mode == "relative"
     eps = config.epsilon_feasibility
+    steps = config.reduction_bisection_steps
     best_first = config.selection_rule == "best-first"
     debug_rng = np.random.default_rng(config.rng_seed) if config.debug_check_pruning else None
 
@@ -469,22 +432,11 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
             candidates = []
             survivors = []
             for child in bisect(box, birth_iteration=iteration):
-                cache = _CornerCache(objective, constraints, child)
                 if config.reduction_enabled:
-                    reduced = reduce_box(
-                        child,
-                        objective,
-                        constraints,
-                        gamma_before,
-                        config.reduction_bisection_steps,
-                        _cache=cache,
-                    )
-                    if reduced is None:
+                    child = reduce_box(child, objective, constraints, gamma_before, steps)
+                    if child is None:
                         stats.boxes_reduced_empty += 1
                         continue
-                    if reduced is not child:
-                        child = reduced
-                        cache = _CornerCache(objective, constraints, child)
                 stats.boxes_created += 1
 
                 if child.diameter < _POINT_DIAMETER:
@@ -493,7 +445,7 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
                         candidates.append(x)
                     continue
 
-                verdict = _verdict_for(problem, child, cache)
+                verdict = _verdict_for(problem, child)
                 if verdict.kind is Feasibility.INFEASIBLE:
                     stats.boxes_pruned_infeasible += 1
                     if debug_rng is not None:
@@ -502,7 +454,7 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
                 x = _candidate_from_verdict(problem, child, verdict, eps)
                 if x is not None:
                     candidates.append(x)
-                survivors.append((child, cache.f_sr()))
+                survivors.append((child, objective.eval(child.s, child.r)))
 
             for x in candidates:
                 value = objective.eval(x, x)

@@ -1,7 +1,7 @@
 import io
 import json
 import math
-from dataclasses import astuple
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
@@ -79,6 +79,33 @@ class TestSerialization:
         rows = small_rows()
         write_json(rows, path)
         assert read_json(path) == rows
+
+    @pytest.mark.parametrize("column, value", [("iterations", "x"), ("reduction", "yes")])
+    def test_csv_bad_value_names_line_and_column(self, tmp_path, column, value):
+        path = tmp_path / "bad.csv"
+        write_csv(small_rows(), path)
+        lines = path.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[CSV_HEADER.split(",").index(column)] = value
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"line 3, column '{column}'"):
+            read_csv(path)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([{"instance_id": "a"}], "entry 0"),  # missing keys
+            ([asdict(small_rows()[0]), dict(asdict(small_rows()[0]), gap=1.0)], "entry 1"),
+            ({"rows": []}, "list of objects"),
+            ([["a", "b"]], "list of objects"),
+        ],
+    )
+    def test_json_bad_payload_raises_parse_error(self, tmp_path, payload, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match=message):
+            read_json(path)
 
     def test_twelve_significant_digits(self, tmp_path):
         from dataclasses import replace
@@ -173,6 +200,11 @@ class TestSpec:
             BenchSpec(experiment=experiment, representations=representations)
         BenchSpec(experiment=experiment, representations=("mmp",))
         BenchSpec(experiment="wsr-compare", representations=representations)
+
+    @pytest.mark.parametrize("experiment", ["wsr-compare", "gee-compare"])
+    def test_unknown_representation_rejected(self, experiment):
+        with pytest.raises(SpecError, match="unknown representation 'foo'"):
+            BenchSpec(experiment=experiment, representations=("mmp", "foo"))
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -365,6 +397,13 @@ MALFORMED = [
     (dict(_GEE2, B="x"), "B"),
     (dict(_ALOHA2, interferers=[1, 0]), "interferers"),
     (dict(_ALOHA2, interferers=[["x"], [0]]), "interferers"),
+    (dict(_WSR2, beta=[[0.0, 0.5], [0.5]]), "beta"),
+    # JSON strings are not numbers
+    (dict(_WSR2, sigma2="0.01"), "sigma2"),
+    (dict(_WSR2, alpha=["1.0", 1.0]), "alpha"),
+    (dict(_GEE2, B="1.0"), "B"),
+    (dict(_GEE2, Pc="1.0"), "Pc"),
+    (dict(_WSR2, sigma2=10**400), "sigma2"),  # past the float range
 ]
 
 _WSR1 = dict(_WSR2, K=1, alpha=[1.0], beta=[[0.0]], P=[1.0])
@@ -563,6 +602,13 @@ class TestCli:
         rc = main(["--experiment", "gee-compare", "--k", "1", "--repr", "dm"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_unknown_representation_exit_code(self, capsys):
+        rc = main(["--experiment", "wsr-compare", "--k", "1", "--repr", "foo"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: unknown representation 'foo'" in captured.err
 
     def test_error_rows_exit_code(self, tmp_path, monkeypatch):
         def exploding_solve(problem, config):
