@@ -137,6 +137,17 @@ _CSV_COLUMNS = tuple(
     (f.name, _CSV_PARSERS[f.type]) for f in dataclasses.fields(ResultRow) if f.name != "error"
 )
 CSV_HEADER = ",".join(name for name, _ in _CSV_COLUMNS)
+# the JSON value types each field of ResultRow takes; exact types, so a bool
+# is no int or float
+_JSON_TYPES = {
+    "str": (str,),
+    "str | None": (str, type(None)),
+    "bool": (bool,),
+    "int": (int,),
+    "float": (float, int),
+    "float | None": (float, int, type(None)),
+}
+_JSON_FIELDS = {f.name: _JSON_TYPES[f.type] for f in dataclasses.fields(ResultRow)}
 
 
 def _instance_seed(spec_seed: int, index: int) -> int:
@@ -397,6 +408,9 @@ def read_json(path) -> list[ResultRow]:
         raise ParseError("result JSON must be a list of objects")
     rows = []
     for i, entry in enumerate(payload):
+        for key, value in entry.items():
+            if key in _JSON_FIELDS and type(value) not in _JSON_FIELDS[key]:
+                raise ParseError(f"entry {i}, key {key!r}: bad value {value!r}")
         try:
             rows.append(ResultRow(**entry))
         except TypeError as exc:  # a missing or unknown key

@@ -262,16 +262,25 @@ class SolverConfig:
     debug_check_pruning: bool = False
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise MMOptError("eta must be positive")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise MMOptError("eta must be positive and finite")
         if self.tolerance_mode not in ("absolute", "relative"):
             raise MMOptError(f"unknown tolerance_mode {self.tolerance_mode!r}")
         if self.selection_rule not in ("best-first", "oldest-first"):
             raise MMOptError(f"unknown selection_rule {self.selection_rule!r}")
-        if self.reduction_bisection_steps < 1:
-            raise MMOptError("reduction_bisection_steps must be >= 1")
-        if self.epsilon_feasibility < 0:
-            raise MMOptError("epsilon_feasibility must be nonnegative")
+        if not _is_count(self.reduction_bisection_steps, 1):
+            raise MMOptError("reduction_bisection_steps must be an integer >= 1")
+        if not (math.isfinite(self.epsilon_feasibility) and self.epsilon_feasibility >= 0):
+            raise MMOptError("epsilon_feasibility must be finite and nonnegative")
+        if self.max_iterations is not None and not _is_count(self.max_iterations, 0):
+            raise MMOptError("max_iterations must be an integer >= 0")
+        if self.max_wall_time is not None and not self.max_wall_time >= 0:
+            raise MMOptError("max_wall_time must be nonnegative")
+
+
+def _is_count(value, least: int) -> bool:
+    """An integer (numpy's included, bools not) of at least ``least``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
 
 
 @dataclass

@@ -284,6 +284,17 @@ def bound_gap_mmp_vs_dm(net: InterferenceNetwork, box: BoxNd) -> float:
 # energy efficiency
 
 
+def _power_draw(net: InterferenceNetwork, energy: EnergyModel):
+    """The network's total power draw ``p -> phi . p + p_circuit`` as a plain
+    function, for a ``phi`` of one entry per user and a scalar ``p_circuit``."""
+    if energy.phi.size != net.K:
+        raise InvalidNetwork("phi dimension differs from the network")
+    if energy.per_user_circuit:
+        raise InvalidNetwork("network energy efficiency takes a scalar p_circuit")
+    phi, pc = energy.phi, energy.p_circuit
+    return lambda p: float(np.dot(phi, p)) + pc
+
+
 def gee_problem(net: InterferenceNetwork, energy: EnergyModel) -> ProblemInstance:
     """Network energy efficiency: total throughput over total power draw.
 
@@ -291,17 +302,9 @@ def gee_problem(net: InterferenceNetwork, energy: EnergyModel) -> ProblemInstanc
     decreasing slot, so the ratio is optimized directly -- no outer
     fractional-programming loop.  Minimum-rate constraints are omitted.
     """
-    if energy.phi.size != net.K:
-        raise InvalidNetwork("phi dimension differs from the network")
-    if energy.per_user_circuit:
-        raise InvalidNetwork("network energy efficiency takes a scalar p_circuit")
+    draw = _power_draw(net, energy)
     numerator = _mmp_objective(net, np.full(net.K, energy.bandwidth))
-    phi, pc = energy.phi, float(energy.p_circuit)
-
-    def den_fn(x, y):
-        return float(np.dot(phi, x)) + pc
-
-    denominator = MMFunction(net.K, den_fn, name="power_draw")
+    denominator = MMFunction(net.K, lambda x, y: draw(x), name="power_draw")
     return _power_problem(net, mm_ratio(numerator, denominator))
 
 
@@ -344,10 +347,10 @@ def _dinkelbach_aux_objective(
 ) -> MMFunction:
     """Throughput minus lam-scaled power draw: the difference-of-logs sum
     rate plus a penalty whose linear power term binds to the decreasing slot."""
-    phi, pc = energy.phi, float(energy.p_circuit)
+    draw = _power_draw(net, energy)
 
     def penalty(x, y):
-        return -lam * (float(np.dot(phi, y)) + pc)
+        return -lam * draw(y)
 
     throughput = mm_weighted_sum([energy.bandwidth], [_dm_objective(net, np.ones(net.K))])
     return mm_sum([throughput, MMFunction(net.K, penalty, name=f"draw(lam={lam:.6g})")])
@@ -371,8 +374,7 @@ def dinkelbach_gee(
     """
     if lambda_tol <= 0:
         raise InnerSolveFailed("lambda_tol must be positive")
-    if energy.per_user_circuit:
-        raise InvalidNetwork("the ratio baseline takes a scalar p_circuit")
+    draw = _power_draw(net, energy)
     t0 = time.perf_counter()
     lam = 0.0
     total_iterations = 0
@@ -385,11 +387,7 @@ def dinkelbach_gee(
         if res.status not in ok_statuses or res.incumbent is None:
             raise InnerSolveFailed(f"auxiliary solve ended with status {res.status}")
         p = res.incumbent
-        ratio = (
-            energy.bandwidth
-            * _sum_rate(net, p)
-            / (float(np.dot(energy.phi, p)) + float(energy.p_circuit))
-        )
+        ratio = energy.bandwidth * _sum_rate(net, p) / draw(p)
         if res.value <= lambda_tol:
             return SolverResult(
                 incumbent=p,

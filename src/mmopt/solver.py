@@ -38,7 +38,6 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from collections import deque
 
 import numpy as np
 
@@ -79,8 +78,8 @@ __all__ = [
     "solve",
 ]
 
-# Boxes thinner than this are evaluated once as incumbent candidates and
-# dropped instead of being split further.
+# Boxes thinner than this get a verdict and an incumbent candidate, like any
+# other box, and are then dropped instead of being bounded and split further.
 _POINT_DIAMETER = 1e-12
 
 _TRACE_HEADER = "k,box_id,upper_bound,gamma,queue_size"
@@ -161,6 +160,19 @@ def _face_cuts(base, step, holds, steps: int) -> dict[int, float]:
     return cuts
 
 
+def _apply_cuts(corner, cuts: dict[int, float], lo, hi):
+    """A read-only copy of ``corner`` with ``cuts`` set and clipped to ``[lo, hi]``;
+    ``corner`` itself when there is no cut."""
+    if not cuts:
+        return corner
+    out = np.array(corner)
+    for i, v in cuts.items():
+        out[i] = v
+    np.clip(out, lo, hi, out=out)
+    out.flags.writeable = False
+    return out
+
+
 def reduce_box(
     box: BoxNd,
     objective: MMFunction,
@@ -210,31 +222,17 @@ def reduce_box(
     shrink_holds = [lambda x, g=c.g: g.eval(r, x) <= 0.0 for c in constraints]
     shrink_holds.append(lambda x: objective.eval(x, r) > gamma)
     cuts = _face_cuts(s, -width, shrink_holds, steps)
-    if not cuts:
-        r_new = r
-    else:
-        r_new = np.array(r)
-        for i, v in cuts.items():
-            r_new[i] = v
-        np.clip(r_new, r, s, out=r_new)
-        if empty(r_new, s):  # the tightened lower corner may certify emptiness
-            return None
+    r_new = _apply_cuts(r, cuts, r, s)
+    if cuts and empty(r_new, s):  # the tightened lower corner may certify emptiness
+        return None
 
     grow_holds = [lambda y, g=c.g: g.eval(y, s) <= 0.0 for c in constraints]
     grow_holds.append(lambda y: objective.eval(s, y) > gamma)
     top_cuts = _face_cuts(r_new, s - r_new, grow_holds, steps)
     if not cuts and not top_cuts:
         return box
-    if not top_cuts:
-        s_new = s
-    else:
-        s_new = np.array(s)
-        for i, v in top_cuts.items():
-            s_new[i] = v
-        np.clip(s_new, r_new, s, out=s_new)
     # the clips keep r <= r_new <= s_new <= s, so the result is a valid box
-    r_new.flags.writeable = False
-    s_new.flags.writeable = False
+    s_new = _apply_cuts(s, top_cuts, r_new, s)
     return BoxNd._trusted(r_new, s_new, box.birth_iteration)
 
 
@@ -304,33 +302,30 @@ class RegionQueue:
     best-first pops a box maximizing the cached bound (ties: earlier birth,
     then insertion order, which puts the lower bisection child first);
     oldest-first pops by minimal birth index, FIFO within equal birth.
+    Both are one heap of ``(key, birth, seq, bound, box, box_id)``, keyed by
+    ``-bound`` for best-first and by a constant for oldest-first.
     """
 
-    __slots__ = ("discipline", "_heap", "_fifo", "_seq")
+    __slots__ = ("discipline", "_heap", "_seq")
 
     def __init__(self, discipline: str = "best-first"):
         if discipline not in ("best-first", "oldest-first"):
             raise ValueError(f"unknown discipline {discipline!r}")
         self.discipline = discipline
         self._heap: list = []
-        self._fifo: deque = deque()
         self._seq = 0
 
     def __len__(self) -> int:
-        return len(self._heap) if self.discipline == "best-first" else len(self._fifo)
+        return len(self._heap)
 
     def push(self, box: BoxNd, ubound: float, box_id: int):
-        if self.discipline == "best-first":
-            heapq.heappush(self._heap, (-ubound, box.birth_iteration, self._seq, box, box_id))
-            self._seq += 1
-        else:
-            self._fifo.append((box, ubound, box_id))
+        key = -ubound if self.discipline == "best-first" else 0.0
+        heapq.heappush(self._heap, (key, box.birth_iteration, self._seq, ubound, box, box_id))
+        self._seq += 1
 
     def pop(self) -> tuple[BoxNd, float, int]:
-        if self.discipline == "best-first":
-            neg_u, _, _, box, box_id = heapq.heappop(self._heap)
-            return box, -neg_u, box_id
-        return self._fifo.popleft()
+        _, _, _, ubound, box, box_id = heapq.heappop(self._heap)
+        return box, ubound, box_id
 
     def max_bound(self) -> float:
         """Largest cached bound over stored boxes (-inf when empty).
@@ -338,8 +333,8 @@ class RegionQueue:
         O(1) for best-first, O(n) for oldest-first.
         """
         if self.discipline == "best-first":
-            return -self._heap[0][0] if self._heap else float("-inf")
-        return max((u for _, u, _ in self._fifo), default=float("-inf"))
+            return self._heap[0][3] if self._heap else float("-inf")
+        return max((entry[3] for entry in self._heap), default=float("-inf"))
 
 
 def _debug_check_prune(problem, box, gamma_cut, rng, reason: str):
@@ -439,12 +434,6 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
                         continue
                 stats.boxes_created += 1
 
-                if child.diameter < _POINT_DIAMETER:
-                    x = find_incumbent(child, problem, eps)
-                    if x is not None:
-                        candidates.append(x)
-                    continue
-
                 verdict = _verdict_for(problem, child)
                 if verdict.kind is Feasibility.INFEASIBLE:
                     stats.boxes_pruned_infeasible += 1
@@ -454,7 +443,8 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
                 x = _candidate_from_verdict(problem, child, verdict, eps)
                 if x is not None:
                     candidates.append(x)
-                survivors.append((child, objective.eval(child.s, child.r)))
+                if child.diameter >= _POINT_DIAMETER:
+                    survivors.append((child, objective.eval(child.s, child.r)))
 
             for x in candidates:
                 value = objective.eval(x, x)

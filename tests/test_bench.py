@@ -99,6 +99,11 @@ class TestSerialization:
             ([asdict(small_rows()[0]), dict(asdict(small_rows()[0]), gap=1.0)], "entry 1"),
             ({"rows": []}, "list of objects"),
             ([["a", "b"]], "list of objects"),
+            # wrongly typed values; a bool is no integer
+            ([dict(asdict(small_rows()[0]), iterations="x")], "entry 0, key 'iterations'"),
+            ([dict(asdict(small_rows()[0]), iterations=True)], "entry 0, key 'iterations'"),
+            ([dict(asdict(small_rows()[0]), objective="1.5")], "entry 0, key 'objective'"),
+            ([dict(asdict(small_rows()[0]), reduction="maybe")], "entry 0, key 'reduction'"),
         ],
     )
     def test_json_bad_payload_raises_parse_error(self, tmp_path, payload, message):
@@ -214,6 +219,17 @@ class TestSpec:
             (dict(selections=("best-first", "random")), "selection_rule"),
             (dict(reduction_bisection_steps=0), "reduction_bisection_steps"),
             (dict(epsilon_feasibility=-0.5), "epsilon_feasibility"),
+            (dict(reduction_bisection_steps=2.5, reductions=(True,)), "reduction_bisection_steps"),
+            (dict(reduction_bisection_steps=True), "reduction_bisection_steps"),
+            (dict(max_iterations=-5), "max_iterations"),
+            (dict(max_iterations=True), "max_iterations"),
+            (dict(max_iterations=3.0), "max_iterations"),
+            (dict(max_wall_time=-1.0), "max_wall_time"),
+            (dict(max_wall_time=math.nan), "max_wall_time"),
+            (dict(epsilon_feasibility=math.nan), "epsilon_feasibility"),
+            (dict(epsilon_feasibility=math.inf), "epsilon_feasibility"),
+            (dict(eta=math.inf), "eta must be positive"),
+            (dict(eta=math.nan), "eta must be positive"),
         ],
     )
     def test_bad_solver_setting_rejected(self, bad, message):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmopt.core import MMFunction, check_mm_property, make_box
+from mmopt.core import MMFunction, SolverConfig, check_mm_property, make_box
 from mmopt.errors import (
     CornerOrderViolation,
     DimensionMismatch,
@@ -13,6 +13,12 @@ from mmopt.errors import (
     NonFiniteEntry,
 )
 from mmopt.problems import generate_channels, wsr_problem
+
+
+def test_solver_config_takes_numpy_integers_and_zero_limits():
+    config = SolverConfig(reduction_bisection_steps=np.int64(3), max_iterations=np.int32(0))
+    assert config.reduction_bisection_steps == 3
+    SolverConfig(max_iterations=0, max_wall_time=0.0)
 
 
 def test_make_box_basic():

@@ -349,6 +349,11 @@ class TestDinkelbach:
         direct = solve(gee_problem(net, energy), SolverConfig(eta=0.01))
         assert abs(res.value - direct.value) <= 0.02
 
+    def test_phi_of_wrong_size_rejected(self):
+        energy = EnergyModel(phi=np.full(3, 5.0), p_circuit=1.0)
+        with pytest.raises(InvalidNetwork, match="phi"):
+            dinkelbach_gee(generate_channels(2, 0), energy, SolverConfig(eta=0.1))
+
     def test_zero_lambda_auxiliary_is_sum_rate(self):
         net = generate_channels(2, seed=52)
         energy = EnergyModel(phi=np.full(2, 5.0), p_circuit=1.0)

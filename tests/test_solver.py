@@ -1,6 +1,6 @@
 import hashlib
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -439,6 +439,12 @@ class TestRegionQueue:
         assert [q.pop()[2] for _ in range(4)] == [0, 1, 2, 3]
         assert len(q) == 0
 
+    def test_oldest_first_pops_by_birth_whatever_the_push_order(self):
+        q = RegionQueue("oldest-first")
+        for birth in (2, 0, 1):
+            q.push(BoxNd((0.0,), (1.0,), birth_iteration=birth), 0.0, birth)
+        assert [q.pop()[2] for _ in range(3)] == [0, 1, 2]
+
     def test_oldest_first_max_bound_scans(self):
         q = RegionQueue("oldest-first")
         q.push(make_box((0.0,), (1.0,)), 1.0, 0)
@@ -497,6 +503,20 @@ class TestSolve:
         res = solve(wsr_problem(net, "dm"), SolverConfig(eta=1e-9, max_wall_time=0.05))
         assert res.status == "time-limit"
         assert res.wall_time >= 0.05
+
+    def test_thin_infeasible_child_is_counted(self):
+        # the one-sided test proves infeasible only boxes thinner than 1e-12,
+        # the width below which children are no longer queued
+        g = MMConstraint(MMFunction(1, lambda x, y: float(x[0] - y[0] + 1e-12)))
+        prob = ProblemInstance(
+            MMFunction(1, lambda x, y: float(x[0])),
+            (g,),
+            make_box((0.0,), (1.0,)),
+            feasibility_mode="mm-sufficient-only",
+        )
+        res = solve(prob, SolverConfig(eta=0.01, max_iterations=50))
+        assert (res.status, res.iterations) == ("iteration-limit", 50)
+        assert astuple(res.stats) == (101, 14, 0, 0, 40)
 
     def test_gamma_nondecreasing_in_trace(self, tmp_path):
         trace = tmp_path / "trace.csv"
