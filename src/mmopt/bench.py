@@ -102,7 +102,8 @@ class BenchSpec:
                 max_wall_time=self.max_wall_time,
             )
             for selection in self.selections:
-                replace(config, selection_rule=selection)
+                for reduction in self.reductions:
+                    replace(config, selection_rule=selection, reduction_enabled=reduction)
         except MMOptError as exc:
             raise SpecError(str(exc)) from exc
         object.__setattr__(self, "_base_config", config)

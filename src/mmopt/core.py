@@ -39,6 +39,7 @@ __all__ = [
     "STATUS_INFEASIBLE",
     "STATUS_ITERATION_LIMIT",
     "STATUS_TIME_LIMIT",
+    "STATUS_RESOLUTION_LIMIT",
 ]
 
 # Feasibility handling strategies a problem may declare.
@@ -56,6 +57,7 @@ STATUS_EPS_ETA_APPROXIMATE = "eps-eta-approximate"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_ITERATION_LIMIT = "iteration-limit"
 STATUS_TIME_LIMIT = "time-limit"
+STATUS_RESOLUTION_LIMIT = "resolution-limit"
 
 
 def _as_readonly_vector(v, name: str) -> np.ndarray:
@@ -244,9 +246,14 @@ class SolverConfig:
     ``eta`` is the optimality tolerance, absolute by default or relative to
     the incumbent value gamma (``tolerance_mode="relative"``: a box whose
     bound does not exceed ``gamma + eta * |gamma|`` is pruned, for either
-    sign).  ``epsilon_feasibility > 0`` admits incumbents whose constraints
-    hold up to that slack.  ``rng_seed`` only feeds harness-side sampling
-    such as the debug pruning check.
+    sign).  ``selection_rule`` is ``"best-first"`` or ``"oldest-first"``.
+    ``reduction_enabled`` (a bool) shrinks every child by
+    ``reduction_bisection_steps`` halvings per line search.
+    ``epsilon_feasibility > 0`` admits incumbents whose constraints hold up
+    to that slack; at 0 every incumbent, a hook's included, meets every
+    constraint exactly.  ``max_iterations`` and ``max_wall_time`` (seconds)
+    stop the loop with a limit status; ``trace_path`` names a CSV file that
+    receives one row per iteration.
     """
 
     eta: float = 0.01
@@ -257,9 +264,7 @@ class SolverConfig:
     epsilon_feasibility: float = 0.0
     max_iterations: int | None = None
     max_wall_time: float | None = None
-    rng_seed: int = 0
     trace_path: str | None = None
-    debug_check_pruning: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.eta) and self.eta > 0):
@@ -268,6 +273,8 @@ class SolverConfig:
             raise MMOptError(f"unknown tolerance_mode {self.tolerance_mode!r}")
         if self.selection_rule not in ("best-first", "oldest-first"):
             raise MMOptError(f"unknown selection_rule {self.selection_rule!r}")
+        if not isinstance(self.reduction_enabled, (bool, np.bool_)):
+            raise MMOptError("reduction_enabled must be a bool")
         if not _is_count(self.reduction_bisection_steps, 1):
             raise MMOptError("reduction_bisection_steps must be an integer >= 1")
         if not (math.isfinite(self.epsilon_feasibility) and self.epsilon_feasibility >= 0):

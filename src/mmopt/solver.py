@@ -27,7 +27,10 @@ shared split.  With an exact test (corner or oracle) the returned point is
 eta-optimal.  With the one-sided test only (``mm-sufficient-only``),
 pruning by infeasibility needs the optimistic corner certificate and the
 search may not terminate on its own; iteration or wall-time limits then
-return the best incumbent with a limit status.
+return the best incumbent with a limit status.  Boxes thinner than
+``_POINT_DIAMETER`` are not split further; when one that no test decided
+has a bound above the final cutoff, the solve returns ``resolution-limit``
+instead of claiming optimality or infeasibility.
 Relative tolerance replaces every incumbent-plus-eta cutoff by
 ``incumbent + eta * |incumbent|``, which lies above the incumbent for either
 sign; before any incumbent is found the cutoff stays ``-inf``.
@@ -47,6 +50,7 @@ from .core import (
     STATUS_INFEASIBLE,
     STATUS_ITERATION_LIMIT,
     STATUS_RELATIVE_ETA_OPTIMAL,
+    STATUS_RESOLUTION_LIMIT,
     STATUS_TIME_LIMIT,
     BoxNd,
     MMConstraint,
@@ -79,7 +83,7 @@ __all__ = [
 ]
 
 # Boxes thinner than this get a verdict and an incumbent candidate, like any
-# other box, and are then dropped instead of being bounded and split further.
+# other box, and are then dropped instead of being queued and split further.
 _POINT_DIAMETER = 1e-12
 
 _TRACE_HEADER = "k,box_id,upper_bound,gamma,queue_size"
@@ -271,8 +275,7 @@ def _candidate_from_verdict(
         cand = problem.incumbent_hook(box)
         if cand is not None:
             cand = np.asarray(cand, dtype=float)
-            slack = epsilon if epsilon > 0.0 else 1e-9
-            if box.contains(cand, tol=1e-9) and _diag_feasible(problem.constraints, cand, slack):
+            if box.contains(cand) and _diag_feasible(problem.constraints, cand, epsilon):
                 x = cand
     return x
 
@@ -337,24 +340,6 @@ class RegionQueue:
         return max((entry[3] for entry in self._heap), default=float("-inf"))
 
 
-def _debug_check_prune(problem, box, gamma_cut, rng, reason: str):
-    """Sample the pruned box; a feasible sample beating the cutoff is a bug."""
-    if problem.feasibility_mode == "custom-oracle":
-        return
-    r, width = box.r, box.s - box.r
-    f = problem.objective
-    for _ in range(1000):
-        x = r + width * rng.random(box.dim)
-        if not _diag_feasible(problem.constraints, x, 0.0):
-            continue
-        if reason == "infeasible":
-            raise AssertionError(f"box pruned as infeasible contains feasible point {x}")
-        if f.eval(x, x) > gamma_cut:
-            raise AssertionError(
-                f"bound-pruned box contains feasible {x} with value above the cutoff"
-            )
-
-
 def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> SolverResult:
     """Run the branch-reduce-and-bound loop on a problem instance."""
     if config is None:
@@ -368,7 +353,6 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
     eps = config.epsilon_feasibility
     steps = config.reduction_bisection_steps
     best_first = config.selection_rule == "best-first"
-    debug_rng = np.random.default_rng(config.rng_seed) if config.debug_check_pruning else None
 
     def cutoff(g: float) -> float:
         # relative: g + eta*|g|, as (1 + eta) * g for g >= 0 and (1 - eta) * g below;
@@ -383,6 +367,7 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
     incumbent = None
     iteration = 0
     stats = SolveStats()
+    thin_bound = -math.inf  # largest bound of a dropped thin box not proven infeasible
     root = problem.initial_box
 
     x0 = find_incumbent(root, problem, eps)
@@ -394,6 +379,8 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
     if root.diameter >= _POINT_DIAMETER:
         queue.push(root, bound(objective, root), next_box_id)
         next_box_id += 1
+    elif _verdict_for(problem, root).kind is not Feasibility.INFEASIBLE:
+        thin_bound = bound(objective, root)
     stats.boxes_created = 1
     stats.peak_region_count = len(queue)
 
@@ -437,14 +424,14 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
                 verdict = _verdict_for(problem, child)
                 if verdict.kind is Feasibility.INFEASIBLE:
                     stats.boxes_pruned_infeasible += 1
-                    if debug_rng is not None:
-                        _debug_check_prune(problem, child, None, debug_rng, "infeasible")
                     continue
                 x = _candidate_from_verdict(problem, child, verdict, eps)
                 if x is not None:
                     candidates.append(x)
                 if child.diameter >= _POINT_DIAMETER:
                     survivors.append((child, objective.eval(child.s, child.r)))
+                else:
+                    thin_bound = max(thin_bound, objective.eval(child.s, child.r))
 
             for x in candidates:
                 value = objective.eval(x, x)
@@ -456,8 +443,6 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
             for child, child_u in survivors:
                 if child_u <= gamma_cut:
                     stats.boxes_pruned_bound += 1
-                    if debug_rng is not None:
-                        _debug_check_prune(problem, child, gamma_cut, debug_rng, "bound")
                     continue
                 queue.push(child, child_u, next_box_id)
                 next_box_id += 1
@@ -473,7 +458,9 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
             trace.close()
 
     if status is None:
-        if incumbent is None:
+        if thin_bound > cutoff(gamma):  # a dropped thin child may still beat the incumbent
+            status = STATUS_RESOLUTION_LIMIT
+        elif incumbent is None:
             status = STATUS_INFEASIBLE
         elif eps > 0.0:
             status = STATUS_EPS_ETA_APPROXIMATE

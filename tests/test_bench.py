@@ -230,6 +230,8 @@ class TestSpec:
             (dict(epsilon_feasibility=math.inf), "epsilon_feasibility"),
             (dict(eta=math.inf), "eta must be positive"),
             (dict(eta=math.nan), "eta must be positive"),
+            (dict(reductions=("off",)), "reduction_enabled"),
+            (dict(reductions=(1,)), "reduction_enabled"),
         ],
     )
     def test_bad_solver_setting_rejected(self, bad, message):

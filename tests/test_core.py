@@ -10,6 +10,7 @@ from mmopt.errors import (
     CornerOrderViolation,
     DimensionMismatch,
     EvaluationError,
+    MMOptError,
     NonFiniteEntry,
 )
 from mmopt.problems import generate_channels, wsr_problem
@@ -19,6 +20,16 @@ def test_solver_config_takes_numpy_integers_and_zero_limits():
     config = SolverConfig(reduction_bisection_steps=np.int64(3), max_iterations=np.int32(0))
     assert config.reduction_bisection_steps == 3
     SolverConfig(max_iterations=0, max_wall_time=0.0)
+
+
+@pytest.mark.parametrize("value", ["off", 1, 0, None])
+def test_solver_config_reduction_enabled_must_be_bool(value):
+    with pytest.raises(MMOptError, match="reduction_enabled"):
+        SolverConfig(reduction_enabled=value)
+
+
+def test_solver_config_takes_numpy_bools():
+    assert SolverConfig(reduction_enabled=np.bool_(True)).reduction_enabled
 
 
 def test_make_box_basic():

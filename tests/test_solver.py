@@ -415,6 +415,23 @@ class TestFindIncumbent:
         assert find_incumbent(box, prob) is None
         np.testing.assert_allclose(find_incumbent(box, prob, epsilon=0.02), [0.5])
 
+    def test_hook_point_checked_at_the_solve_epsilon(self):
+        # the oracle decides nothing, so only the hook can offer a point
+        g = MMConstraint(MMFunction(1, lambda x, y: float(x[0] - 0.5)))
+        prob = ProblemInstance(
+            MMFunction(1, lambda x, y: float(x[0])),
+            (g,),
+            make_box((0.0,), (1.0,)),
+            feasibility_mode="custom-oracle",
+            feasibility_oracle=lambda box: FeasibilityVerdict(Feasibility.UNKNOWN),
+            incumbent_hook=lambda box: np.array([0.5 + 5e-10]),
+        )
+        box = make_box((0.0,), (1.0,))
+        assert find_incumbent(box, prob) is None
+        np.testing.assert_array_equal(find_incumbent(box, prob, epsilon=1e-9), [0.5 + 5e-10])
+        # the point must lie in the box itself, not within a tolerance of it
+        assert find_incumbent(make_box((0.0,), (0.5,)), prob, epsilon=1e-9) is None
+
 
 class TestRegionQueue:
     def test_best_first_pops_max_bound(self):
@@ -518,6 +535,83 @@ class TestSolve:
         assert (res.status, res.iterations) == ("iteration-limit", 50)
         assert astuple(res.stats) == (101, 14, 0, 0, 40)
 
+    def test_single_feasible_point_is_not_reported_infeasible(self):
+        # p = 1 meets the floor with equality and no other point does, so
+        # every thin child near it stays undecided and offers no point
+        net = InterferenceNetwork(
+            alpha=(1.0,),
+            beta=((0.0,),),
+            sigma2=0.01,
+            p_max=(1.0,),
+            w=(1.0,),
+            r_min=(math.log2(101.0),),
+        )
+        res = solve(wsr_problem(net), SolverConfig(eta=0.01))
+        assert (res.status, res.iterations) == ("resolution-limit", 40)
+        assert astuple(res.stats) == (81, 40, 0, 0, 1)
+
+    @pytest.mark.parametrize(
+        "scale, status, iterations", [(1.0, "resolution-limit", 1698), (0.999999, "eta-optimal", 801)]
+    )
+    def test_floors_met_only_at_full_power(self, scale, status, iterations):
+        beta = np.array([[0.0, 0.3], [0.2, 0.0]])
+        full = np.log2(1.0 + 1.0 / (0.01 + beta @ np.ones(2)))  # the rates at p_max
+        net = InterferenceNetwork(
+            alpha=(1.0, 1.0),
+            beta=beta,
+            sigma2=0.01,
+            p_max=(1.0, 1.0),
+            w=(1.0, 1.0),
+            r_min=tuple(scale * full),
+        )
+        res = solve(wsr_problem(net), SolverConfig(eta=0.01))
+        assert (res.status, res.iterations) == (status, iterations)
+        if status == "eta-optimal":
+            assert res.value == 4.605772296940496
+            assert np.all(wsr_rates(net, res.incumbent) >= net.r_min)
+
+    def test_thin_box_above_the_incumbent_blocks_the_optimality_claim(self):
+        # feasible set [0, 0.3] and the point 1, where x is largest; boxes
+        # [1 - d, 1] stay undecided and offer no point at every width d
+        g = MMConstraint(MMFunction(1, lambda x, y: min(float(x[0]) - 0.3, 1.0 - float(y[0]))))
+        prob = ProblemInstance(
+            MMFunction(1, lambda x, y: float(x[0])),
+            (g,),
+            make_box((0.0,), (1.0,)),
+            feasibility_mode="mm-sufficient-only",
+        )
+        res = solve(prob, SolverConfig(eta=0.01))
+        assert (res.status, res.iterations, res.value) == ("resolution-limit", 48, 0.296875)
+
+    def test_thin_root_box_is_not_reported_infeasible(self):
+        # the feasible set is the single point x0 inside a root box thinner
+        # than 1e-12, which the one-sided test cannot decide
+        x0 = 0.5 + 5e-14
+        prob = ProblemInstance(
+            MMFunction(1, lambda x, y: float(x[0])),
+            (
+                MMConstraint(MMFunction(1, lambda x, y: float(x0 - y[0]))),
+                MMConstraint(MMFunction(1, lambda x, y: float(x[0] - x0))),
+            ),
+            make_box((0.5,), (0.5 + 1e-13,)),
+            feasibility_mode="mm-sufficient-only",
+        )
+        res = solve(prob, SolverConfig(eta=0.01))
+        assert (res.status, res.iterations) == ("resolution-limit", 0)
+
+    def test_hook_point_must_meet_constraints_exactly(self):
+        g = MMConstraint(MMFunction(1, lambda x, y: float(x[0] - 0.5)))
+        prob = ProblemInstance(
+            MMFunction(1, lambda x, y: float(x[0])),
+            (g,),
+            make_box((0.0,), (1.0,)),
+            feasibility_mode="mm-sufficient-only",
+            incumbent_hook=lambda box: np.array([0.5 + 5e-10]),
+        )
+        res = solve(prob, SolverConfig(eta=0.01))
+        assert (res.status, res.value) == ("eta-optimal", 0.4921875)
+        assert g.g.eval(res.incumbent, res.incumbent) <= 0.0
+
     def test_gamma_nondecreasing_in_trace(self, tmp_path):
         trace = tmp_path / "trace.csv"
         net = generate_channels(2, seed=3)
@@ -594,14 +688,6 @@ class TestSolve:
         assert res.status == "eta-optimal"
         assert res.value == pytest.approx(math.sqrt(2.0), abs=0.005 + 1e-9)
         assert float(np.sum(res.incumbent**2)) <= 1.0 + 1e-9
-
-    def test_debug_pruning_check_clean_run(self):
-        net = generate_channels(2, seed=5)
-        res = solve(
-            wsr_problem(net),
-            SolverConfig(eta=0.05, debug_check_pruning=True, rng_seed=1),
-        )
-        assert res.status == "eta-optimal"
 
     def test_degenerate_initial_box(self):
         x = np.array([0.3, 0.4])
