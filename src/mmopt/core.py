@@ -70,10 +70,11 @@ def _as_readonly_vector(v, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BoxNd:
-    """Axis-aligned hyperrectangle ``[r, s]`` with a creation index.
+    """Axis-aligned hyperrectangle ``[r, s]``.
 
     ``r <= s`` componentwise; zero-width dimensions are allowed.  Boxes are
-    the unit of branching, bounding and reduction.
+    the unit of branching, bounding and reduction; the order in which the
+    solver visits them belongs to its queue, not to the box.
 
     Constructing a ``BoxNd`` copies both corners, checks them and freezes the
     copies; every box that enters through the API is built this way.  The
@@ -84,7 +85,6 @@ class BoxNd:
 
     r: np.ndarray
     s: np.ndarray
-    birth_iteration: int = 0
 
     def __post_init__(self):
         r = _as_readonly_vector(self.r, "r")
@@ -96,24 +96,21 @@ class BoxNd:
         if np.any(r > s):
             bad = int(np.argmax(r > s))
             raise CornerOrderViolation(f"r[{bad}] = {r[bad]} exceeds s[{bad}] = {s[bad]}")
-        if self.birth_iteration < 0:
-            raise MMOptError("birth_iteration must be nonnegative")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "s", s)
 
     @classmethod
-    def _trusted(cls, r: np.ndarray, s: np.ndarray, birth_iteration: int) -> BoxNd:
+    def _trusted(cls, r: np.ndarray, s: np.ndarray) -> BoxNd:
         """A box over the given corner arrays, without copies or checks.
 
         The caller guarantees what ``__post_init__`` would enforce: ``r`` and
         ``s`` are read-only, finite, 1-d float64 arrays of equal shape with
-        ``r <= s``, and ``birth_iteration >= 0``.  The arrays are stored as
-        given, so they may be shared with other boxes.
+        ``r <= s``.  The arrays are stored as given, so they may be shared
+        with other boxes.
         """
         box = object.__new__(cls)
         object.__setattr__(box, "r", r)
         object.__setattr__(box, "s", s)
-        object.__setattr__(box, "birth_iteration", birth_iteration)
         return box
 
     @property
@@ -126,16 +123,19 @@ class BoxNd:
         return float((self.s - self.r).max())
 
     def contains(self, x, tol: float = 0.0) -> bool:
+        """Whether the point ``x`` (shape ``(dim,)``) lies in the box widened by ``tol``."""
         x = np.asarray(x, dtype=float)
+        if x.shape != self.r.shape:
+            raise DimensionMismatch(f"point shape {x.shape} != box shape {self.r.shape}")
         return bool(np.all(x >= self.r - tol) and np.all(x <= self.s + tol))
 
     def __repr__(self):  # compact, for traces and test failures
-        return f"BoxNd(r={self.r.tolist()}, s={self.s.tolist()}, birth={self.birth_iteration})"
+        return f"BoxNd(r={self.r.tolist()}, s={self.s.tolist()})"
 
 
 def make_box(r, s) -> BoxNd:
-    """Construct a box from its lower and upper corners (birth index 0)."""
-    return BoxNd(r, s, 0)
+    """Construct a box from its lower and upper corners."""
+    return BoxNd(r, s)
 
 
 class MMFunction:

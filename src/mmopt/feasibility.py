@@ -26,7 +26,7 @@ from typing import Callable, Collection, Sequence
 import numpy as np
 
 from .core import BoxNd, MMConstraint, MMFunction
-from .errors import MissingMonotoneSplit
+from .errors import DimensionMismatch, MissingMonotoneSplit
 
 __all__ = [
     "Feasibility",
@@ -85,8 +85,10 @@ def mm_conclusive_test(
     share (no constraints: every coordinate); ``G_i`` then depends only on
     ``x_I`` and ``y`` off I, so ``G_i(w, w) = G_i(r, s)``.  Every coordinate
     gives the normal-set test at ``r``, no coordinate the conormal-set test
-    at ``s``.
+    at ``s``.  A split with a repeated or out-of-range index raises
+    :class:`~mmopt.errors.DimensionMismatch`.
     """
+    r, s = box.r, box.s
     if split is None:
         constraints = tuple(constraints)
         split = constraints[0].monotone_split if constraints else range(box.dim)
@@ -94,10 +96,13 @@ def mm_conclusive_test(
             raise MissingMonotoneSplit("constraint carries no monotone_split")
         if any(c.monotone_split != split for c in constraints):
             raise MissingMonotoneSplit("constraints disagree on the monotone split")
-    r, s = box.r, box.s
+    elif not (isinstance(split, range) and split == range(r.size)):  # the solver's normal split
+        idx = sorted(set(split))
+        if len(idx) != len(split) or (idx and (idx[0] < 0 or idx[-1] >= r.size)):
+            raise DimensionMismatch(f"split needs distinct coordinate indices below {r.size}")
     if len(split) == r.size:
         w = r
-    elif not split:
+    elif len(split) == 0:
         w = s
     else:
         w = s.copy()

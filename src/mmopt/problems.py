@@ -146,7 +146,6 @@ class AlohaNetwork:
     c: np.ndarray
     interferers: tuple[tuple[int, ...], ...]
     r_min: np.ndarray
-    utility: str = "proportional-fair"
 
     def __post_init__(self):
         k = np.asarray(self.c).size
@@ -163,8 +162,6 @@ class AlohaNetwork:
             sets.append(ids)
         object.__setattr__(self, "interferers", tuple(sets))
         object.__setattr__(self, "r_min", _frozen_vector(self.r_min, k, "r_min", lo=0.0))
-        if self.utility != "proportional-fair":
-            raise InvalidNetwork(f"unsupported utility {self.utility!r}")
 
     @property
     def K(self) -> int:
@@ -356,31 +353,30 @@ def _dinkelbach_aux_objective(
     return mm_sum([throughput, MMFunction(net.K, penalty, name=f"draw(lam={lam:.6g})")])
 
 
+_DINKELBACH_TOL = 1e-6
+_DINKELBACH_MAX_OUTER = 50
+
+
 def dinkelbach_gee(
-    net: InterferenceNetwork,
-    energy: EnergyModel,
-    inner_config: SolverConfig,
-    lambda_tol: float = 1e-6,
-    max_outer: int = 50,
+    net: InterferenceNetwork, energy: EnergyModel, inner_config: SolverConfig
 ) -> SolverResult:
     """Fractional-programming baseline for the energy-efficiency ratio.
 
     Alternates between solving the parametric auxiliary problem (throughput
     minus a lam-weighted power draw, by branch-and-bound on the
     difference-of-logs bound) and updating lam to the achieved ratio; stops
-    once the auxiliary optimum drops to ``lambda_tol``.  Inner tolerance
+    once the auxiliary optimum drops to ``_DINKELBACH_TOL``, and gives up
+    after ``_DINKELBACH_MAX_OUTER`` auxiliary solves.  Inner tolerance
     errors can leak into the result, so this carries no end-to-end
     optimality guarantee; it serves as a cross-check baseline.
     """
-    if lambda_tol <= 0:
-        raise InnerSolveFailed("lambda_tol must be positive")
     draw = _power_draw(net, energy)
     t0 = time.perf_counter()
     lam = 0.0
     total_iterations = 0
     peak = 0
     ok_statuses = (STATUS_ETA_OPTIMAL, STATUS_RELATIVE_ETA_OPTIMAL)
-    for _ in range(max_outer):
+    for _ in range(_DINKELBACH_MAX_OUTER):
         res = solve(_power_problem(net, _dinkelbach_aux_objective(net, energy, lam)), inner_config)
         total_iterations += res.iterations
         peak = max(peak, res.peak_region_count)
@@ -388,7 +384,7 @@ def dinkelbach_gee(
             raise InnerSolveFailed(f"auxiliary solve ended with status {res.status}")
         p = res.incumbent
         ratio = energy.bandwidth * _sum_rate(net, p) / draw(p)
-        if res.value <= lambda_tol:
+        if res.value <= _DINKELBACH_TOL:
             return SolverResult(
                 incumbent=p,
                 value=ratio,
@@ -398,7 +394,7 @@ def dinkelbach_gee(
                 wall_time=time.perf_counter() - t0,
             )
         lam = ratio
-    raise InnerSolveFailed(f"no convergence within {max_outer} outer iterations")
+    raise InnerSolveFailed(f"no convergence within {_DINKELBACH_MAX_OUTER} outer iterations")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The loop maintains a queue of boxes, each with the cached upper bound
 ``U([r, s]) = F(s, r)``.  Per iteration it selects a box (best-first on U or
-oldest-first by creation index), bisects it at the midpoint of a longest
+oldest-first in push order), bisects it at the midpoint of a longest
 edge, optionally shrinks each child without losing any feasible point
 better than the incumbent, updates the incumbent from per-child feasible
 points, prunes children that are provably infeasible or whose bound cannot
@@ -96,12 +96,12 @@ def bound(objective: MMFunction, box: BoxNd) -> float:
     return objective.eval(box.s, box.r)
 
 
-def bisect(box: BoxNd, birth_iteration: int = 0) -> tuple[BoxNd, BoxNd]:
+def bisect(box: BoxNd) -> tuple[BoxNd, BoxNd]:
     """Split a box at the midpoint of a longest edge (lowest index on ties).
 
     Each child copies the one corner the split changes and shares the other
     with the parent, so the children are valid by construction once the
-    midpoint lies on the edge and the birth index is nonnegative.
+    midpoint lies on the edge.
     """
     r, s = box.r, box.s
     width = s - r
@@ -111,18 +111,13 @@ def bisect(box: BoxNd, birth_iteration: int = 0) -> tuple[BoxNd, BoxNd]:
     mid = 0.5 * (r[axis] + s[axis])
     if not r[axis] <= mid <= s[axis]:  # r + s overflowed to inf
         raise NonFiniteEntry("box corners must be finite")
-    if birth_iteration < 0:
-        raise MMOptError("birth_iteration must be nonnegative")
     lo_s = s.copy()
     lo_s[axis] = mid
     lo_s.flags.writeable = False
     hi_r = r.copy()
     hi_r[axis] = mid
     hi_r.flags.writeable = False
-    return (
-        BoxNd._trusted(r, lo_s, birth_iteration),
-        BoxNd._trusted(hi_r, s, birth_iteration),
-    )
+    return BoxNd._trusted(r, lo_s), BoxNd._trusted(hi_r, s)
 
 
 def _face_cuts(base, step, holds, steps: int) -> dict[int, float]:
@@ -237,7 +232,7 @@ def reduce_box(
         return box
     # the clips keep r <= r_new <= s_new <= s, so the result is a valid box
     s_new = _apply_cuts(s, top_cuts, r_new, s)
-    return BoxNd._trusted(r_new, s_new, box.birth_iteration)
+    return BoxNd._trusted(r_new, s_new)
 
 
 def _diag_feasible(constraints, x, slack: float) -> bool:
@@ -302,32 +297,33 @@ def find_incumbent(box: BoxNd, problem: ProblemInstance, epsilon: float = 0.0):
 class RegionQueue:
     """Undecided boxes with cached bounds, under one selection discipline.
 
-    best-first pops a box maximizing the cached bound (ties: earlier birth,
-    then insertion order, which puts the lower bisection child first);
-    oldest-first pops by minimal birth index, FIFO within equal birth.
-    Both are one heap of ``(key, birth, seq, bound, box, box_id)``, keyed by
-    ``-bound`` for best-first and by a constant for oldest-first.
+    ``push`` gives each box the next id, 0, 1, 2, ... in push order, and
+    ``pop`` returns it with the box.  best-first pops a box maximizing the
+    cached bound (ties: push order, which puts the lower bisection child
+    first); oldest-first pops in push order (FIFO).  Both are one heap of
+    ``(key, id, bound, box)``, keyed by ``-bound`` for best-first and by a
+    constant for oldest-first.
     """
 
-    __slots__ = ("discipline", "_heap", "_seq")
+    __slots__ = ("discipline", "_heap", "_next_id")
 
     def __init__(self, discipline: str = "best-first"):
         if discipline not in ("best-first", "oldest-first"):
-            raise ValueError(f"unknown discipline {discipline!r}")
+            raise MMOptError(f"unknown selection_rule {discipline!r}")
         self.discipline = discipline
         self._heap: list = []
-        self._seq = 0
+        self._next_id = 0
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def push(self, box: BoxNd, ubound: float, box_id: int):
+    def push(self, box: BoxNd, ubound: float):
         key = -ubound if self.discipline == "best-first" else 0.0
-        heapq.heappush(self._heap, (key, box.birth_iteration, self._seq, ubound, box, box_id))
-        self._seq += 1
+        heapq.heappush(self._heap, (key, self._next_id, ubound, box))
+        self._next_id += 1
 
     def pop(self) -> tuple[BoxNd, float, int]:
-        _, _, _, ubound, box, box_id = heapq.heappop(self._heap)
+        _, box_id, ubound, box = heapq.heappop(self._heap)
         return box, ubound, box_id
 
     def max_bound(self) -> float:
@@ -336,8 +332,8 @@ class RegionQueue:
         O(1) for best-first, O(n) for oldest-first.
         """
         if self.discipline == "best-first":
-            return self._heap[0][3] if self._heap else float("-inf")
-        return max((entry[3] for entry in self._heap), default=float("-inf"))
+            return self._heap[0][2] if self._heap else float("-inf")
+        return max((entry[2] for entry in self._heap), default=float("-inf"))
 
 
 def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> SolverResult:
@@ -375,10 +371,8 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
         gamma = objective.eval(x0, x0)
         incumbent = x0
 
-    next_box_id = 0
     if root.diameter >= _POINT_DIAMETER:
-        queue.push(root, bound(objective, root), next_box_id)
-        next_box_id += 1
+        queue.push(root, bound(objective, root))
     elif _verdict_for(problem, root).kind is not Feasibility.INFEASIBLE:
         thin_bound = bound(objective, root)
     stats.boxes_created = 1
@@ -413,7 +407,7 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
 
             candidates = []
             survivors = []
-            for child in bisect(box, birth_iteration=iteration):
+            for child in bisect(box):
                 if config.reduction_enabled:
                     child = reduce_box(child, objective, constraints, gamma_before, steps)
                     if child is None:
@@ -444,8 +438,7 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
                 if child_u <= gamma_cut:
                     stats.boxes_pruned_bound += 1
                     continue
-                queue.push(child, child_u, next_box_id)
-                next_box_id += 1
+                queue.push(child, child_u)
 
             if len(queue) > stats.peak_region_count:
                 stats.peak_region_count = len(queue)

@@ -266,7 +266,7 @@ def reduce_box_reference(box, objective, constraints, gamma, steps=10):
     # the clips keep r <= r_new <= s_new <= s, so the result is a valid box
     r_new.flags.writeable = False
     s_new.flags.writeable = False
-    return BoxNd._trusted(r_new, s_new, box.birth_iteration)
+    return BoxNd._trusted(r_new, s_new)
 
 
 def mm_conclusive_test_reference(box, constraints, _cache=None):

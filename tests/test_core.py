@@ -36,7 +36,6 @@ def test_make_box_basic():
     box = make_box((0.0, 0.0), (1.0, 1.0))
     assert box.dim == 2
     assert box.diameter == 1.0
-    assert box.birth_iteration == 0
 
 
 def test_make_box_degenerate():
@@ -72,6 +71,15 @@ def test_box_contains():
     assert box.contains((0.5, 1.0))
     assert not box.contains((1.5, 1.0))
     assert box.contains((1.0 + 1e-12, 1.0), tol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "point", [[0.5], [0.5, 1.0, 1.0], [[0.5, 1.0]], 0.5], ids=["short", "long", "row", "scalar"]
+)
+def test_box_contains_rejects_wrong_shape(point):
+    # a point of another shape would broadcast against the corners
+    with pytest.raises(DimensionMismatch):
+        make_box((0.0, 0.0), (1.0, 2.0)).contains(point)
 
 
 @given(

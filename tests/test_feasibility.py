@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mmopt.core import MMConstraint, MMFunction, ProblemInstance, make_box
-from mmopt.errors import EvaluationError, MissingMonotoneSplit
+from mmopt.errors import DimensionMismatch, EvaluationError, MissingMonotoneSplit
 from mmopt.feasibility import (
     Feasibility,
     conormal_set_test,
@@ -65,6 +65,17 @@ class TestConclusive:
         verdict = mm_conclusive_test(make_box((0.2, 0.0), (1.0, 0.4)), (c,))
         assert verdict.kind is Feasibility.FEASIBLE_WITH_WITNESS
         np.testing.assert_allclose(verdict.witness, [0.2, 0.4])
+
+    @pytest.mark.parametrize(
+        "split",
+        [[0, 0], [0, 5], [5], [-1], (1, 1, 0)],
+        ids=["repeated", "full-length-out-of-range", "out-of-range", "negative", "too-long"],
+    )
+    def test_bad_split_rejected(self, split):
+        # a repeated or out-of-range index is not a coordinate set of the box
+        c = linear_constraint(2, (1.0, 1.0), (0.0, 0.0), -1.0)
+        with pytest.raises(DimensionMismatch, match="distinct coordinate indices"):
+            mm_conclusive_test(make_box((0.0, 0.0), (1.0, 1.0)), (c,), split)
 
     def test_random_access_floors_have_no_shared_split(self):
         from mmopt.problems import aloha_problem

@@ -77,10 +77,6 @@ class TestNetworkValidation:
         with pytest.raises(InvalidNetwork):
             AlohaNetwork(c=(1.0, 1.0), interferers=((0,), (0,)), r_min=(0.0, 0.0))
 
-    def test_unknown_utility_rejected(self):
-        with pytest.raises(InvalidNetwork):
-            AlohaNetwork(c=(1.0,), interferers=((),), r_min=(0.0,), utility="sum")
-
 
 class TestWsr:
     def test_symmetric_diagonal_value(self):

@@ -15,7 +15,7 @@ from mmopt.core import (
     SolverConfig,
     make_box,
 )
-from mmopt.errors import MMOptError, NonFiniteEntry, ZeroDiameterBox
+from mmopt.errors import DimensionMismatch, MMOptError, NonFiniteEntry, ZeroDiameterBox
 from mmopt.feasibility import Feasibility, FeasibilityVerdict
 from mmopt.problems import (
     AlohaNetwork,
@@ -58,12 +58,11 @@ def symmetric_aloha_near_boundary():
 
 def assert_valid_box(box):
     """The box is exactly what the validating constructor would build."""
-    fresh = BoxNd(box.r, box.s, box.birth_iteration)
+    fresh = BoxNd(box.r, box.s)
     for got, want in ((box.r, fresh.r), (box.s, fresh.s)):
         assert got.dtype == want.dtype and got.shape == want.shape
         np.testing.assert_array_equal(got, want)
         assert not got.flags.writeable
-    assert box.birth_iteration == fresh.birth_iteration
 
 
 class TestBound:
@@ -92,12 +91,11 @@ class TestBound:
 
 class TestBisect:
     def test_longest_edge(self):
-        lo, hi = bisect(make_box((0.0, 0.0), (1.0, 2.0)), birth_iteration=3)
+        lo, hi = bisect(make_box((0.0, 0.0), (1.0, 2.0)))
         np.testing.assert_allclose(lo.r, [0.0, 0.0])
         np.testing.assert_allclose(lo.s, [1.0, 1.0])
         np.testing.assert_allclose(hi.r, [0.0, 1.0])
         np.testing.assert_allclose(hi.s, [1.0, 2.0])
-        assert lo.birth_iteration == hi.birth_iteration == 3
 
     def test_tie_breaks_to_lowest_axis(self):
         lo, hi = bisect(make_box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
@@ -117,27 +115,21 @@ class TestBisect:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteEntry):
             bisect(make_box([1e308], [1.7e308]))
 
-    def test_negative_birth_iteration_raises(self):
-        with pytest.raises(MMOptError):
-            bisect(make_box((0.0,), (1.0,)), birth_iteration=-1)
-
     @given(
         st.lists(st.floats(-5, 5), min_size=1, max_size=4),
         st.lists(st.floats(0.01, 3), min_size=1, max_size=4),
         st.integers(0, 3),
-        st.integers(0, 10**6),
     )
     @settings(max_examples=60, deadline=None)
-    def test_children_partition_parent(self, lower, widths, depth, birth):
+    def test_children_partition_parent(self, lower, widths, depth):
         n = min(len(lower), len(widths))
         lo = np.array(lower[:n])
         parent = make_box(lo, lo + np.array(widths[:n]))
         for _ in range(depth):  # parents built by earlier splits, not validated
-            parent = bisect(parent, birth)[1]
-        a, b = bisect(parent, birth)
+            parent = bisect(parent)[1]
+        a, b = bisect(parent)
         for child in (a, b):
             assert_valid_box(child)
-            assert child.birth_iteration == birth
         axis = int(np.argmax(parent.s - parent.r))
         # children agree with the parent away from the split axis
         np.testing.assert_array_equal(a.r, parent.r)
@@ -187,20 +179,18 @@ class TestReduce:
         st.floats(-4, 6),
         st.floats(-2, 2),
         st.integers(1, 12),
-        st.integers(0, 1000),
     )
     @settings(max_examples=80, deadline=None)
-    def test_result_is_valid_box_inside_parent(self, lower, widths, gamma, slack, steps, birth):
+    def test_result_is_valid_box_inside_parent(self, lower, widths, gamma, slack, steps):
         # F(x, y) = x0 + 2 x1 - y0, G(x, y) = x0 - y1 - slack: both mixed monotonic
         f = MMFunction(2, lambda x, y: float(x[0] + 2.0 * x[1] - y[0]))
         g = MMConstraint(MMFunction(2, lambda x, y: float(x[0] - y[1] - slack)))
         lo = np.array(lower)
-        box = BoxNd(lo, lo + np.array(widths), birth)
+        box = BoxNd(lo, lo + np.array(widths))
         red = reduce_box(box, f, (g,), gamma, steps=steps)
         if red is None or red is box:
             return
         assert_valid_box(red)
-        assert red.birth_iteration == birth
         assert np.all(box.r <= red.r) and np.all(red.r <= red.s) and np.all(red.s <= box.s)
 
     def test_reduction_never_loses_better_points(self):
@@ -280,7 +270,7 @@ def reduction_cases():
             root = prob.initial_box
             around_p = (p - rng.random(k) * (p - root.r), p + rng.random(k) * (root.s - p))
             for corners in (random_box(rng, root.r, root.s), around_p):
-                box = BoxNd(*corners, birth_iteration=seed)
+                box = BoxNd(*corners)
                 top = prob.objective.eval(box.s, box.r)
                 just_below = top - 1e-6 * max(1.0, abs(top))
                 for gamma in (float("-inf"), prob.objective.eval(p, p), just_below):
@@ -401,6 +391,22 @@ class TestFindIncumbent:
         )
         assert find_incumbent(bad.initial_box, bad) is None
 
+    def test_hook_point_of_wrong_shape_raises(self):
+        # the oracle decides nothing, so the hook is asked for every box; a
+        # 1-d point on a 2-d problem must not become the incumbent
+        prob = ProblemInstance(
+            MMFunction(2, lambda x, y: float(x.sum())),
+            (),
+            make_box((0.0, 0.0), (1.0, 1.0)),
+            feasibility_mode="custom-oracle",
+            feasibility_oracle=lambda box: FeasibilityVerdict(Feasibility.UNKNOWN),
+            incumbent_hook=lambda box: np.array([0.5]),
+        )
+        with pytest.raises(DimensionMismatch):
+            find_incumbent(prob.initial_box, prob)
+        with pytest.raises(DimensionMismatch):
+            solve(prob, SolverConfig(max_iterations=10))
+
     def test_epsilon_admits_near_feasible_corner(self):
         # undecided box whose lower corner violates the floor by 0.01
         g = MMConstraint(MMFunction(1, lambda x, y: float(x[0] - 0.5 * y[0] - 0.24)))
@@ -436,38 +442,40 @@ class TestFindIncumbent:
 class TestRegionQueue:
     def test_best_first_pops_max_bound(self):
         q = RegionQueue("best-first")
-        q.push(make_box((0.0,), (1.0,)), 1.5, 0)
-        q.push(make_box((0.0,), (1.0,)), 3.5, 1)
-        q.push(make_box((0.0,), (1.0,)), 2.5, 2)
+        boxes = [make_box((0.0,), (float(i + 1),)) for i in range(3)]
+        for box, u in zip(boxes, (1.5, 3.5, 2.5)):
+            q.push(box, u)
         assert q.max_bound() == 3.5
-        assert [q.pop()[2] for _ in range(3)] == [1, 2, 0]
+        # ids count pushes from 0, and each comes back with its box and bound
+        for want_id, want_u in ((1, 3.5), (2, 2.5), (0, 1.5)):
+            box, u, box_id = q.pop()
+            assert (box_id, u) == (want_id, want_u) and box is boxes[want_id]
 
-    def test_best_first_tie_breaks_by_birth_then_insertion(self):
+    def test_best_first_ties_pop_in_push_order(self):
         q = RegionQueue("best-first")
-        q.push(BoxNd((0.0,), (1.0,), birth_iteration=5), 1.0, 10)
-        q.push(BoxNd((0.0,), (1.0,), birth_iteration=2), 1.0, 11)
-        q.push(BoxNd((0.0,), (1.0,), birth_iteration=2), 1.0, 12)
-        assert [q.pop()[2] for _ in range(3)] == [11, 12, 10]
+        for u in (1.0, 2.0, 1.0, 2.0, 1.0):
+            q.push(make_box((0.0,), (1.0,)), u)
+        assert [q.pop()[2] for _ in range(5)] == [1, 3, 0, 2, 4]
 
     def test_oldest_first_is_fifo(self):
         q = RegionQueue("oldest-first")
-        for i, birth in enumerate((0, 1, 1, 2)):
-            q.push(BoxNd((0.0,), (1.0,), birth_iteration=birth), float(i), i)
-        assert [q.pop()[2] for _ in range(4)] == [0, 1, 2, 3]
+        for u in (3.0, 0.0, 9.0, 1.0):
+            q.push(make_box((0.0,), (1.0,)), u)
+        assert [q.pop()[2] for _ in range(2)] == [0, 1]
+        q.push(make_box((0.0,), (1.0,)), 5.0)
+        assert [q.pop()[2] for _ in range(3)] == [2, 3, 4]
         assert len(q) == 0
-
-    def test_oldest_first_pops_by_birth_whatever_the_push_order(self):
-        q = RegionQueue("oldest-first")
-        for birth in (2, 0, 1):
-            q.push(BoxNd((0.0,), (1.0,), birth_iteration=birth), 0.0, birth)
-        assert [q.pop()[2] for _ in range(3)] == [0, 1, 2]
 
     def test_oldest_first_max_bound_scans(self):
         q = RegionQueue("oldest-first")
-        q.push(make_box((0.0,), (1.0,)), 1.0, 0)
-        q.push(make_box((0.0,), (1.0,)), 9.0, 1)
+        q.push(make_box((0.0,), (1.0,)), 1.0)
+        q.push(make_box((0.0,), (1.0,)), 9.0)
         assert q.max_bound() == 9.0
         assert RegionQueue("oldest-first").max_bound() == float("-inf")
+
+    def test_unknown_discipline_rejected(self):
+        with pytest.raises(MMOptError, match="unknown selection_rule 'bogus'"):
+            RegionQueue("bogus")
 
 
 class TestSolve:

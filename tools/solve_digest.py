@@ -7,17 +7,21 @@ Solves every network of each workload's pool that a benchmark draw can pick
 solver configuration from ``perfbench/workloads.py``, and prints one line
 per workload: the number of solves, a SHA-256 over each solve's (label,
 status, iterations, peak boxes, ``repr(value)``, incumbent bytes,
-``astuple(stats)``), the number of solves that fail ``workloads.check`` and
-the status counts.  Run it on two trees and compare the digests.  Exits 1
-when any solve fails its check.
+``astuple(stats)``) and the bytes of its per-iteration trace CSV
+(``k,box_id,upper_bound,gamma,queue_size``, written to a temporary
+directory), so the digest also pins the pop order and the box ids; then the
+number of solves that fail ``workloads.check`` and the status counts.  Run
+it on two trees and compare the digests.  Exits 1 when any solve fails its
+check.
 """
 
 from __future__ import annotations
 
 import hashlib
 import sys
+import tempfile
 from collections import Counter
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -36,21 +40,24 @@ def digest(w: workloads.Workload) -> tuple[int, str, int, Counter]:
     sha = hashlib.sha256()
     failed = 0
     statuses = Counter()
-    for inst in instances:
-        res = solve(inst.problem, inst.config)
-        incumbent = None if res.incumbent is None else np.asarray(res.incumbent).tobytes()
-        record = (
-            inst.label,
-            res.status,
-            res.iterations,
-            res.peak_region_count,
-            repr(res.value),
-            incumbent,
-            astuple(res.stats),
-        )
-        sha.update(repr(record).encode())
-        failed += workloads.check(inst, res) is not None
-        statuses[res.status] += 1
+    with tempfile.TemporaryDirectory() as tmp:
+        trace_path = Path(tmp) / "trace.csv"
+        for inst in instances:
+            res = solve(inst.problem, replace(inst.config, trace_path=str(trace_path)))
+            incumbent = None if res.incumbent is None else np.asarray(res.incumbent).tobytes()
+            record = (
+                inst.label,
+                res.status,
+                res.iterations,
+                res.peak_region_count,
+                repr(res.value),
+                incumbent,
+                astuple(res.stats),
+            )
+            sha.update(repr(record).encode())
+            sha.update(trace_path.read_bytes())
+            failed += workloads.check(inst, res) is not None
+            statuses[res.status] += 1
     return len(instances), sha.hexdigest(), failed, statuses
 
 
