@@ -37,6 +37,7 @@ from .feasibility import (
     Feasibility,
     FeasibilityVerdict,
     conormal_set_test,
+    least_point_test,
     mm_conclusive_test,
     mm_sufficient_test,
     normal_set_test,

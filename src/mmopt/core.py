@@ -177,7 +177,8 @@ class MMConstraint:
 
     ``monotone_split`` is the (0-based) index set I for constraints whose
     value depends only on the I-coordinates of ``x`` and the complementary
-    coordinates of ``y``; it enables the conclusive feasibility test.
+    coordinates of ``y``; it enables the conclusive feasibility test.  Its
+    indices must be integers (numpy's included, bools not) in ``[0, dim)``.
     """
 
     g: MMFunction
@@ -185,10 +186,10 @@ class MMConstraint:
 
     def __post_init__(self):
         if self.monotone_split is not None:
-            split = frozenset(int(i) for i in self.monotone_split)
-            if split and (min(split) < 0 or max(split) >= self.g.dim):
-                raise DimensionMismatch("monotone_split indices out of range")
-            object.__setattr__(self, "monotone_split", split)
+            idx = tuple(self.monotone_split)
+            if not all(_is_count(i, 0) and i < self.g.dim for i in idx):
+                raise DimensionMismatch("monotone_split needs integer indices in [0, dim)")
+            object.__setattr__(self, "monotone_split", frozenset(int(i) for i in idx))
 
     @property
     def dim(self) -> int:

@@ -15,6 +15,11 @@ For a feasible set cut out by mixed monotonic constraints
   with I = no coordinate (``w = s``).  :func:`mm_conclusive_test` is the one
   implementation; :func:`normal_set_test` and :func:`conormal_set_test`
   run it on plain callables of ``x``.
+* Floors of the form ``x >= m x + c`` (``m >= 0``, ``c >= 0``; an affine
+  standard interference function, as the WSR rate floors are) meet ``[r, s]``
+  iff the least fixed point ``p*`` of ``p = max(r, m p + c)`` lies below
+  ``s``: :func:`least_point_test` finds ``p*`` by an active-set solve and
+  decides the boxes the one-sided test leaves open.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import Callable, Collection, Sequence
 
 import numpy as np
 
-from .core import BoxNd, MMConstraint, MMFunction
+from .core import BoxNd, MMConstraint, MMFunction, _is_count
 from .errors import DimensionMismatch, MissingMonotoneSplit
 
 __all__ = [
@@ -35,6 +40,9 @@ __all__ = [
     "mm_conclusive_test",
     "normal_set_test",
     "conormal_set_test",
+    "least_point_test",
+    "VERDICT_INFEASIBLE",
+    "VERDICT_UNKNOWN",
 ]
 
 
@@ -55,6 +63,11 @@ class FeasibilityVerdict:
         return self.kind in (Feasibility.FULLY_FEASIBLE, Feasibility.FEASIBLE_WITH_WITNESS)
 
 
+# the verdicts without a witness, built once: every test returns these instances
+VERDICT_INFEASIBLE = FeasibilityVerdict(Feasibility.INFEASIBLE)
+VERDICT_UNKNOWN = FeasibilityVerdict(Feasibility.UNKNOWN)
+
+
 def mm_sufficient_test(box: BoxNd, constraints: Sequence[MMConstraint]) -> FeasibilityVerdict:
     """One-sided feasibility test from constraint values at opposite corners.
 
@@ -66,10 +79,10 @@ def mm_sufficient_test(box: BoxNd, constraints: Sequence[MMConstraint]) -> Feasi
     r, s = box.r, box.s
     for c in constraints:
         if c.g.eval(r, s) > 0.0:
-            return FeasibilityVerdict(Feasibility.INFEASIBLE)
+            return VERDICT_INFEASIBLE
     for c in constraints:
         if c.g.eval(s, r) > 0.0:
-            return FeasibilityVerdict(Feasibility.UNKNOWN)
+            return VERDICT_UNKNOWN
     return FeasibilityVerdict(Feasibility.FULLY_FEASIBLE, witness=r)
 
 
@@ -85,7 +98,7 @@ def mm_conclusive_test(
     share (no constraints: every coordinate); ``G_i`` then depends only on
     ``x_I`` and ``y`` off I, so ``G_i(w, w) = G_i(r, s)``.  Every coordinate
     gives the normal-set test at ``r``, no coordinate the conormal-set test
-    at ``s``.  A split with a repeated or out-of-range index raises
+    at ``s``.  A split with a repeated, out-of-range or non-integer index raises
     :class:`~mmopt.errors.DimensionMismatch`.
     """
     r, s = box.r, box.s
@@ -97,8 +110,7 @@ def mm_conclusive_test(
         if any(c.monotone_split != split for c in constraints):
             raise MissingMonotoneSplit("constraints disagree on the monotone split")
     elif not (isinstance(split, range) and split == range(r.size)):  # the solver's normal split
-        idx = sorted(set(split))
-        if len(idx) != len(split) or (idx and (idx[0] < 0 or idx[-1] >= r.size)):
+        if len(set(split)) != len(split) or not all(_is_count(i, 0) and i < r.size for i in split):
             raise DimensionMismatch(f"split needs distinct coordinate indices below {r.size}")
     if len(split) == r.size:
         w = r
@@ -111,7 +123,71 @@ def mm_conclusive_test(
         w.flags.writeable = False
     for c in constraints:
         if c.g.eval(w, w) > 0.0:
-            return FeasibilityVerdict(Feasibility.INFEASIBLE)
+            return VERDICT_INFEASIBLE
+    return FeasibilityVerdict(Feasibility.FEASIBLE_WITH_WITNESS, w)
+
+
+# relative distance by which a least point must leave the box before the box
+# is called infeasible; it absorbs the roundoff of the linear solves
+_LEAST_POINT_MARGIN = 1e-9
+
+
+def least_point_test(
+    box: BoxNd, constraints: Sequence[MMConstraint], m: np.ndarray, c: np.ndarray
+) -> FeasibilityVerdict:
+    """Exact test for constraints whose feasible set is ``{x | x >= m x + c}``,
+    with ``m`` (n x n) and ``c`` (n) nonnegative and ``c_k > 0`` wherever row
+    ``k`` of ``m`` is nonzero, on a box in the nonnegative orthant.
+
+    The one-sided :func:`mm_sufficient_test` runs first; its INFEASIBLE and
+    FULLY_FEASIBLE verdicts stand.  Otherwise the least feasible point ``p*``
+    of ``[r, inf)``, the least fixed point of ``p = max(r, m p + c)`` (Yates,
+    IEEE JSAC 1995), decides the box: every feasible point of the box lies
+    above ``p*``.  An active set finds ``p*`` in at most n linear solves.  It
+    starts from the rows with ``(m r + c)_k > r_k``, solves
+    ``(I - m_AA) p_A = m_{A,~A} r_~A + c_A`` with ``p_~A = r_~A``, and adds
+    the rows that then bind.  Each solution lies below ``p*``.  A solution with
+    an entry ``<= 0`` shows that ``m_AA`` has spectral radius at least 1, so
+    that no ``p*`` exists.
+
+    Returns INFEASIBLE when no ``p*`` exists or it leaves ``s`` by more than a
+    relative margin of 1e-9.  Otherwise the witness is ``p*`` raised by that
+    margin and clipped to the box, ``w = min((1 + 1e-9) p*, s)``: every floor
+    that binds at ``p*`` holds at ``(1 + 1e-9) p*`` with a slack of
+    ``1e-9 c_k``, which roundoff cannot undo.  It is returned as
+    FEASIBLE_WITH_WITNESS once every ``G_i(w, w) <= 0`` holds.  The verdict
+    is UNKNOWN when that check fails or a solve is singular or non-finite.
+    """
+    verdict = mm_sufficient_test(box, constraints)
+    if verdict.kind is not Feasibility.UNKNOWN:
+        return verdict
+    r, s = box.r, box.s
+    p = r
+    active = np.zeros(r.size, dtype=bool)
+    while True:
+        grow = ~active & (m @ p + c > r)
+        if not grow.any():
+            break
+        active |= grow
+        # one system for all rows: p_k - (m p)_k = c_k on A, p_k = r_k off A
+        try:
+            p = np.linalg.solve(np.eye(r.size) - active[:, None] * m, np.where(active, c, r))
+        except np.linalg.LinAlgError:
+            return VERDICT_UNKNOWN
+        if not np.isfinite(p).all():
+            return VERDICT_UNKNOWN
+        if (active & (p <= 0.0)).any():
+            return VERDICT_INFEASIBLE
+        p = np.where(active, np.maximum(p, r), r)  # a solution is >= r up to roundoff
+        if (p * (1.0 - _LEAST_POINT_MARGIN) > s).any():
+            return VERDICT_INFEASIBLE
+    # p* itself meets its binding floors only up to roundoff; (1 + margin) p*
+    # meets them with a slack of margin * c_k
+    w = np.minimum(p * (1.0 + _LEAST_POINT_MARGIN), s)
+    w.flags.writeable = False
+    for con in constraints:
+        if con.g.eval(w, w) > 0.0:
+            return VERDICT_UNKNOWN
     return FeasibilityVerdict(Feasibility.FEASIBLE_WITH_WITNESS, w)
 
 

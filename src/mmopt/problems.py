@@ -29,6 +29,7 @@ from .core import (
     SolverResult,
 )
 from .errors import InnerSolveFailed, InvalidNetwork
+from .feasibility import FeasibilityVerdict, least_point_test, mm_sufficient_test
 from .solver import solve
 
 __all__ = [
@@ -216,19 +217,68 @@ def _floors(net: InterferenceNetwork | AlohaNetwork, rate) -> tuple[MMConstraint
     return tuple(floor(k) for k in range(net.K) if net.r_min[k] > 0)
 
 
-def _power_problem(
-    net: InterferenceNetwork, objective: MMFunction, constraints: tuple[MMConstraint, ...] = ()
-) -> ProblemInstance:
-    """Maximize ``objective`` over the power box [0, p_max].
+def _floor_map(net: InterferenceNetwork) -> tuple[np.ndarray, np.ndarray] | tuple[()]:
+    """The WSR rate floors as ``p >= m p + c``, or ``()`` when one cannot be met.
 
-    Without constraints the feasible set is the whole box, a normal set.  The
-    constraints are rate floors, built by :func:`_floors` like the ALOHA
-    floors; they share no monotone split, so the instance then relies on the
-    one-sided test (``mm-sufficient-only``), as :func:`aloha_problem` does.
+    Floor k reads ``p_k >= g_k (sigma2 + sum_{j != k} beta_kj p_j)
+    / (alpha_k - g_k beta_kk)`` with ``g_k = 2^r_min[k] - 1``; a floor with
+    ``alpha_k <= g_k beta_kk`` holds at no power.  Rows without a floor are 0.
     """
-    mode = "mm-sufficient-only" if constraints else "normal"
+    gain = np.exp2(net.r_min) - 1.0
+    den = net.alpha - gain * np.diag(net.beta)
+    if np.any(den <= 0.0):
+        return ()
+    scale = gain / den
+    m = scale[:, None] * net.beta
+    np.fill_diagonal(m, 0.0)
+    return m, scale * net.sigma2
+
+
+def _floor_oracle(net: InterferenceNetwork, constraints: tuple[MMConstraint, ...]):
+    """The feasibility oracle of the WSR rate floors ``constraints``:
+    :func:`~mmopt.feasibility.least_point_test` on :func:`_floor_map`, which
+    decides every box.  The map is built on the first call, which keeps
+    building a problem cheap.  When a floor cannot be met, the oracle is the
+    one-sided test, which then finds every box infeasible.
+    """
+    affine = None
+
+    def oracle(box: BoxNd) -> FeasibilityVerdict:
+        nonlocal affine
+        if affine is None:
+            affine = _floor_map(net)
+        if not affine:
+            return mm_sufficient_test(box, constraints)
+        return least_point_test(box, constraints, *affine)
+
+    return oracle
+
+
+def _power_problem(
+    net: InterferenceNetwork, objective: MMFunction, floored: bool = False
+) -> ProblemInstance:
+    """Maximize ``objective`` over the power box [0, p_max], under the
+    network's rate floors when ``floored``.
+
+    Without floors the feasible set is the whole box, a normal set.  The
+    floors are built by :func:`_floors` like the ALOHA floors.  They share no
+    monotone split, but each is an affine floor on the powers, so the
+    instance runs in ``custom-oracle`` mode with the exact
+    :func:`_floor_oracle`.  In that mode ``epsilon_feasibility`` adds no
+    candidate points: it applies to undecided boxes of
+    ``mm-sufficient-only`` mode only.
+    """
     box = BoxNd(np.zeros(net.K), net.p_max)
-    return ProblemInstance(objective, constraints, box, feasibility_mode=mode)
+    floors = _floors(net, _rate) if floored else ()
+    if not floors:
+        return ProblemInstance(objective, (), box, feasibility_mode="normal")
+    return ProblemInstance(
+        objective,
+        floors,
+        box,
+        feasibility_mode="custom-oracle",
+        feasibility_oracle=_floor_oracle(net, floors),
+    )
 
 
 def _mmp_objective(net: InterferenceNetwork, weights) -> MMFunction:
@@ -261,12 +311,14 @@ def wsr_problem(net: InterferenceNetwork, representation: str = "mmp") -> Proble
 
     ``representation`` (one of :data:`REPRESENTATIONS`) selects the bound:
     ``"mmp"`` keeps each rate's own power inside its fraction, ``"dm"`` uses
-    the difference-of-logs split (always looser, never tighter).
+    the difference-of-logs split (always looser, never tighter).  Positive
+    ``r_min`` entries become rate floors, decided exactly per box by the
+    least feasible power vector (see :func:`_power_problem`).
     """
     if representation not in _WSR_OBJECTIVES:
         raise InvalidNetwork(f"unknown representation {representation!r}")
     objective = _WSR_OBJECTIVES[representation](net, net.w)
-    return _power_problem(net, objective, _floors(net, _rate))
+    return _power_problem(net, objective, floored=True)
 
 
 def bound_gap_mmp_vs_dm(net: InterferenceNetwork, box: BoxNd) -> float:
@@ -447,8 +499,9 @@ def aloha_problem(net: AlohaNetwork) -> ProblemInstance:
     is a sum of :func:`~mmopt.calculus.mm_unimodal` terms and its box bound
     is exact.  The rate floors are built like the WSR floors (see
     :func:`_floors`), as swapped-argument gaps over the throughputs; they do
-    not admit a shared monotone split, so the instance relies on the
-    one-sided feasibility test (``mm-sufficient-only``).  That test yields
+    not admit a shared monotone split, and unlike the WSR floors they are
+    not affine in the probabilities, so the instance relies on the one-sided
+    feasibility test (``mm-sufficient-only``).  That test yields
     incumbents only from boxes lying wholly inside the feasible set, which
     best-first search on an exact bound rarely visits; the incumbent hook
     therefore offers each undecided box's midpoint when it meets every

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmopt.core import MMFunction, SolverConfig, check_mm_property, make_box
+from mmopt.core import MMConstraint, MMFunction, SolverConfig, check_mm_property, make_box
 from mmopt.errors import (
     CornerOrderViolation,
     DimensionMismatch,
@@ -99,6 +99,25 @@ def test_mm_function_nan_is_hard_error():
     f = MMFunction(1, lambda x, y: float("nan"))
     with pytest.raises(EvaluationError):
         f.eval(np.zeros(1), np.zeros(1))
+
+
+@pytest.mark.parametrize(
+    "split",
+    [[0.7, 1.2], [True], [np.float64(1.0)], [2], [-1]],
+    ids=["non-integral", "bool", "numpy-float", "out-of-range", "negative"],
+)
+def test_monotone_split_needs_integer_indices_in_range(split):
+    # int() would truncate 0.7 and 1.2 to {0, 1} and read True as 1
+    g = MMFunction(2, lambda x, y: float(x[0] - y[1]))
+    with pytest.raises(DimensionMismatch, match="monotone_split"):
+        MMConstraint(g, monotone_split=split)
+
+
+def test_monotone_split_takes_numpy_integers():
+    g = MMFunction(2, lambda x, y: float(x[0] - y[1]))
+    c = MMConstraint(g, monotone_split=[np.int64(0), np.int32(1)])
+    assert c.monotone_split == frozenset({0, 1})
+    assert all(type(i) is int for i in c.monotone_split)
 
 
 def test_mm_function_diagonal():

@@ -1,11 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mmopt.core import MMConstraint, MMFunction, ProblemInstance, make_box
 from mmopt.errors import DimensionMismatch, EvaluationError, MissingMonotoneSplit
 from mmopt.feasibility import (
+    VERDICT_INFEASIBLE,
+    VERDICT_UNKNOWN,
     Feasibility,
     conormal_set_test,
+    least_point_test,
     mm_conclusive_test,
     mm_sufficient_test,
     normal_set_test,
@@ -17,6 +22,8 @@ from oracles import (
     conormal_set_test_reference,
     mm_conclusive_test_reference,
     normal_set_test_reference,
+    random_box,
+    wsr_rates,
 )
 
 
@@ -47,6 +54,110 @@ class TestSufficient:
         assert verdict.kind is Feasibility.UNKNOWN
 
 
+class TestVerdictConstants:
+    def test_witness_less_verdicts_are_shared(self):
+        c = MMConstraint(MMFunction(1, lambda x, y: x[0] - y[0]))
+        assert mm_sufficient_test(make_box((0.0,), (1.0,)), (c,)) is VERDICT_UNKNOWN
+        c = MMConstraint(MMFunction(1, lambda x, y: x[0] - 1.0))
+        assert mm_sufficient_test(make_box((2.0,), (3.0,)), (c,)) is VERDICT_INFEASIBLE
+        c = linear_constraint(1, (1.0,), (0.0,), -1.0, split=frozenset({0}))
+        assert mm_conclusive_test(make_box((2.0,), (3.0,)), (c,)) is VERDICT_INFEASIBLE
+        assert VERDICT_UNKNOWN.witness is None and VERDICT_INFEASIBLE.witness is None
+
+
+def affine_floors(m, c):
+    """The floors ``x >= m x + c`` as constraints ``G_k(x, y) = (m x + c)_k - y_k``."""
+    n = len(c)
+    return [linear_constraint(n, m[k], -np.eye(n)[k], c[k]) for k in range(n)]
+
+
+class TestLeastPoint:
+    M = np.array([[0.0, 0.5], [0.25, 0.0]])
+    C = np.array([0.1, 0.2])
+
+    def verdict(self, lo, hi, m=M, c=C):
+        return least_point_test(make_box(lo, hi), affine_floors(m, c), m, c)
+
+    def test_witness_is_the_least_point(self):
+        # the one-sided test leaves [0, 1]^2 open; p* = (I - m)^-1 c lies inside
+        verdict = self.verdict((0.0, 0.0), (1.0, 1.0))
+        assert verdict.kind is Feasibility.FEASIBLE_WITH_WITNESS
+        p_star = np.linalg.solve(np.eye(2) - self.M, self.C)
+        np.testing.assert_allclose(verdict.witness, p_star, rtol=1e-8)
+        assert np.all(verdict.witness >= p_star)
+
+    def test_rows_join_the_active_set(self):
+        # at r only row 1 binds: p* = (0.5, 0.2 + 0.25 * 0.5)
+        verdict = self.verdict((0.5, 0.0), (1.0, 1.0))
+        assert verdict.kind is Feasibility.FEASIBLE_WITH_WITNESS
+        np.testing.assert_allclose(verdict.witness, [0.5, 0.325], rtol=1e-8)
+        # at r only row 0 binds, and row 1 binds once row 0 is solved
+        m = np.array([[0.0, 0.5], [0.5, 0.0]])
+        c = np.array([0.5, 0.1])
+        verdict = self.verdict((0.0, 0.4), (1.0, 1.0), m, c)
+        assert verdict.kind is Feasibility.FEASIBLE_WITH_WITNESS
+        np.testing.assert_allclose(verdict.witness, np.linalg.solve(np.eye(2) - m, c), rtol=1e-8)
+
+    def test_least_point_beyond_the_box_is_infeasible(self):
+        # p*_0 = 0.2286 > 0.2, which the one-sided test does not see
+        box = make_box((0.0, 0.0), (0.2, 1.0))
+        assert mm_sufficient_test(box, affine_floors(self.M, self.C)) is VERDICT_UNKNOWN
+        assert self.verdict((0.0, 0.0), (0.2, 1.0)) is VERDICT_INFEASIBLE
+
+    def test_divergent_iteration_is_infeasible(self):
+        # x0 >= 2 x1 + 0.1 and x1 >= 2 x0 + 0.1 have no nonnegative solution
+        m = np.array([[0.0, 2.0], [2.0, 0.0]])
+        c = np.array([0.1, 0.1])
+        assert self.verdict((0.0, 0.0), (1.0, 1.0), m, c) is VERDICT_INFEASIBLE
+
+    def test_singular_solve_is_unknown(self):
+        m = np.array([[0.0, 1.0], [1.0, 0.0]])
+        c = np.array([0.1, 0.1])
+        assert self.verdict((0.0, 0.0), (1.0, 1.0), m, c) is VERDICT_UNKNOWN
+
+    def test_one_sided_verdicts_stand(self):
+        fully = self.verdict((0.5, 0.5), (0.6, 0.6))
+        assert fully.kind is Feasibility.FULLY_FEASIBLE
+        np.testing.assert_array_equal(fully.witness, [0.5, 0.5])
+        assert self.verdict((0.0, 0.0), (0.05, 1.0)) is VERDICT_INFEASIBLE
+
+    def test_witness_must_meet_the_constraints(self):
+        # constraints stricter than the floors m, c describe: the least point
+        # of the floors is no witness for them
+        strict = affine_floors(self.M, self.C + 0.05)
+        verdict = least_point_test(make_box((0.0, 0.0), (1.0, 1.0)), strict, self.M, self.C)
+        assert verdict is VERDICT_UNKNOWN
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_wsr_floors_against_a_grid(self, k):
+        # grid points of each box, checked with the rate formulas directly:
+        # no box with a feasible grid point is called infeasible, each such
+        # box gets a witness, and every witness lies in its box and meets
+        # every floor
+        rng = np.random.default_rng(40 + k)
+        n = 41 if k == 2 else 13
+        outcomes = set()
+        for trial in range(30):
+            net = replace(generate_channels(k, 700 + trial), r_min=rng.uniform(0.05, 0.8, k))
+            prob = wsr_problem(net)
+            for _ in range(10):
+                box = make_box(*random_box(rng, np.zeros(k), net.p_max))
+                verdict = prob.feasibility_oracle(box)
+                axes = [np.linspace(box.r[i], box.s[i], n) for i in range(k)]
+                rates = wsr_rates(net, np.meshgrid(*axes, indexing="ij"))
+                floors = net.r_min.reshape((k,) + (1,) * k)
+                grid_feasible = np.all(rates >= floors, axis=0).any()
+                outcomes.add(verdict.kind)
+                if grid_feasible:
+                    assert verdict.kind is not Feasibility.INFEASIBLE
+                    assert verdict.witness is not None
+                if verdict.witness is not None:
+                    assert box.contains(verdict.witness)
+                    assert np.all(wsr_rates(net, verdict.witness) >= net.r_min)
+        assert Feasibility.FEASIBLE_WITH_WITNESS in outcomes
+        assert Feasibility.INFEASIBLE in outcomes
+
+
 class TestConclusive:
     def test_normal_set_witness_is_lower_corner(self):
         c = linear_constraint(2, (1.0, 1.0), (0.0, 0.0), -1.0, split=frozenset({0, 1}))
@@ -68,11 +179,21 @@ class TestConclusive:
 
     @pytest.mark.parametrize(
         "split",
-        [[0, 0], [0, 5], [5], [-1], (1, 1, 0)],
-        ids=["repeated", "full-length-out-of-range", "out-of-range", "negative", "too-long"],
+        [[0, 0], [0, 5], [5], [-1], (1, 1, 0), [0.5], [True], [1.0]],
+        ids=[
+            "repeated",
+            "full-length-out-of-range",
+            "out-of-range",
+            "negative",
+            "too-long",
+            "non-integral",
+            "bool",
+            "float",
+        ],
     )
     def test_bad_split_rejected(self, split):
-        # a repeated or out-of-range index is not a coordinate set of the box
+        # a repeated, out-of-range or non-integer index is not a coordinate
+        # set of the box
         c = linear_constraint(2, (1.0, 1.0), (0.0, 0.0), -1.0)
         with pytest.raises(DimensionMismatch, match="distinct coordinate indices"):
             mm_conclusive_test(make_box((0.0, 0.0), (1.0, 1.0)), (c,), split)

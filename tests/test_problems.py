@@ -150,7 +150,9 @@ class TestWsr:
             r_min=(0.1, 0.1),
         )
         prob = wsr_problem(floored)
-        assert prob.feasibility_mode == "mm-sufficient-only"
+        # the floors share no monotone split; their exact test is an oracle
+        assert prob.feasibility_mode == "custom-oracle"
+        assert prob.feasibility_oracle is not None
         assert len(prob.constraints) == 2
 
     def test_unknown_representation(self):

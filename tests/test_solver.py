@@ -363,8 +363,7 @@ class TestFindIncumbent:
 
     def test_unknown_box_returns_none_without_hook(self):
         net = two_user_symmetric_net(r_min=0.4)
-        prob = wsr_problem(net)
-        assert prob.feasibility_mode == "mm-sufficient-only"
+        prob = replace(wsr_problem(net), feasibility_mode="mm-sufficient-only")
         # box straddling the floor: optimistic corner passes, pessimistic fails
         box = make_box((0.0, 0.0), (1.0, 1.0))
         assert find_incumbent(box, prob) is None
@@ -544,8 +543,8 @@ class TestSolve:
         assert astuple(res.stats) == (101, 14, 0, 0, 40)
 
     def test_single_feasible_point_is_not_reported_infeasible(self):
-        # p = 1 meets the floor with equality and no other point does, so
-        # every thin child near it stays undecided and offers no point
+        # p = 1 meets the floor with equality and no other point does; it is
+        # the root's least feasible point, and the floor holds there in floats
         net = InterferenceNetwork(
             alpha=(1.0,),
             beta=((0.0,),),
@@ -554,12 +553,20 @@ class TestSolve:
             w=(1.0,),
             r_min=(math.log2(101.0),),
         )
-        res = solve(wsr_problem(net), SolverConfig(eta=0.01))
+        prob = wsr_problem(net)
+        res = solve(prob, SolverConfig(eta=0.01))
+        assert (res.status, res.iterations, res.value) == ("eta-optimal", 0, math.log2(101.0))
+        assert res.incumbent.tolist() == [1.0]
+        assert astuple(res.stats) == (1, 0, 0, 0, 1)
+        # the one-sided test leaves every thin child near p = 1 undecided
+        # and without a point
+        one_sided = replace(prob, feasibility_mode="mm-sufficient-only")
+        res = solve(one_sided, SolverConfig(eta=0.01))
         assert (res.status, res.iterations) == ("resolution-limit", 40)
         assert astuple(res.stats) == (81, 40, 0, 0, 1)
 
     @pytest.mark.parametrize(
-        "scale, status, iterations", [(1.0, "resolution-limit", 1698), (0.999999, "eta-optimal", 801)]
+        "scale, status, iterations", [(1.0, "eta-optimal", 16), (0.999999, "eta-optimal", 16)]
     )
     def test_floors_met_only_at_full_power(self, scale, status, iterations):
         beta = np.array([[0.0, 0.3], [0.2, 0.0]])
@@ -574,9 +581,29 @@ class TestSolve:
         )
         res = solve(wsr_problem(net), SolverConfig(eta=0.01))
         assert (res.status, res.iterations) == (status, iterations)
-        if status == "eta-optimal":
-            assert res.value == 4.605772296940496
-            assert np.all(wsr_rates(net, res.incumbent) >= net.r_min)
+        assert res.value == {1.0: 4.60577250564641, 0.999999: 4.60576789996621}[scale]
+        assert res.value >= wsr_grid_max(net) - 0.01
+        assert np.all(wsr_rates(net, res.incumbent) >= net.r_min)
+        if scale == 1.0:  # the floors hold with equality at p_max, in floats too
+            floors = wsr_problem(net).constraints
+            assert [c.g.eval(net.p_max, net.p_max) for c in floors] == [0.0, 0.0]
+            assert res.incumbent.tolist() == [1.0, 1.0]
+
+    def test_unmeetable_floor_is_infeasible(self):
+        # alpha_0 <= (2^r_min - 1) beta_00: user 0's self-interference keeps
+        # its rate below the floor at every power
+        net = InterferenceNetwork(
+            alpha=(1.0, 1.0),
+            beta=((1.0, 0.1), (0.1, 0.0)),
+            sigma2=0.01,
+            p_max=(1.0, 1.0),
+            w=(1.0, 1.0),
+            r_min=(1.0, 0.5),
+        )
+        res = solve(wsr_problem(net), SolverConfig(eta=0.01))
+        assert (res.status, res.incumbent, res.iterations) == ("infeasible", None, 1)
+        assert res.stats.boxes_pruned_infeasible == 2
+        assert wsr_grid_max(net) == -math.inf
 
     def test_thin_box_above_the_incumbent_blocks_the_optimality_claim(self):
         # feasible set [0, 0.3] and the point 1, where x is largest; boxes
@@ -760,8 +787,9 @@ class TestGoldenTrace:
     """Trace files and counts of fixed solves; any change to the search
     order, the bounds or the pruning shows up here.
 
-    The three WSR cases were recorded before bisection and reduction stopped
-    re-validating their boxes.  The ALOHA case was recorded with the exact
+    The two unfloored WSR cases were recorded before bisection and reduction
+    stopped re-validating their boxes; the floored one with the exact
+    least-point test of the floors.  The ALOHA case was recorded with the exact
     separable bound and the midpoint incumbent step; on that bound the
     two-user symmetric instance solves at the root, so a three-user draw
     that runs the loop takes its place.
@@ -789,8 +817,8 @@ class TestGoldenTrace:
                 reduction_bisection_steps=5,
                 max_iterations=20_000,
             ),
-            ("eta-optimal", 805, 129),
-            "3030fbaf852c9c393d0fbbf8a5f08dfebcd50fdd4f899452b70d061e4ba87426",
+            ("eta-optimal", 196, 34),
+            "5880af36589cc0c60e3ba4bdeaa9460982ba3200645c68cefd27313ad1dc0e7f",
         ),
         "aloha3-draw3000": (
             lambda: aloha_problem(generate_aloha(3, 3000)),
