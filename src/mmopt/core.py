@@ -203,15 +203,17 @@ class ProblemInstance:
     The initial box must enclose the feasible set.  ``feasibility_mode``
     selects how boxes are classified; ``custom-oracle`` requires
     ``feasibility_oracle`` (a ``box -> FeasibilityVerdict`` callable).
-    ``incumbent_hook`` may supply feasible points for boxes the built-in
-    tests cannot resolve.
+    Feasible points come only from verdicts: an oracle offers one as the
+    witness of a ``FEASIBLE_WITH_WITNESS`` verdict, and the solver takes it
+    only if its shape is ``(dim,)`` (else ``DimensionMismatch``), it lies in
+    the box and every constraint holds there within
+    ``epsilon_feasibility``.
     """
 
     objective: MMFunction
     constraints: tuple[MMConstraint, ...]
     initial_box: BoxNd
     feasibility_mode: str = "mm-sufficient-only"
-    incumbent_hook: Callable[[BoxNd], np.ndarray | None] | None = None
     feasibility_oracle: Callable[[BoxNd], "object"] | None = None
 
     def __post_init__(self):
@@ -251,7 +253,7 @@ class SolverConfig:
     ``reduction_enabled`` (a bool) shrinks every child by
     ``reduction_bisection_steps`` halvings per line search.
     ``epsilon_feasibility > 0`` admits incumbents whose constraints hold up
-    to that slack; at 0 every incumbent, a hook's included, meets every
+    to that slack; at 0 every incumbent, an oracle's included, meets every
     constraint exactly.  ``max_iterations`` and ``max_wall_time`` (seconds)
     stop the loop with a limit status; ``trace_path`` names a CSV file that
     receives one row per iteration.

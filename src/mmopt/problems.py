@@ -29,7 +29,7 @@ from .core import (
     SolverResult,
 )
 from .errors import InnerSolveFailed, InvalidNetwork
-from .feasibility import FeasibilityVerdict, least_point_test, mm_sufficient_test
+from .feasibility import Feasibility, FeasibilityVerdict, least_point_test, mm_sufficient_test
 from .solver import solve
 
 __all__ = [
@@ -500,28 +500,29 @@ def aloha_problem(net: AlohaNetwork) -> ProblemInstance:
     is exact.  The rate floors are built like the WSR floors (see
     :func:`_floors`), as swapped-argument gaps over the throughputs; they do
     not admit a shared monotone split, and unlike the WSR floors they are
-    not affine in the probabilities, so the instance relies on the one-sided
-    feasibility test (``mm-sufficient-only``).  That test yields
-    incumbents only from boxes lying wholly inside the feasible set, which
-    best-first search on an exact bound rarely visits; the incumbent hook
-    therefore offers each undecided box's midpoint when it meets every
-    floor.
+    not affine in the probabilities, so no exact test decides them.  The
+    one-sided test yields points only from boxes lying wholly inside the
+    feasible set, which best-first search on an exact bound rarely visits,
+    so the instance runs in ``custom-oracle`` mode with an oracle that keeps
+    every verdict of that test and offers an undecided box's midpoint as
+    the witness when it meets every floor.  In that mode
+    ``epsilon_feasibility`` adds no candidate points.
     """
     k = net.K
     objective = mm_sum([_aloha_utility_term(net, j) for j in range(k)])
     constraints = _floors(net, _aloha_rate)
 
-    def midpoint(box: BoxNd) -> np.ndarray | None:
-        x = 0.5 * (box.r + box.s)
-        return x if all(c.g.eval(x, x) <= 0.0 for c in constraints) else None
+    def oracle(box: BoxNd) -> FeasibilityVerdict:
+        verdict = mm_sufficient_test(box, constraints)
+        if verdict.kind is Feasibility.UNKNOWN:
+            x = 0.5 * (box.r + box.s)
+            if all(c.g.eval(x, x) <= 0.0 for c in constraints):
+                return FeasibilityVerdict(Feasibility.FEASIBLE_WITH_WITNESS, witness=x)
+        return verdict
 
     box = BoxNd(np.full(k, _ALOHA_FLOOR), np.ones(k))
     return ProblemInstance(
-        objective,
-        constraints,
-        box,
-        feasibility_mode="mm-sufficient-only",
-        incumbent_hook=midpoint,
+        objective, constraints, box, feasibility_mode="custom-oracle", feasibility_oracle=oracle
     )
 
 

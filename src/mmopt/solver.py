@@ -1,13 +1,14 @@
 """Branch-reduce-and-bound over mixed monotonic representations.
 
 The loop maintains a queue of boxes, each with the cached upper bound
-``U([r, s]) = F(s, r)``.  Per iteration it selects a box (best-first on U or
-oldest-first in push order), bisects it at the midpoint of a longest
-edge, optionally shrinks each child without losing any feasible point
-better than the incumbent, updates the incumbent from per-child feasible
-points, prunes children that are provably infeasible or whose bound cannot
-beat the incumbent by more than the tolerance, and terminates when no
-remaining box can.
+``U([r, s]) = F(s, r)``.  Every box, the root and each bisection child,
+gets a verdict, is pruned if infeasible, offers the verdict's point as an
+incumbent candidate, and is then dropped as thin, pruned by its bound or
+queued.  Per iteration the loop selects a box (best-first on U or
+oldest-first in push order), bisects it at the midpoint of a longest edge
+and optionally shrinks each child without losing any feasible point better
+than the incumbent, and it terminates when no remaining box can beat the
+incumbent by more than the tolerance.
 
 Reduction pulls each face of a child in by a line search whose predicate is
 a conjunction: the objective above the incumbent and every constraint met.
@@ -24,12 +25,14 @@ one-sided test, or the exact corner test
 ``conormal`` and ``mm-conclusive`` modes all run the corner test, with the
 split set to every coordinate, to no coordinate, and to the constraints'
 shared split.  With an exact test (corner or oracle) the returned point is
-eta-optimal.  With the one-sided test only (``mm-sufficient-only``),
-pruning by infeasibility needs the optimistic corner certificate and the
-search may not terminate on its own; iteration or wall-time limits then
-return the best incumbent with a limit status.  Boxes thinner than
-``_POINT_DIAMETER`` are not split further; when one that no test decided
-has a bound above the final cutoff, the solve returns ``resolution-limit``
+eta-optimal.  A point becomes the incumbent only if it lies in its box and
+meets every constraint within ``epsilon_feasibility``.  With the one-sided
+test only (``mm-sufficient-only``), pruning by infeasibility needs the
+optimistic corner certificate and the search may not terminate on its own;
+iteration or wall-time limits then return the best incumbent with a limit
+status.  Boxes thinner than ``_POINT_DIAMETER``, scaled by the root, are not
+split further; when one that no test decided has a bound above the final
+cutoff, the solve returns ``resolution-limit``
 instead of claiming optimality or infeasibility.
 Relative tolerance replaces every incumbent-plus-eta cutoff by
 ``incumbent + eta * |incumbent|``, which lies above the incumbent for either
@@ -82,8 +85,9 @@ __all__ = [
     "solve",
 ]
 
-# Boxes thinner than this get a verdict and an incumbent candidate, like any
-# other box, and are then dropped instead of being queued and split further.
+# Boxes thinner than this times the root's largest corner magnitude (at least
+# 1) are dropped after their verdict instead of being split further; the scale
+# keeps a bisection midpoint from rounding onto a corner.
 _POINT_DIAMETER = 1e-12
 
 _TRACE_HEADER = "k,box_id,upper_bound,gamma,queue_size"
@@ -235,10 +239,6 @@ def reduce_box(
     return BoxNd._trusted(r_new, s_new)
 
 
-def _diag_feasible(constraints, x, slack: float) -> bool:
-    return all(c.g.eval(x, x) <= slack for c in constraints)
-
-
 def _verdict_for(problem: ProblemInstance, box: BoxNd) -> FeasibilityVerdict:
     mode = problem.feasibility_mode
     if mode == "custom-oracle":
@@ -254,44 +254,45 @@ def _verdict_for(problem: ProblemInstance, box: BoxNd) -> FeasibilityVerdict:
 def _candidate_from_verdict(
     problem: ProblemInstance, box: BoxNd, verdict: FeasibilityVerdict, epsilon: float
 ) -> np.ndarray | None:
-    x = None
-    if verdict.kind is Feasibility.FEASIBLE_WITH_WITNESS:
-        x = verdict.witness
-    elif verdict.kind is Feasibility.FULLY_FEASIBLE:
-        x = box.r
-    elif (
-        verdict.kind is Feasibility.UNKNOWN
-        and epsilon > 0.0
-        and problem.feasibility_mode == "mm-sufficient-only"
-        and _diag_feasible(problem.constraints, box.r, epsilon)
-    ):
-        x = box.r
-    if x is None and problem.incumbent_hook is not None:
-        cand = problem.incumbent_hook(box)
-        if cand is not None:
-            cand = np.asarray(cand, dtype=float)
-            if box.contains(cand) and _diag_feasible(problem.constraints, cand, epsilon):
-                x = cand
-    return x
+    """The point a verdict offers for a box, or None; see :func:`_admissible`."""
+    kind, mode = verdict.kind, problem.feasibility_mode
+    if kind is Feasibility.FEASIBLE_WITH_WITNESS:
+        x = np.asarray(verdict.witness, dtype=float)
+        if x.shape != box.r.shape:
+            raise DimensionMismatch(f"witness shape {x.shape} != box shape {box.r.shape}")
+        return x
+    if kind is Feasibility.FULLY_FEASIBLE:
+        return box.r
+    if kind is Feasibility.UNKNOWN and epsilon > 0.0 and mode == "mm-sufficient-only":
+        return box.r
+    return None
+
+
+def _admissible(constraints, box: BoxNd, x, epsilon: float) -> bool:
+    """Whether a candidate point lies in its box and meets every constraint within epsilon."""
+    return box.contains(x) and all(c.g.eval(x, x) <= epsilon for c in constraints)
 
 
 def find_incumbent(box: BoxNd, problem: ProblemInstance, epsilon: float = 0.0):
     """A feasible point in the box, or None when none can be produced.
 
     Returns None when the problem's feasibility test finds the box
-    infeasible.  Otherwise it tries, in order: the witness of a
-    ``FEASIBLE_WITH_WITNESS`` verdict (the corner test of the
-    ``mm-conclusive``, ``normal`` and ``conormal`` modes, or an oracle);
-    the lower corner of a box certified ``FULLY_FEASIBLE``;
-    with ``epsilon > 0`` in ``mm-sufficient-only`` mode, the lower corner
-    of an undecided box whose constraints hold within that slack; and, when
-    none of these gives a point, the user incumbent hook, whose point must
-    lie in the box and meet the constraints.
+    infeasible.  Otherwise the point comes from the verdict: the witness of
+    a ``FEASIBLE_WITH_WITNESS`` verdict (the corner test of the
+    ``mm-conclusive``, ``normal`` and ``conormal`` modes, or an oracle); the
+    lower corner of a box certified ``FULLY_FEASIBLE``; or, with
+    ``epsilon > 0`` in ``mm-sufficient-only`` mode, the lower corner of an
+    undecided box.  The point is returned only if it lies in the box and
+    meets every constraint within ``epsilon``; a witness whose shape is not
+    ``(dim,)`` raises :class:`~mmopt.errors.DimensionMismatch`.
     """
     verdict = _verdict_for(problem, box)
     if verdict.kind is Feasibility.INFEASIBLE:
         return None
-    return _candidate_from_verdict(problem, box, verdict, epsilon)
+    x = _candidate_from_verdict(problem, box, verdict, epsilon)
+    if x is None or not _admissible(problem.constraints, box, x, epsilon):
+        return None
+    return x
 
 
 class RegionQueue:
@@ -365,18 +366,9 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
     stats = SolveStats()
     thin_bound = -math.inf  # largest bound of a dropped thin box not proven infeasible
     root = problem.initial_box
-
-    x0 = find_incumbent(root, problem, eps)
-    if x0 is not None:
-        gamma = objective.eval(x0, x0)
-        incumbent = x0
-
-    if root.diameter >= _POINT_DIAMETER:
-        queue.push(root, bound(objective, root))
-    elif _verdict_for(problem, root).kind is not Feasibility.INFEASIBLE:
-        thin_bound = bound(objective, root)
-    stats.boxes_created = 1
-    stats.peak_region_count = len(queue)
+    scale = max(1.0, float(np.abs(root.r).max()), float(np.abs(root.s).max()))
+    point_diameter = _POINT_DIAMETER * scale
+    boxes = (root,)  # the boxes of this step: the root, then each iteration's children
 
     trace = None
     status = None
@@ -386,6 +378,43 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
             trace.write(_TRACE_HEADER + "\n")
 
         while True:
+            candidates = []
+            survivors = []
+            for box in boxes:
+                stats.boxes_created += 1
+                verdict = _verdict_for(problem, box)
+                if verdict.kind is Feasibility.INFEASIBLE:
+                    stats.boxes_pruned_infeasible += 1
+                    continue
+                x = _candidate_from_verdict(problem, box, verdict, eps)
+                if x is not None:
+                    candidates.append((x, box))
+                if box.diameter >= point_diameter:
+                    survivors.append((box, objective.eval(box.s, box.r)))
+                else:
+                    thin_bound = max(thin_bound, objective.eval(box.s, box.r))
+
+            for x, box in candidates:
+                value = objective.eval(x, x)
+                # the constraint check runs only for a point that would be taken
+                if (incumbent is None or value > gamma) and _admissible(constraints, box, x, eps):
+                    gamma = value
+                    incumbent = x
+
+            gamma_cut = cutoff(gamma)
+            for box, box_u in survivors:
+                if box_u <= gamma_cut:
+                    stats.boxes_pruned_bound += 1
+                    continue
+                queue.push(box, box_u)
+
+            if len(queue) > stats.peak_region_count:
+                stats.peak_region_count = len(queue)
+            if trace is not None and iteration:
+                trace.write(
+                    f"{iteration},{selected_id},{selected_u:.12g},{gamma:.12g},{len(queue)}\n"
+                )
+
             if len(queue) == 0:
                 break
             if best_first or iteration % 64 == 0:
@@ -402,50 +431,13 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
                 break
 
             iteration += 1
-            box, selected_u, selected_id = queue.pop()
-            gamma_before = gamma  # reduction cuts on the pre-update incumbent
-
-            candidates = []
-            survivors = []
-            for child in bisect(box):
-                if config.reduction_enabled:
-                    child = reduce_box(child, objective, constraints, gamma_before, steps)
-                    if child is None:
-                        stats.boxes_reduced_empty += 1
-                        continue
-                stats.boxes_created += 1
-
-                verdict = _verdict_for(problem, child)
-                if verdict.kind is Feasibility.INFEASIBLE:
-                    stats.boxes_pruned_infeasible += 1
-                    continue
-                x = _candidate_from_verdict(problem, child, verdict, eps)
-                if x is not None:
-                    candidates.append(x)
-                if child.diameter >= _POINT_DIAMETER:
-                    survivors.append((child, objective.eval(child.s, child.r)))
-                else:
-                    thin_bound = max(thin_bound, objective.eval(child.s, child.r))
-
-            for x in candidates:
-                value = objective.eval(x, x)
-                if value > gamma:
-                    gamma = value
-                    incumbent = x
-
-            gamma_cut = cutoff(gamma)
-            for child, child_u in survivors:
-                if child_u <= gamma_cut:
-                    stats.boxes_pruned_bound += 1
-                    continue
-                queue.push(child, child_u)
-
-            if len(queue) > stats.peak_region_count:
-                stats.peak_region_count = len(queue)
-            if trace is not None:
-                trace.write(
-                    f"{iteration},{selected_id},{selected_u:.12g},{gamma:.12g},{len(queue)}\n"
-                )
+            selected, selected_u, selected_id = queue.pop()
+            boxes = bisect(selected)
+            if config.reduction_enabled:
+                # reduction cuts on the incumbent before this step's update
+                boxes = [reduce_box(child, objective, constraints, gamma, steps) for child in boxes]
+                stats.boxes_reduced_empty += sum(child is None for child in boxes)
+                boxes = [child for child in boxes if child is not None]
     finally:
         if trace is not None:
             trace.close()

@@ -518,7 +518,7 @@ class TestLoadInstance:
             name="aloha.json",
         )
         prob = load_instance(aloha)
-        assert prob.feasibility_mode == "mm-sufficient-only"
+        assert prob.feasibility_mode == "custom-oracle"
         np.testing.assert_allclose(prob.initial_box.s, [1.0, 1.0])
 
 

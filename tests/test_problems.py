@@ -7,6 +7,7 @@ import pytest
 
 from mmopt.core import SolverConfig, check_mm_property, make_box
 from mmopt.errors import InvalidNetwork
+from mmopt.feasibility import Feasibility, mm_sufficient_test
 from mmopt.problems import (
     AlohaNetwork,
     EnergyModel,
@@ -454,7 +455,7 @@ class TestAloha:
     def test_mode_and_constraints(self):
         net = generate_aloha(3, seed=62)
         prob = aloha_problem(net)
-        assert prob.feasibility_mode == "mm-sufficient-only"
+        assert prob.feasibility_mode == "custom-oracle"
         assert len(prob.constraints) == int(np.sum(net.r_min > 0))
 
 
@@ -508,7 +509,7 @@ class TestAlohaSeparableBound:
                 assert (v == -math.inf) == (edge == 0.0 or i != 3)
         assert objective.eval(np.zeros(4), np.ones(4)) == -math.inf
 
-    def test_midpoint_hook(self):
+    def test_midpoint_oracle(self):
         net = asymmetric_aloha()
         prob = aloha_problem(net)
         rng = np.random.default_rng(12)
@@ -516,14 +517,21 @@ class TestAlohaSeparableBound:
         for _ in range(300):
             r, s = random_box(rng, prob.initial_box.r, prob.initial_box.s)
             box = make_box(r, s)
-            x = prob.incumbent_hook(box)
+            verdict = prob.feasibility_oracle(box)
+            one_sided = mm_sufficient_test(box, prob.constraints)
+            if one_sided.kind is not Feasibility.UNKNOWN:
+                assert verdict is one_sided  # every decided verdict is kept
+                continue
             mid = 0.5 * (r + s)
-            if x is None:
+            if verdict.kind is Feasibility.UNKNOWN:
                 declined += 1
                 assert any(c.g.eval(mid, mid) > 0.0 for c in prob.constraints)
                 assert np.any(aloha_rates(net, mid) < net.r_min)
                 continue
             offered += 1
+            assert verdict.kind is Feasibility.FEASIBLE_WITH_WITNESS
+            x = verdict.witness
+            np.testing.assert_array_equal(x, mid)
             assert box.contains(x)
             assert all(c.g.eval(x, x) <= 0.0 for c in prob.constraints)
             assert np.all(aloha_rates(net, x) >= net.r_min - 1e-12)

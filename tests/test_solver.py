@@ -16,7 +16,7 @@ from mmopt.core import (
     make_box,
 )
 from mmopt.errors import DimensionMismatch, MMOptError, NonFiniteEntry, ZeroDiameterBox
-from mmopt.feasibility import Feasibility, FeasibilityVerdict
+from mmopt.feasibility import Feasibility, FeasibilityVerdict, mm_sufficient_test
 from mmopt.problems import (
     AlohaNetwork,
     InterferenceNetwork,
@@ -54,6 +54,21 @@ def symmetric_aloha_near_boundary():
     """Two users, floors at 0.9 of the symmetric boundary; optimum 2 log(1/4) < 0."""
     rho = 0.9 * aloha_feasibility_boundary(2)
     return AlohaNetwork(c=(1.0, 1.0), interferers=((1,), (0,)), r_min=(rho, rho))
+
+
+def offering(problem, point, decide=False):
+    """``problem`` in custom-oracle mode, with an oracle that offers ``point``
+    as the witness of every box; with ``decide``, only of the boxes the
+    one-sided test leaves undecided."""
+
+    def oracle(box):
+        if decide:
+            verdict = mm_sufficient_test(box, problem.constraints)
+            if verdict.kind is not Feasibility.UNKNOWN:
+                return verdict
+        return FeasibilityVerdict(Feasibility.FEASIBLE_WITH_WITNESS, np.array(point))
+
+    return replace(problem, feasibility_mode="custom-oracle", feasibility_oracle=oracle)
 
 
 def assert_valid_box(box):
@@ -368,38 +383,22 @@ class TestFindIncumbent:
         box = make_box((0.0, 0.0), (1.0, 1.0))
         assert find_incumbent(box, prob) is None
 
-    def test_hook_candidate_validated(self):
-        net = two_user_symmetric_net(r_min=0.4)
-        base = wsr_problem(net)
-        hooked = ProblemInstance(
-            base.objective,
-            base.constraints,
-            base.initial_box,
-            feasibility_mode="mm-sufficient-only",
-            incumbent_hook=lambda box: np.array([1.0, 1.0]),
-        )
-        x = find_incumbent(hooked.initial_box, hooked)
+    def test_oracle_point_validated(self):
+        base = wsr_problem(two_user_symmetric_net(r_min=0.4))
+        x = find_incumbent(base.initial_box, offering(base, [1.0, 1.0]))
         np.testing.assert_allclose(x, [1.0, 1.0])
-        # a hook returning an infeasible point is rejected
-        bad = ProblemInstance(
-            base.objective,
-            base.constraints,
-            base.initial_box,
-            feasibility_mode="mm-sufficient-only",
-            incumbent_hook=lambda box: np.array([1.0, 0.0]),  # user 2 gets no rate
-        )
+        # an oracle offering an infeasible point is rejected
+        bad = offering(base, [1.0, 0.0])  # user 2 gets no rate
         assert find_incumbent(bad.initial_box, bad) is None
 
-    def test_hook_point_of_wrong_shape_raises(self):
-        # the oracle decides nothing, so the hook is asked for every box; a
-        # 1-d point on a 2-d problem must not become the incumbent
-        prob = ProblemInstance(
-            MMFunction(2, lambda x, y: float(x.sum())),
-            (),
-            make_box((0.0, 0.0), (1.0, 1.0)),
-            feasibility_mode="custom-oracle",
-            feasibility_oracle=lambda box: FeasibilityVerdict(Feasibility.UNKNOWN),
-            incumbent_hook=lambda box: np.array([0.5]),
+    def test_oracle_point_of_wrong_shape_raises(self):
+        # the oracle offers a 1-d point for every box of a 2-d problem; it
+        # must not become the incumbent
+        prob = offering(
+            ProblemInstance(
+                MMFunction(2, lambda x, y: float(x.sum())), (), make_box((0.0, 0.0), (1.0, 1.0))
+            ),
+            [0.5],
         )
         with pytest.raises(DimensionMismatch):
             find_incumbent(prob.initial_box, prob)
@@ -420,16 +419,12 @@ class TestFindIncumbent:
         assert find_incumbent(box, prob) is None
         np.testing.assert_allclose(find_incumbent(box, prob, epsilon=0.02), [0.5])
 
-    def test_hook_point_checked_at_the_solve_epsilon(self):
-        # the oracle decides nothing, so only the hook can offer a point
+    def test_oracle_point_checked_at_the_solve_epsilon(self):
+        # the oracle offers a point that violates the constraint by 5e-10
         g = MMConstraint(MMFunction(1, lambda x, y: float(x[0] - 0.5)))
-        prob = ProblemInstance(
-            MMFunction(1, lambda x, y: float(x[0])),
-            (g,),
-            make_box((0.0,), (1.0,)),
-            feasibility_mode="custom-oracle",
-            feasibility_oracle=lambda box: FeasibilityVerdict(Feasibility.UNKNOWN),
-            incumbent_hook=lambda box: np.array([0.5 + 5e-10]),
+        prob = offering(
+            ProblemInstance(MMFunction(1, lambda x, y: float(x[0])), (g,), make_box((0,), (1,))),
+            [0.5 + 5e-10],
         )
         box = make_box((0.0,), (1.0,))
         assert find_incumbent(box, prob) is None
@@ -557,7 +552,8 @@ class TestSolve:
         res = solve(prob, SolverConfig(eta=0.01))
         assert (res.status, res.iterations, res.value) == ("eta-optimal", 0, math.log2(101.0))
         assert res.incumbent.tolist() == [1.0]
-        assert astuple(res.stats) == (1, 0, 0, 0, 1)
+        # the root's bound is its point's value, so the root is pruned by bound
+        assert astuple(res.stats) == (1, 0, 1, 0, 0)
         # the one-sided test leaves every thin child near p = 1 undecided
         # and without a point
         one_sided = replace(prob, feasibility_mode="mm-sufficient-only")
@@ -601,8 +597,9 @@ class TestSolve:
             r_min=(1.0, 0.5),
         )
         res = solve(wsr_problem(net), SolverConfig(eta=0.01))
-        assert (res.status, res.incumbent, res.iterations) == ("infeasible", None, 1)
-        assert res.stats.boxes_pruned_infeasible == 2
+        # the oracle decides the root itself
+        assert (res.status, res.incumbent, res.iterations) == ("infeasible", None, 0)
+        assert res.stats.boxes_pruned_infeasible == 1
         assert wsr_grid_max(net) == -math.inf
 
     def test_thin_box_above_the_incumbent_blocks_the_optimality_claim(self):
@@ -617,6 +614,21 @@ class TestSolve:
         )
         res = solve(prob, SolverConfig(eta=0.01))
         assert (res.status, res.iterations, res.value) == ("resolution-limit", 48, 0.296875)
+
+    def test_thin_boxes_at_large_coordinates(self):
+        # one ulp at 1e6 is 1.16e-10, above 1e-12: a threshold not scaled to
+        # the root would let a midpoint round onto a corner, so that a child
+        # equals its parent and the loop runs into its limit
+        g = MMConstraint(MMFunction(1, lambda x, y: float(x[0] - (1e6 + 0.3))))
+        prob = ProblemInstance(
+            MMFunction(1, lambda x, y: float(x[0])),
+            (g,),
+            make_box((1e6,), (1e6 + 1.0,)),
+            feasibility_mode="mm-sufficient-only",
+        )
+        res = solve(prob, SolverConfig(eta=1e-15, max_iterations=200_000))
+        assert (res.status, res.iterations) == ("resolution-limit", 22)
+        assert 1e6 + 0.3 - 1e-5 < res.value <= 1e6 + 0.3
 
     def test_thin_root_box_is_not_reported_infeasible(self):
         # the feasible set is the single point x0 inside a root box thinner
@@ -634,18 +646,19 @@ class TestSolve:
         res = solve(prob, SolverConfig(eta=0.01))
         assert (res.status, res.iterations) == ("resolution-limit", 0)
 
-    def test_hook_point_must_meet_constraints_exactly(self):
+    def test_oracle_point_must_meet_constraints_exactly(self):
+        # the one-sided test decides what it can; every box it leaves open
+        # is offered a point that violates the constraint by 5e-10, or one
+        # outside the box
         g = MMConstraint(MMFunction(1, lambda x, y: float(x[0] - 0.5)))
-        prob = ProblemInstance(
-            MMFunction(1, lambda x, y: float(x[0])),
-            (g,),
-            make_box((0.0,), (1.0,)),
-            feasibility_mode="mm-sufficient-only",
-            incumbent_hook=lambda box: np.array([0.5 + 5e-10]),
-        )
-        res = solve(prob, SolverConfig(eta=0.01))
-        assert (res.status, res.value) == ("eta-optimal", 0.4921875)
-        assert g.g.eval(res.incumbent, res.incumbent) <= 0.0
+        base = ProblemInstance(MMFunction(1, lambda x, y: float(x[0])), (g,), make_box((0,), (1,)))
+        for point in ([0.5 + 5e-10], [7.0]):
+            res = solve(offering(base, point, decide=True), SolverConfig(eta=0.01))
+            assert (res.status, res.value) == ("eta-optimal", 0.4921875)
+            assert g.g.eval(res.incumbent, res.incumbent) <= 0.0
+        prob = offering(base, [0.5 + 5e-10], decide=True)
+        res = solve(prob, SolverConfig(eta=0.01, epsilon_feasibility=1e-9))
+        assert (res.status, res.value) == ("eps-eta-approximate", 0.5 + 5e-10)
 
     def test_gamma_nondecreasing_in_trace(self, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -740,23 +753,17 @@ class TestSolve:
         res = solve(wsr_problem(net), SolverConfig(eta=0.01))
         assert res.peak_region_count >= 1
 
-    def test_hook_receives_valid_boxes(self):
+    def test_oracle_receives_valid_boxes(self):
         seen = []
+        base = wsr_problem(two_user_symmetric_net(r_min=0.4))
 
-        def hook(box):
+        def oracle(box):
             assert_valid_box(box)
             seen.append(box)
-            return None
+            return mm_sufficient_test(box, base.constraints)
 
-        base = wsr_problem(two_user_symmetric_net(r_min=0.4))
-        hooked = ProblemInstance(
-            base.objective,
-            base.constraints,
-            base.initial_box,
-            feasibility_mode="mm-sufficient-only",
-            incumbent_hook=hook,
-        )
-        res = solve(hooked, SolverConfig(eta=0.05, reduction_enabled=True, max_iterations=200))
+        prob = replace(base, feasibility_oracle=oracle)
+        res = solve(prob, SolverConfig(eta=0.05, reduction_enabled=True, max_iterations=200))
         assert len(seen) > res.iterations > 0
 
     def test_relative_tolerance_negative_optimum(self):
