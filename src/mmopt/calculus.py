@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import BoxNd, MMFunction
+from .core import BoxNd, MMFunction, _is_count
 from .errors import (
     DimensionMismatch,
     DirectionViolation,
@@ -248,8 +248,8 @@ def mm_unimodal(h: Callable[[float], float], index: int, peak: float, dim: int) 
     ``h`` may return ``-inf`` (e.g. a log at zero) but must be finite at the
     peak.
     """
-    if not 0 <= index < dim:
-        raise DimensionMismatch(f"index {index} out of range for dimension {dim}")
+    if not (_is_count(dim, 1) and _is_count(index, 0) and index < dim):
+        raise DimensionMismatch(f"index {index!r} is no coordinate of dimension {dim!r}")
     h_peak = _apply_scalar(h, peak, "unimodal")
     if not math.isfinite(h_peak):
         raise DomainError(f"unimodal: term must be finite at its peak, got {h_peak}")

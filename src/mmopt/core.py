@@ -8,6 +8,7 @@ function ``F(x, y)`` is nondecreasing in ``x`` and nonincreasing in ``y``
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -32,7 +33,6 @@ __all__ = [
     "MMPropertyReport",
     "make_box",
     "check_mm_property",
-    "FEASIBILITY_MODES",
     "STATUS_ETA_OPTIMAL",
     "STATUS_RELATIVE_ETA_OPTIMAL",
     "STATUS_EPS_ETA_APPROXIMATE",
@@ -41,15 +41,6 @@ __all__ = [
     "STATUS_TIME_LIMIT",
     "STATUS_RESOLUTION_LIMIT",
 ]
-
-# Feasibility handling strategies a problem may declare.
-FEASIBILITY_MODES = (
-    "mm-conclusive",
-    "normal",
-    "conormal",
-    "mm-sufficient-only",
-    "custom-oracle",
-)
 
 STATUS_ETA_OPTIMAL = "eta-optimal"
 STATUS_RELATIVE_ETA_OPTIMAL = "relative-eta-optimal"
@@ -151,8 +142,8 @@ class MMFunction:
     __slots__ = ("dim", "_fn", "name")
 
     def __init__(self, dim: int, fn: Callable[[np.ndarray, np.ndarray], float], name: str = "mm"):
-        if dim < 1:
-            raise DimensionMismatch(f"dimension must be >= 1, got {dim}")
+        if not _is_count(dim, 1):
+            raise DimensionMismatch(f"dimension must be an integer >= 1, got {dim!r}")
         self.dim = int(dim)
         self._fn = fn
         self.name = name
@@ -175,10 +166,12 @@ class MMFunction:
 class MMConstraint:
     """Constraint ``G(x, x) <= 0`` with ``G`` mixed monotonic.
 
-    ``monotone_split`` is the (0-based) index set I for constraints whose
-    value depends only on the I-coordinates of ``x`` and the complementary
-    coordinates of ``y``; it enables the conclusive feasibility test.  Its
-    indices must be integers (numpy's included, bools not) in ``[0, dim)``.
+    ``monotone_split`` is a (0-based) index set I such that ``G(x, x)`` is
+    nondecreasing in ``x_I`` and nonincreasing in the other coordinates, as
+    when ``G`` depends only on ``x_I`` and on ``y`` off I, or for a normal set
+    (I = every coordinate) and a conormal set (I = none) with any ``G``; the
+    corner test (:func:`~mmopt.feasibility.mm_conclusive_test`) relies on it.
+    Its indices must be integers (numpy's included, bools not) in ``[0, dim)``.
     """
 
     g: MMFunction
@@ -200,9 +193,10 @@ class MMConstraint:
 class ProblemInstance:
     """A maximization problem over a box-enclosed feasible set.
 
-    The initial box must enclose the feasible set.  ``feasibility_mode``
-    selects how boxes are classified; ``custom-oracle`` requires
-    ``feasibility_oracle`` (a ``box -> FeasibilityVerdict`` callable).
+    The initial box must enclose the feasible set.  How boxes are decided
+    follows from the inputs (see :attr:`feasibility_mode`): by
+    ``feasibility_oracle`` (a ``box -> FeasibilityVerdict`` callable) when
+    one is given, else by the constraints' ``monotone_split``.
     Feasible points come only from verdicts: an oracle offers one as the
     witness of a ``FEASIBLE_WITH_WITNESS`` verdict, and the solver takes it
     only if its shape is ``(dim,)`` (else ``DimensionMismatch``), it lies in
@@ -213,13 +207,13 @@ class ProblemInstance:
     objective: MMFunction
     constraints: tuple[MMConstraint, ...]
     initial_box: BoxNd
-    feasibility_mode: str = "mm-sufficient-only"
     feasibility_oracle: Callable[[BoxNd], "object"] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
-        if self.feasibility_mode not in FEASIBILITY_MODES:
-            raise MMOptError(f"unknown feasibility_mode {self.feasibility_mode!r}")
+        oracle = self.feasibility_oracle
+        if oracle is not None and not callable(oracle):
+            raise MMOptError(f"feasibility_oracle must be callable, got {oracle!r}")
         n = self.objective.dim
         if self.initial_box.dim != n:
             raise DimensionMismatch(
@@ -228,14 +222,19 @@ class ProblemInstance:
         for c in self.constraints:
             if c.dim != n:
                 raise DimensionMismatch("constraint dimension differs from objective")
-        if self.feasibility_mode == "mm-conclusive":
-            splits = {c.monotone_split for c in self.constraints}
-            if None in splits or len(splits) > 1:
-                raise MMOptError(
-                    "mm-conclusive mode requires every constraint to carry the same monotone_split"
-                )
-        if self.feasibility_mode == "custom-oracle" and self.feasibility_oracle is None:
-            raise MMOptError("custom-oracle mode requires a feasibility_oracle")
+
+    @property
+    def feasibility_mode(self) -> str:
+        """The box test the inputs imply: ``custom-oracle`` with an oracle, else
+        ``mm-conclusive`` (the corner test) when every constraint carries the
+        same ``monotone_split`` (also when there are none), else
+        ``mm-sufficient-only``."""
+        if self.feasibility_oracle is not None:
+            return "custom-oracle"
+        splits = {c.monotone_split for c in self.constraints}
+        if len(splits) <= 1 and None not in splits:
+            return "mm-conclusive"
+        return "mm-sufficient-only"
 
     @property
     def dim(self) -> int:
@@ -270,8 +269,8 @@ class SolverConfig:
     trace_path: str | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.eta) and self.eta > 0):
-            raise MMOptError("eta must be positive and finite")
+        if not (_is_real(self.eta) and math.isfinite(self.eta) and self.eta > 0):
+            raise MMOptError(f"eta must be positive and finite, got {self.eta!r}")
         if self.tolerance_mode not in ("absolute", "relative"):
             raise MMOptError(f"unknown tolerance_mode {self.tolerance_mode!r}")
         if self.selection_rule not in ("best-first", "oldest-first"):
@@ -280,17 +279,24 @@ class SolverConfig:
             raise MMOptError("reduction_enabled must be a bool")
         if not _is_count(self.reduction_bisection_steps, 1):
             raise MMOptError("reduction_bisection_steps must be an integer >= 1")
-        if not (math.isfinite(self.epsilon_feasibility) and self.epsilon_feasibility >= 0):
-            raise MMOptError("epsilon_feasibility must be finite and nonnegative")
+        eps = self.epsilon_feasibility
+        if not (_is_real(eps) and math.isfinite(eps) and eps >= 0):
+            raise MMOptError(f"epsilon_feasibility must be finite and nonnegative, got {eps!r}")
         if self.max_iterations is not None and not _is_count(self.max_iterations, 0):
             raise MMOptError("max_iterations must be an integer >= 0")
-        if self.max_wall_time is not None and not self.max_wall_time >= 0:
-            raise MMOptError("max_wall_time must be nonnegative")
+        wall = self.max_wall_time
+        if wall is not None and not (_is_real(wall) and wall >= 0):
+            raise MMOptError(f"max_wall_time must be nonnegative, got {wall!r}")
 
 
 def _is_count(value, least: int) -> bool:
     """An integer (numpy's included, bools not) of at least ``least``."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
+
+
+def _is_real(value) -> bool:
+    """A real number (numpy's included, bools not)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass

@@ -5,8 +5,8 @@ For a feasible set cut out by mixed monotonic constraints
 
 * ``G_i(s, r) <= 0`` for all ``i`` certifies the whole box feasible, and
   ``G_i(r, s) > 0`` for some ``i`` certifies it empty -- one-sided tests.
-* When every constraint depends only on the I-coordinates of ``x`` and the
-  complementary coordinates of ``y`` (a shared ``monotone_split``), one
+* When every constraint declares the same ``monotone_split`` I (each
+  ``G_i(x, x)`` nondecreasing in ``x_I`` and nonincreasing elsewhere), one
   corner decides: the box meets the feasible set iff every
   ``G_i(w, w) <= 0`` at the corner ``w`` taking ``r`` on I and ``s``
   elsewhere, and ``w`` is then the witness.
@@ -14,7 +14,7 @@ For a feasible set cut out by mixed monotonic constraints
   with I = every coordinate (``w = r``), conormal sets (superlevel sets)
   with I = no coordinate (``w = s``).  :func:`mm_conclusive_test` is the one
   implementation; :func:`normal_set_test` and :func:`conormal_set_test`
-  run it on plain callables of ``x``.
+  run it on plain callables of ``x``, declaring that split on each.
 * Floors of the form ``x >= m x + c`` (``m >= 0``, ``c >= 0``; an affine
   standard interference function, as the WSR rate floors are) meet ``[r, s]``
   iff the least fixed point ``p*`` of ``p = max(r, m p + c)`` lies below
@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Collection, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import BoxNd, MMConstraint, MMFunction, _is_count
-from .errors import DimensionMismatch, MissingMonotoneSplit
+from .core import BoxNd, MMConstraint, MMFunction
+from .errors import MissingMonotoneSplit
 
 __all__ = [
     "Feasibility",
@@ -86,35 +86,27 @@ def mm_sufficient_test(box: BoxNd, constraints: Sequence[MMConstraint]) -> Feasi
     return FeasibilityVerdict(Feasibility.FULLY_FEASIBLE, witness=r)
 
 
-def mm_conclusive_test(
-    box: BoxNd, constraints: Sequence[MMConstraint], split: Collection[int] | None = None
-) -> FeasibilityVerdict:
-    """Exact corner test: the box meets the feasible set iff every
-    ``G_i(w, w) <= 0`` at the corner ``w`` taking ``r`` on the split I (a
-    collection of distinct coordinate indices) and ``s`` elsewhere, which
-    is then the witness.  Never UNKNOWN.
+def mm_conclusive_test(box: BoxNd, constraints: Sequence[MMConstraint]) -> FeasibilityVerdict:
+    """Exact corner test for constraints that share a ``monotone_split`` I:
+    the box meets the feasible set iff every ``G_i(w, w) <= 0`` at the corner
+    ``w`` taking ``r`` on I and ``s`` elsewhere, which is then the witness.
+    Never UNKNOWN.
 
-    Without ``split``, I is the ``monotone_split`` every constraint must
-    share (no constraints: every coordinate); ``G_i`` then depends only on
-    ``x_I`` and ``y`` off I, so ``G_i(w, w) = G_i(r, s)``.  Every coordinate
-    gives the normal-set test at ``r``, no coordinate the conormal-set test
-    at ``s``.  A split with a repeated, out-of-range or non-integer index raises
-    :class:`~mmopt.errors.DimensionMismatch`.
+    Each ``G_i(x, x)`` is nondecreasing in ``x_I`` and nonincreasing in the
+    other coordinates, so every constraint is least over the box at ``w``.
+    I = every coordinate gives the normal-set test at ``r``, I = no
+    coordinate the conormal-set test at ``s``; with no constraints ``w`` is
+    ``r``.  A constraint without a split, or splits that differ, raise
+    :class:`~mmopt.errors.MissingMonotoneSplit`.
     """
     r, s = box.r, box.s
-    if split is None:
-        constraints = tuple(constraints)
-        split = constraints[0].monotone_split if constraints else range(box.dim)
-        if split is None:
-            raise MissingMonotoneSplit("constraint carries no monotone_split")
-        if any(c.monotone_split != split for c in constraints):
-            raise MissingMonotoneSplit("constraints disagree on the monotone split")
-    elif not (isinstance(split, range) and split == range(r.size)):  # the solver's normal split
-        if len(set(split)) != len(split) or not all(_is_count(i, 0) and i < r.size for i in split):
-            raise DimensionMismatch(f"split needs distinct coordinate indices below {r.size}")
+    splits = {c.monotone_split for c in constraints}
+    if None in splits or len(splits) > 1:
+        raise MissingMonotoneSplit("the constraints need one shared monotone_split")
+    split = splits.pop() if splits else range(r.size)
     if len(split) == r.size:
         w = r
-    elif len(split) == 0:
+    elif not split:
         w = s
     else:
         w = s.copy()
@@ -196,17 +188,22 @@ def normal_set_test(
 ) -> FeasibilityVerdict:
     """Feasibility over a normal set ``{x | g_i(x) <= 0}``, g_i nondecreasing:
     the corner test with every coordinate as the split (the lower corner)."""
-    return mm_conclusive_test(box, _diagonal(box, nondecreasing, 1.0), range(box.dim))
+    return mm_conclusive_test(box, _diagonal(box, nondecreasing, 1.0, range(box.dim)))
 
 
 def conormal_set_test(
     box: BoxNd, nondecreasing: Sequence[Callable[[np.ndarray], float]]
 ) -> FeasibilityVerdict:
     """Feasibility over a conormal set ``{x | h_i(x) >= 0}``, h_i nondecreasing:
-    the corner test with no coordinate as the split (the upper corner)."""
-    return mm_conclusive_test(box, _diagonal(box, nondecreasing, -1.0), ())
+    the corner test with no coordinate as the split (the upper corner), which
+    is also the witness when there is no ``h_i`` to carry that split."""
+    constraints = _diagonal(box, nondecreasing, -1.0, ())
+    if not constraints:
+        return FeasibilityVerdict(Feasibility.FEASIBLE_WITH_WITNESS, box.s)
+    return mm_conclusive_test(box, constraints)
 
 
-def _diagonal(box: BoxNd, funcs, sign: float) -> list[MMConstraint]:
-    # each callable f of x as the constraint G(x, y) = sign * f(x)
-    return [MMConstraint(MMFunction(box.dim, lambda x, y, f=f: sign * f(x))) for f in funcs]
+def _diagonal(box: BoxNd, funcs, sign: float, split) -> list[MMConstraint]:
+    # each callable f of x as the constraint G(x, y) = sign * f(x), declaring split
+    g = [MMFunction(box.dim, lambda x, y, f=f: sign * f(x)) for f in funcs]
+    return [MMConstraint(gi, frozenset(split)) for gi in g]

@@ -27,6 +27,7 @@ from .core import (
     ProblemInstance,
     SolverConfig,
     SolverResult,
+    _is_count,
 )
 from .errors import InnerSolveFailed, InvalidNetwork
 from .feasibility import Feasibility, FeasibilityVerdict, least_point_test, mm_sufficient_test
@@ -155,12 +156,12 @@ class AlohaNetwork:
         if len(self.interferers) != k:
             raise InvalidNetwork(f"interferers must list {k} index sets")
         for i, idx in enumerate(self.interferers):
-            ids = tuple(sorted(int(j) for j in idx))
-            if any(j < 0 or j >= k for j in ids):
-                raise InvalidNetwork(f"interferers[{i}] indices out of range")
+            ids = tuple(idx)
+            if not all(_is_count(j, 0) and j < k for j in ids) or len(set(ids)) < len(ids):
+                raise InvalidNetwork(f"interferers[{i}] must hold distinct user indices below {k}")
             if i in ids:
                 raise InvalidNetwork(f"user {i} cannot interfere with itself")
-            sets.append(ids)
+            sets.append(tuple(sorted(int(j) for j in ids)))
         object.__setattr__(self, "interferers", tuple(sets))
         object.__setattr__(self, "r_min", _frozen_vector(self.r_min, k, "r_min", lo=0.0))
 
@@ -260,25 +261,18 @@ def _power_problem(
     """Maximize ``objective`` over the power box [0, p_max], under the
     network's rate floors when ``floored``.
 
-    Without floors the feasible set is the whole box, a normal set.  The
-    floors are built by :func:`_floors` like the ALOHA floors.  They share no
-    monotone split, but each is an affine floor on the powers, so the
-    instance runs in ``custom-oracle`` mode with the exact
-    :func:`_floor_oracle`.  In that mode ``epsilon_feasibility`` adds no
-    candidate points: it applies to undecided boxes of
-    ``mm-sufficient-only`` mode only.
+    Without floors the feasible set is the whole box, which the corner test
+    decides at its lower corner (``mm-conclusive`` mode, no constraints).
+    The floors are built by :func:`_floors` like the ALOHA floors.  They
+    share no monotone split, but each is an affine floor on the powers, so
+    the instance carries the exact :func:`_floor_oracle` (``custom-oracle``
+    mode).  With an oracle ``epsilon_feasibility`` adds no candidate points:
+    it applies to undecided boxes of ``mm-sufficient-only`` mode only.
     """
     box = BoxNd(np.zeros(net.K), net.p_max)
     floors = _floors(net, _rate) if floored else ()
-    if not floors:
-        return ProblemInstance(objective, (), box, feasibility_mode="normal")
-    return ProblemInstance(
-        objective,
-        floors,
-        box,
-        feasibility_mode="custom-oracle",
-        feasibility_oracle=_floor_oracle(net, floors),
-    )
+    oracle = _floor_oracle(net, floors) if floors else None
+    return ProblemInstance(objective, floors, box, feasibility_oracle=oracle)
 
 
 def _mmp_objective(net: InterferenceNetwork, weights) -> MMFunction:
@@ -521,9 +515,7 @@ def aloha_problem(net: AlohaNetwork) -> ProblemInstance:
         return verdict
 
     box = BoxNd(np.full(k, _ALOHA_FLOOR), np.ones(k))
-    return ProblemInstance(
-        objective, constraints, box, feasibility_mode="custom-oracle", feasibility_oracle=oracle
-    )
+    return ProblemInstance(objective, constraints, box, feasibility_oracle=oracle)
 
 
 def aloha_feasibility_boundary(k: int) -> float:

@@ -19,16 +19,16 @@ rest at its far end and bisects on the ones that failed there (its
 *binding set*).  The multipliers are those of testing every conjunct at
 every step.
 
-Feasibility is decided per box by one of three tests: a user oracle, the
-one-sided test, or the exact corner test
-(:func:`~mmopt.feasibility.mm_conclusive_test`).  The ``normal``,
-``conormal`` and ``mm-conclusive`` modes all run the corner test, with the
-split set to every coordinate, to no coordinate, and to the constraints'
-shared split.  With an exact test (corner or oracle) the returned point is
-eta-optimal.  A point becomes the incumbent only if it lies in its box and
-meets every constraint within ``epsilon_feasibility``.  With the one-sided
-test only (``mm-sufficient-only``), pruning by infeasibility needs the
-optimistic corner certificate and the search may not terminate on its own;
+Feasibility is decided per box by the test the problem's inputs imply (its
+``feasibility_mode``, read once per solve): a user oracle when one is
+given, else the exact corner test
+(:func:`~mmopt.feasibility.mm_conclusive_test`) when every constraint
+declares the same ``monotone_split``, else the one-sided test.  With an
+exact test (corner or oracle) the returned point is eta-optimal.  A point
+becomes the incumbent only if it lies in its box and meets every
+constraint within ``epsilon_feasibility``.  With the one-sided test only
+(``mm-sufficient-only``), pruning by infeasibility needs the optimistic
+corner certificate and the search may not terminate on its own;
 iteration or wall-time limits then return the best incumbent with a limit
 status.  Boxes thinner than ``_POINT_DIAMETER``, scaled by the root, are not
 split further; when one that no test decided has a bound above the final
@@ -239,23 +239,23 @@ def reduce_box(
     return BoxNd._trusted(r_new, s_new)
 
 
-def _verdict_for(problem: ProblemInstance, box: BoxNd) -> FeasibilityVerdict:
-    mode = problem.feasibility_mode
+def _box_test(problem: ProblemInstance):
+    """The problem's box test, ``box -> FeasibilityVerdict``, by its
+    ``feasibility_mode``; each call looks the test up in this module, where a
+    tracer may wrap it."""
+    mode, constraints = problem.feasibility_mode, problem.constraints
     if mode == "custom-oracle":
-        return problem.feasibility_oracle(box)
-    if mode == "mm-sufficient-only":
-        return mm_sufficient_test(box, problem.constraints)
-    # the corner test; its split is every coordinate for a normal set, none
-    # for a conormal set, and the constraints' shared split otherwise
-    split = range(box.dim) if mode == "normal" else () if mode == "conormal" else None
-    return mm_conclusive_test(box, problem.constraints, split)
+        return problem.feasibility_oracle
+    if mode == "mm-conclusive":
+        return lambda box: mm_conclusive_test(box, constraints)
+    return lambda box: mm_sufficient_test(box, constraints)
 
 
 def _candidate_from_verdict(
     problem: ProblemInstance, box: BoxNd, verdict: FeasibilityVerdict, epsilon: float
 ) -> np.ndarray | None:
     """The point a verdict offers for a box, or None; see :func:`_admissible`."""
-    kind, mode = verdict.kind, problem.feasibility_mode
+    kind = verdict.kind
     if kind is Feasibility.FEASIBLE_WITH_WITNESS:
         x = np.asarray(verdict.witness, dtype=float)
         if x.shape != box.r.shape:
@@ -263,7 +263,7 @@ def _candidate_from_verdict(
         return x
     if kind is Feasibility.FULLY_FEASIBLE:
         return box.r
-    if kind is Feasibility.UNKNOWN and epsilon > 0.0 and mode == "mm-sufficient-only":
+    if kind is Feasibility.UNKNOWN and epsilon > 0.0 and problem.feasibility_oracle is None:
         return box.r
     return None
 
@@ -276,17 +276,17 @@ def _admissible(constraints, box: BoxNd, x, epsilon: float) -> bool:
 def find_incumbent(box: BoxNd, problem: ProblemInstance, epsilon: float = 0.0):
     """A feasible point in the box, or None when none can be produced.
 
-    Returns None when the problem's feasibility test finds the box
-    infeasible.  Otherwise the point comes from the verdict: the witness of
-    a ``FEASIBLE_WITH_WITNESS`` verdict (the corner test of the
-    ``mm-conclusive``, ``normal`` and ``conormal`` modes, or an oracle); the
-    lower corner of a box certified ``FULLY_FEASIBLE``; or, with
-    ``epsilon > 0`` in ``mm-sufficient-only`` mode, the lower corner of an
-    undecided box.  The point is returned only if it lies in the box and
-    meets every constraint within ``epsilon``; a witness whose shape is not
-    ``(dim,)`` raises :class:`~mmopt.errors.DimensionMismatch`.
+    Returns None when the problem's box test (its ``feasibility_mode``)
+    finds the box infeasible.  Otherwise the point comes from the verdict:
+    the witness of a ``FEASIBLE_WITH_WITNESS`` verdict (the corner test of
+    ``mm-conclusive`` mode, or an oracle); the lower corner of a box
+    certified ``FULLY_FEASIBLE``; or, with ``epsilon > 0`` and no oracle,
+    the lower corner of an undecided box.  The point is returned only if it
+    lies in the box and meets every constraint within ``epsilon``; a
+    witness whose shape is not ``(dim,)`` raises
+    :class:`~mmopt.errors.DimensionMismatch`.
     """
-    verdict = _verdict_for(problem, box)
+    verdict = _box_test(problem)(box)
     if verdict.kind is Feasibility.INFEASIBLE:
         return None
     x = _candidate_from_verdict(problem, box, verdict, epsilon)
@@ -350,6 +350,7 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
     eps = config.epsilon_feasibility
     steps = config.reduction_bisection_steps
     best_first = config.selection_rule == "best-first"
+    box_test = _box_test(problem)
 
     def cutoff(g: float) -> float:
         # relative: g + eta*|g|, as (1 + eta) * g for g >= 0 and (1 - eta) * g below;
@@ -382,7 +383,7 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
             survivors = []
             for box in boxes:
                 stats.boxes_created += 1
-                verdict = _verdict_for(problem, box)
+                verdict = box_test(box)
                 if verdict.kind is Feasibility.INFEASIBLE:
                     stats.boxes_pruned_infeasible += 1
                     continue

@@ -296,9 +296,7 @@ class TestRunBench:
 
         def exploding_problem(net, representation="mmp"):
             base = wsr_problem(net, representation)
-            return ProblemInstance(
-                MMFunction(net.K, raising), base.constraints, base.initial_box, "normal"
-            )
+            return ProblemInstance(MMFunction(net.K, raising), base.constraints, base.initial_box)
 
         monkeypatch.setattr(bench, "wsr_problem", exploding_problem)
         rows = run_bench(BenchSpec(experiment="wsr-compare", k=2, realizations=2, seed=0))
@@ -446,6 +444,12 @@ class TestLoadInstance:
         with pytest.raises(ParseError, match=f"'{field}'"):
             load_instance(write_instance(tmp_path, doc))
 
+    def test_repeated_interferer_rejected(self, tmp_path):
+        # user 1 listed twice would count its interference twice in user 0's floor
+        doc = dict(_ALOHA2, interferers=[[1, 1], [0]])
+        with pytest.raises(ParseError, match="interferers"):
+            load_instance(write_instance(tmp_path, doc))
+
     def test_integral_floats_accepted(self, tmp_path):
         doc = dict(_ALOHA2, K=2.0, interferers=[[1.0], [0]])
         assert load_instance(write_instance(tmp_path, doc)).dim == 2
@@ -511,7 +515,7 @@ class TestLoadInstance:
             },
             name="gee.json",
         )
-        assert load_instance(gee).feasibility_mode == "normal"
+        assert load_instance(gee).feasibility_mode == "mm-conclusive"
         aloha = write_instance(
             tmp_path,
             {"schema": "mmp-bench/1", "type": "aloha", "K": 2, "c": [1.0, 1.0]},

@@ -312,6 +312,14 @@ class TestUnimodal:
         with pytest.raises(DomainError):
             mm_unimodal(log_barrier_term(1), 0, 1.0, 1)
 
+    @pytest.mark.parametrize(
+        "index, dim", [(0.5, 2), (True, 2), (-1, 2), (0, 2.7), (0, True), (0, 0)]
+    )
+    def test_rejects_non_integer_index_and_dim(self, index, dim):
+        # int() would truncate these; the first evaluation would then fail
+        with pytest.raises(DimensionMismatch):
+            mm_unimodal(log_barrier_term(1), index, 0.5, dim)
+
 
 class TestRepresentationPerturbation:
     """Adding sum(x - y) keeps the monotonicity but loosens the corner bound."""

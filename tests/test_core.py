@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmopt.core import MMConstraint, MMFunction, SolverConfig, check_mm_property, make_box
+from mmopt.core import (
+    MMConstraint,
+    MMFunction,
+    ProblemInstance,
+    SolverConfig,
+    check_mm_property,
+    make_box,
+)
 from mmopt.errors import (
     CornerOrderViolation,
     DimensionMismatch,
@@ -20,6 +27,8 @@ def test_solver_config_takes_numpy_integers_and_zero_limits():
     config = SolverConfig(reduction_bisection_steps=np.int64(3), max_iterations=np.int32(0))
     assert config.reduction_bisection_steps == 3
     SolverConfig(max_iterations=0, max_wall_time=0.0)
+    # numpy numbers pass where numbers are asked for
+    SolverConfig(eta=np.float64(0.1), epsilon_feasibility=np.float32(0), max_wall_time=np.int64(5))
 
 
 @pytest.mark.parametrize("value", ["off", 1, 0, None])
@@ -93,6 +102,64 @@ def test_box_diameter_matches_widths(lower, widths):
     hi = lo + np.array(widths[:n])
     box = make_box(lo, hi)
     assert box.diameter == pytest.approx(max(widths[:n]), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("eta", True),
+        ("eta", "0.1"),
+        ("epsilon_feasibility", False),
+        ("epsilon_feasibility", "0"),
+        ("max_wall_time", True),
+        ("max_wall_time", "5"),
+    ],
+)
+def test_solver_config_numbers_reject_bools_and_strings(field, value):
+    with pytest.raises(MMOptError, match=field):
+        SolverConfig(**{field: value})
+
+
+@pytest.mark.parametrize("dim", [2.7, True, np.float64(2.0), 0])
+def test_mm_function_dimension_must_be_a_positive_integer(dim):
+    # int() would truncate 2.7 to 2 and read True as 1
+    with pytest.raises(DimensionMismatch):
+        MMFunction(dim, lambda x, y: 0.0)
+    assert MMFunction(np.int64(2), lambda x, y: 0.0).dim == 2
+
+
+def _constraint(split):
+    return MMConstraint(MMFunction(2, lambda x, y: float(x[0] - y[1])), monotone_split=split)
+
+
+class TestProblemInstance:
+    OBJECTIVE = MMFunction(2, lambda x, y: float(x[0]))
+    BOX = make_box((0.0, 0.0), (1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "constraints, oracle, mode",
+        [
+            ((_constraint(None),), lambda box: None, "custom-oracle"),
+            ((_constraint({0}), _constraint({0})), None, "mm-conclusive"),
+            ((_constraint(()),), None, "mm-conclusive"),
+            ((), None, "mm-conclusive"),
+            ((_constraint({0}), _constraint(None)), None, "mm-sufficient-only"),
+            ((_constraint({0}), _constraint({0, 1})), None, "mm-sufficient-only"),
+        ],
+        ids=["oracle", "shared-split", "empty-split", "no-constraints", "no-split", "disagree"],
+    )
+    def test_feasibility_mode_is_derived(self, constraints, oracle, mode):
+        problem = ProblemInstance(self.OBJECTIVE, constraints, self.BOX, feasibility_oracle=oracle)
+        assert problem.feasibility_mode == mode
+
+    def test_feasibility_mode_is_no_argument(self):
+        with pytest.raises(TypeError):
+            ProblemInstance(self.OBJECTIVE, (), self.BOX, feasibility_mode="normal")
+
+    def test_oracle_must_be_callable(self):
+        # the fourth positional argument is the oracle, not a mode name
+        with pytest.raises(MMOptError, match="feasibility_oracle must be callable"):
+            ProblemInstance(self.OBJECTIVE, (), self.BOX, "normal")
 
 
 def test_mm_function_nan_is_hard_error():

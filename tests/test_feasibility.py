@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mmopt.core import MMConstraint, MMFunction, ProblemInstance, make_box
-from mmopt.errors import DimensionMismatch, EvaluationError, MissingMonotoneSplit
+from mmopt.errors import EvaluationError, MissingMonotoneSplit
 from mmopt.feasibility import (
     VERDICT_INFEASIBLE,
     VERDICT_UNKNOWN,
@@ -16,7 +16,7 @@ from mmopt.feasibility import (
     normal_set_test,
 )
 from mmopt.problems import generate_aloha, generate_channels, wsr_problem
-from mmopt.solver import _verdict_for
+from mmopt.solver import _box_test
 
 from oracles import (
     conormal_set_test_reference,
@@ -177,26 +177,11 @@ class TestConclusive:
         assert verdict.kind is Feasibility.FEASIBLE_WITH_WITNESS
         np.testing.assert_allclose(verdict.witness, [0.2, 0.4])
 
-    @pytest.mark.parametrize(
-        "split",
-        [[0, 0], [0, 5], [5], [-1], (1, 1, 0), [0.5], [True], [1.0]],
-        ids=[
-            "repeated",
-            "full-length-out-of-range",
-            "out-of-range",
-            "negative",
-            "too-long",
-            "non-integral",
-            "bool",
-            "float",
-        ],
-    )
-    def test_bad_split_rejected(self, split):
-        # a repeated, out-of-range or non-integer index is not a coordinate
-        # set of the box
-        c = linear_constraint(2, (1.0, 1.0), (0.0, 0.0), -1.0)
-        with pytest.raises(DimensionMismatch, match="distinct coordinate indices"):
-            mm_conclusive_test(make_box((0.0, 0.0), (1.0, 1.0)), (c,), split)
+    def test_split_is_no_argument(self):
+        # the split comes from the constraints alone
+        c = linear_constraint(2, (1.0, 1.0), (0.0, 0.0), -1.0, split=frozenset({0, 1}))
+        with pytest.raises(TypeError):
+            mm_conclusive_test(make_box((0.0, 0.0), (1.0, 1.0)), (c,), frozenset({0}))
 
     def test_random_access_floors_have_no_shared_split(self):
         from mmopt.problems import aloha_problem
@@ -292,10 +277,11 @@ def test_witnesses_are_feasible_and_inside():
                 assert c.g.eval(w, w) <= 1e-9
 
 
-def _diagonal_constraint(a, b, curved, offset):
+def _diagonal_constraint(a, b, curved, offset, split):
     """G(x, y) = a.x - b.y + offset (+ 0.5 a.x^2 if curved), a, b >= 0: both
-    slots matter off the diagonal; G(x, x) is nondecreasing when a >= b and,
-    without the curved term, nonincreasing when a <= b."""
+    slots matter off the diagonal; G(x, x) is nondecreasing when a >= b (the
+    split is every coordinate) and, without the curved term, nonincreasing
+    when a <= b (the split is no coordinate)."""
 
     def g_fn(x, y):
         value = float(a @ x) - float(b @ y)
@@ -303,13 +289,13 @@ def _diagonal_constraint(a, b, curved, offset):
             value = value + 0.5 * float(a @ (x * x))
         return value + offset
 
-    return MMConstraint(MMFunction(a.size, g_fn))
+    return MMConstraint(MMFunction(a.size, g_fn), monotone_split=split)
 
 
 class TestCornerTestMatchesReference:
     """The corner test against the three exact tests it replaced, kept in
     ``oracles.py``: same verdict kinds and bit-identical witnesses, through
-    the public tests and through the solver's per-mode dispatch."""
+    the public tests and through the test the solver derives for a problem."""
 
     OBJECTIVE = {d: MMFunction(d, lambda x, y: 0.0) for d in (1, 2, 3, 4)}
 
@@ -321,9 +307,10 @@ class TestCornerTestMatchesReference:
         else:
             assert np.array_equal(verdict.witness, reference.witness)
 
-    def solver_verdict(self, box, constraints, mode):
-        problem = ProblemInstance(self.OBJECTIVE[box.dim], constraints, box, feasibility_mode=mode)
-        return _verdict_for(problem, box)
+    def solver_verdict(self, box, constraints):
+        problem = ProblemInstance(self.OBJECTIVE[box.dim], constraints, box)
+        assert problem.feasibility_mode == "mm-conclusive"
+        return _box_test(problem)(box)
 
     def random_box(self, rng, dim):
         lo = rng.random(dim)
@@ -359,13 +346,13 @@ class TestCornerTestMatchesReference:
             box = self.random_box(rng, dim)
             reference = mm_conclusive_test_reference(box, constraints)
             self.assert_same(mm_conclusive_test(box, constraints), reference)
-            self.assert_same(self.solver_verdict(box, constraints, "mm-conclusive"), reference)
+            self.assert_same(self.solver_verdict(box, constraints), reference)
             kinds.add(reference.kind)
         assert kinds == {Feasibility.INFEASIBLE, Feasibility.FEASIBLE_WITH_WITNESS}
 
     @pytest.mark.parametrize("mode", ["normal", "conormal"])
     def test_normal_and_conormal_on_diagonal_constraints(self, mode):
-        # the modes constrain only the diagonal G(x, x): nondecreasing for a
+        # the splits constrain only the diagonal G(x, x): nondecreasing for a
         # normal set (a >= b), nonincreasing for a conormal set (a <= b)
         rng = np.random.default_rng(11 if mode == "normal" else 12)
         kinds = set()
@@ -377,9 +364,10 @@ class TestCornerTestMatchesReference:
                 small = big * rng.random(dim) * float(rng.random() < 0.7)
                 offset = float(rng.normal(scale=1.5))
                 if mode == "normal":
-                    c = _diagonal_constraint(big, small, bool(rng.random() < 0.3), offset)
+                    curved = bool(rng.random() < 0.3)
+                    c = _diagonal_constraint(big, small, curved, offset, range(dim))
                 else:
-                    c = _diagonal_constraint(small, big, False, offset)
+                    c = _diagonal_constraint(small, big, False, offset, ())
                 constraints.append(c)
             constraints = tuple(constraints)
             box = self.random_box(rng, dim)
@@ -387,14 +375,15 @@ class TestCornerTestMatchesReference:
                 funcs = [lambda x, c=c: c.g.eval(x, x) for c in constraints]
                 reference = normal_set_test_reference(box, funcs)
                 self.assert_same(normal_set_test(box, funcs), reference)
-                split = frozenset(range(dim))
             else:
                 funcs = [lambda x, c=c: -c.g.eval(x, x) for c in constraints]
                 reference = conormal_set_test_reference(box, funcs)
                 self.assert_same(conormal_set_test(box, funcs), reference)
-                split = frozenset()
-            self.assert_same(mm_conclusive_test(box, constraints, split), reference)
-            self.assert_same(self.solver_verdict(box, constraints, mode), reference)
+            # without constraints no split is declared, and the corner test
+            # takes the lower corner (see test_no_constraints_witness_is_the_corner)
+            if constraints or mode == "normal":
+                self.assert_same(mm_conclusive_test(box, constraints), reference)
+                self.assert_same(self.solver_verdict(box, constraints), reference)
             kinds.add(reference.kind)
         assert kinds == {Feasibility.INFEASIBLE, Feasibility.FEASIBLE_WITH_WITNESS}
 
@@ -402,8 +391,15 @@ class TestCornerTestMatchesReference:
         "mode, corner", [("normal", "r"), ("conormal", "s"), ("mm-conclusive", "r")]
     )
     def test_no_constraints_witness_is_the_corner(self, mode, corner):
+        # the normal and conormal tests at their corners; a problem without
+        # constraints derives the corner test, which takes the lower corner
         box = make_box((0.0, 1.0), (2.0, 3.0))
-        verdict = self.solver_verdict(box, (), mode)
+        if mode == "normal":
+            verdict = normal_set_test(box, [])
+        elif mode == "conormal":
+            verdict = conormal_set_test(box, [])
+        else:
+            verdict = self.solver_verdict(box, ())
         assert verdict.kind is Feasibility.FEASIBLE_WITH_WITNESS
         assert verdict.witness is getattr(box, corner)
 

@@ -78,6 +78,23 @@ class TestNetworkValidation:
         with pytest.raises(InvalidNetwork):
             AlohaNetwork(c=(1.0, 1.0), interferers=((0,), (0,)), r_min=(0.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "interferers",
+        [((1.7,), (0.2,)), ((True,), (0,)), ((1, 1), (0,)), ((2,), (0,)), ((-1,), (0,))],
+        ids=["non-integral", "bool", "repeated", "out-of-range", "negative"],
+    )
+    def test_aloha_interferers_must_be_distinct_user_indices(self, interferers):
+        # int() would read 1.7 as 1 and True as 1; a repeated index would
+        # count one interferer twice in the floors but once in the objective
+        with pytest.raises(InvalidNetwork, match="distinct user indices"):
+            AlohaNetwork(c=(1.0, 1.0), interferers=interferers, r_min=(0.0, 0.0))
+
+    def test_aloha_interferers_take_numpy_integers(self):
+        sets = (np.array([2, 1]), (np.int64(0),), ())
+        net = AlohaNetwork(c=(1.0, 1.0, 1.0), interferers=sets, r_min=(0.0, 0.0, 0.0))
+        assert net.interferers == ((1, 2), (0,), ())
+        assert all(type(j) is int for ids in net.interferers for j in ids)
+
 
 class TestWsr:
     def test_symmetric_diagonal_value(self):
@@ -140,7 +157,8 @@ class TestWsr:
             assert [c.g.eval(x, y) for c in prob.constraints] == gaps
 
     def test_modes(self):
-        assert wsr_problem(generate_channels(2, seed=0)).feasibility_mode == "normal"
+        # no floors: the corner test, which has no constraint to evaluate
+        assert wsr_problem(generate_channels(2, seed=0)).feasibility_mode == "mm-conclusive"
         net = generate_channels(2, seed=0)
         floored = InterferenceNetwork(
             alpha=net.alpha,

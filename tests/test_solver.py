@@ -16,7 +16,12 @@ from mmopt.core import (
     make_box,
 )
 from mmopt.errors import DimensionMismatch, MMOptError, NonFiniteEntry, ZeroDiameterBox
-from mmopt.feasibility import Feasibility, FeasibilityVerdict, mm_sufficient_test
+from mmopt.feasibility import (
+    Feasibility,
+    FeasibilityVerdict,
+    mm_sufficient_test,
+    normal_set_test,
+)
 from mmopt.problems import (
     AlohaNetwork,
     InterferenceNetwork,
@@ -68,7 +73,7 @@ def offering(problem, point, decide=False):
                 return verdict
         return FeasibilityVerdict(Feasibility.FEASIBLE_WITH_WITNESS, np.array(point))
 
-    return replace(problem, feasibility_mode="custom-oracle", feasibility_oracle=oracle)
+    return replace(problem, feasibility_oracle=oracle)
 
 
 def assert_valid_box(box):
@@ -371,14 +376,15 @@ class TestFindIncumbent:
             MMFunction(2, lambda x, y: float(x[0] - y[1])),
             (MMConstraint(g, monotone_split=frozenset({0})),),
             make_box((0.0, 0.0), (1.0, 1.0)),
-            feasibility_mode="mm-conclusive",
         )
+        assert prob.feasibility_mode == "mm-conclusive"
         x = find_incumbent(make_box((0.1, 0.2), (0.9, 0.8)), prob)
         np.testing.assert_allclose(x, [0.1, 0.8])
 
     def test_unknown_box_returns_none_without_hook(self):
         net = two_user_symmetric_net(r_min=0.4)
-        prob = replace(wsr_problem(net), feasibility_mode="mm-sufficient-only")
+        prob = replace(wsr_problem(net), feasibility_oracle=None)
+        assert prob.feasibility_mode == "mm-sufficient-only"
         # box straddling the floor: optimistic corner passes, pessimistic fails
         box = make_box((0.0, 0.0), (1.0, 1.0))
         assert find_incumbent(box, prob) is None
@@ -412,7 +418,6 @@ class TestFindIncumbent:
             MMFunction(1, lambda x, y: float(x[0])),
             (g,),
             make_box((0.0,), (1.0,)),
-            feasibility_mode="mm-sufficient-only",
         )
         box = make_box((0.5,), (0.9,))
         assert g.g.eval(box.r, box.r) == pytest.approx(0.01)
@@ -531,7 +536,6 @@ class TestSolve:
             MMFunction(1, lambda x, y: float(x[0])),
             (g,),
             make_box((0.0,), (1.0,)),
-            feasibility_mode="mm-sufficient-only",
         )
         res = solve(prob, SolverConfig(eta=0.01, max_iterations=50))
         assert (res.status, res.iterations) == ("iteration-limit", 50)
@@ -556,7 +560,7 @@ class TestSolve:
         assert astuple(res.stats) == (1, 0, 1, 0, 0)
         # the one-sided test leaves every thin child near p = 1 undecided
         # and without a point
-        one_sided = replace(prob, feasibility_mode="mm-sufficient-only")
+        one_sided = replace(prob, feasibility_oracle=None)
         res = solve(one_sided, SolverConfig(eta=0.01))
         assert (res.status, res.iterations) == ("resolution-limit", 40)
         assert astuple(res.stats) == (81, 40, 0, 0, 1)
@@ -610,7 +614,6 @@ class TestSolve:
             MMFunction(1, lambda x, y: float(x[0])),
             (g,),
             make_box((0.0,), (1.0,)),
-            feasibility_mode="mm-sufficient-only",
         )
         res = solve(prob, SolverConfig(eta=0.01))
         assert (res.status, res.iterations, res.value) == ("resolution-limit", 48, 0.296875)
@@ -624,7 +627,6 @@ class TestSolve:
             MMFunction(1, lambda x, y: float(x[0])),
             (g,),
             make_box((1e6,), (1e6 + 1.0,)),
-            feasibility_mode="mm-sufficient-only",
         )
         res = solve(prob, SolverConfig(eta=1e-15, max_iterations=200_000))
         assert (res.status, res.iterations) == ("resolution-limit", 22)
@@ -641,7 +643,6 @@ class TestSolve:
                 MMConstraint(MMFunction(1, lambda x, y: float(x[0] - x0))),
             ),
             make_box((0.5,), (0.5 + 1e-13,)),
-            feasibility_mode="mm-sufficient-only",
         )
         res = solve(prob, SolverConfig(eta=0.01))
         assert (res.status, res.iterations) == ("resolution-limit", 0)
@@ -687,9 +688,7 @@ class TestSolve:
         loose_obj = MMFunction(
             2, lambda x, y: base.objective.eval(x, y) + float(np.sum(np.asarray(x) - np.asarray(y)))
         )
-        loose = ProblemInstance(
-            loose_obj, base.constraints, base.initial_box, feasibility_mode=base.feasibility_mode
-        )
+        loose = ProblemInstance(loose_obj, base.constraints, base.initial_box)
         res_base = solve(base, SolverConfig(eta=0.01))
         res_loose = solve(loose, SolverConfig(eta=0.01))
         assert abs(res_base.value - res_loose.value) <= 0.01 + 1e-9
@@ -707,13 +706,23 @@ class TestSolve:
             MMFunction(1, lambda x, y: float(x[0])),
             (g,),
             make_box((0.0,), (1.0,)),
-            feasibility_mode="mm-sufficient-only",
         )
         res = solve(prob, SolverConfig(eta=0.001, epsilon_feasibility=0.01))
         assert res.status == "eps-eta-approximate"
         assert res.value >= 0.6 - 0.001
         assert res.value <= 0.6 + 0.01 + 1e-9
         assert g.g.eval(res.incumbent, res.incumbent) <= 0.01
+
+    def test_constraint_without_split_gets_the_one_sided_test(self):
+        # maximize -x on [0, 1] subject to 0.5 - x <= 0; G(x, y) = 0.5 - y[0]
+        # declares no split, so the one-sided test decides the boxes
+        g = MMConstraint(MMFunction(1, lambda x, y: float(0.5 - y[0])))
+        prob = ProblemInstance(
+            MMFunction(1, lambda x, y: float(-y[0])), (g,), make_box((0.0,), (1.0,))
+        )
+        assert prob.feasibility_mode == "mm-sufficient-only"
+        res = solve(prob, SolverConfig(eta=0.01))
+        assert (res.status, res.value, res.iterations) == ("eta-optimal", -0.5, 7)
 
     def test_custom_oracle_mode(self):
         # maximize x + y over the quarter disc of radius 1
@@ -729,7 +738,6 @@ class TestSolve:
             MMFunction(2, lambda x, y: float(x[0] + x[1])),
             (),
             make_box((0.0, 0.0), (1.0, 1.0)),
-            feasibility_mode="custom-oracle",
             feasibility_oracle=oracle,
         )
         res = solve(prob, SolverConfig(eta=0.005))
@@ -741,9 +749,7 @@ class TestSolve:
         x = np.array([0.3, 0.4])
         net = generate_channels(2, seed=6)
         prob = wsr_problem(net)
-        degenerate = ProblemInstance(
-            prob.objective, prob.constraints, make_box(x, x), feasibility_mode="normal"
-        )
+        degenerate = ProblemInstance(prob.objective, prob.constraints, make_box(x, x))
         res = solve(degenerate, SolverConfig(eta=0.01))
         assert res.iterations == 0
         assert res.value == pytest.approx(wsr_value(net, x), abs=1e-12)
@@ -856,11 +862,11 @@ class TestGoldenTrace:
 
 
 class TestConstrainedNormalSet:
-    """A normal-mode solve with a constraint that binds: WSR K=3 under a
+    """A normal-set solve with a constraint that binds: WSR K=3 under a
     total-power budget ``sum(p) <= 1.5`` (network seed 34, whose
-    unconstrained optimum spends 2).  The budget is a normal set, so the
-    corner test runs at the lower corner, as in ``mm-conclusive`` mode with
-    every coordinate as the split."""
+    unconstrained optimum spends 2).  The budget is a normal set: it
+    declares every coordinate as its monotone split, so the corner test runs
+    at the lower corner."""
 
     BUDGET = 1.5
     # trace digest and counts recorded with the separate normal-set test
@@ -868,21 +874,20 @@ class TestConstrainedNormalSet:
     COUNTS = ("eta-optimal", 829, 172)
     DIGEST = "75acfed13bc649ce797c5d1ccf2de0b916975dfabada6e95d826a9bf99d74cde"
 
-    def problem(self, mode, split=None):
+    def problem(self):
         net = generate_channels(3, 34)
         base = wsr_problem(net)
         budget = MMFunction(3, lambda x, y: float(np.sum(x)) - self.BUDGET, name="budget")
-        constraint = MMConstraint(budget, monotone_split=split)
-        return net, ProblemInstance(
-            base.objective, (constraint,), base.initial_box, feasibility_mode=mode
-        )
+        constraint = MMConstraint(budget, monotone_split=frozenset(range(3)))
+        return net, ProblemInstance(base.objective, (constraint,), base.initial_box)
 
     def solve_traced(self, problem, path):
         res = solve(problem, SolverConfig(eta=0.01, trace_path=str(path)))
         return res, path.read_bytes()
 
     def test_against_grid_and_conclusive_mode(self, tmp_path):
-        net, normal = self.problem("normal")
+        net, normal = self.problem()
+        assert normal.feasibility_mode == "mm-conclusive"
         res, trace = self.solve_traced(normal, tmp_path / "normal.csv")
         assert (res.status, res.iterations, res.peak_region_count) == self.COUNTS
         assert hashlib.sha256(trace).hexdigest() == self.DIGEST
@@ -894,9 +899,11 @@ class TestConstrainedNormalSet:
         free = solve(wsr_problem(net), SolverConfig(eta=0.01))
         assert free.incumbent.sum() > self.BUDGET
 
-        _, conclusive = self.problem("mm-conclusive", split=frozenset(range(3)))
-        res_c, trace_c = self.solve_traced(conclusive, tmp_path / "conclusive.csv")
-        assert trace_c == trace
-        assert (res_c.status, res_c.iterations, res_c.peak_region_count) == self.COUNTS
-        assert repr(res_c.value) == repr(res.value)
-        assert np.array_equal(res_c.incumbent, res.incumbent)
+        # the same set through normal_set_test as an oracle solves the same way
+        spend = [lambda x: float(np.sum(x)) - self.BUDGET]
+        oracle = replace(normal, feasibility_oracle=lambda box: normal_set_test(box, spend))
+        res_o, trace_o = self.solve_traced(oracle, tmp_path / "oracle.csv")
+        assert trace_o == trace
+        assert (res_o.status, res_o.iterations, res_o.peak_region_count) == self.COUNTS
+        assert repr(res_o.value) == repr(res.value)
+        assert np.array_equal(res_o.incumbent, res.incumbent)
