@@ -208,7 +208,10 @@ def _aloha_grid_feasible(net: AlohaNetwork, points: int) -> bool:
 
     The grid is scanned one slab of the first axis at a time, stopping at
     the first slab that holds a feasible point; each rate is multiplied out
-    in the same order as on the full grid, so the verdict is the same.
+    in the same order as on the full grid, so the verdict is the same.  The
+    slab arrays are allocated once and reused: with a fresh temporary per
+    operation, the screen's time moved by up to a fifth between source trees
+    that differ only in code it never runs.
     """
     k = net.K
     axes = np.linspace(0.0, 1.0, points)
@@ -218,15 +221,20 @@ def _aloha_grid_feasible(net: AlohaNetwork, points: int) -> bool:
         shape = [1] * (k - 1)
         shape[i - 1] = points
         coord[i] = axes.reshape(shape)
+    idle = [None] + [1.0 - coord[j] for j in range(1, k)]
+    rate = np.empty((points,) * (k - 1))
+    met = np.empty(rate.shape, dtype=bool)
+    feasible = np.empty(rate.shape, dtype=bool)
     for first in axes:
         coord[0] = first
-        feasible = True
+        idle[0] = 1.0 - first
+        feasible.fill(True)
         for i in range(k):
-            rate = net.c[i] * coord[i]
+            np.multiply(net.c[i], coord[i], out=rate)
             for j in net.interferers[i]:
-                rate = rate * (1.0 - coord[j])
-            feasible = feasible & (rate >= net.r_min[i])
-            if not np.any(feasible):
+                np.multiply(rate, idle[j], out=rate)
+            feasible &= np.greater_equal(rate, net.r_min[i], out=met)
+            if not feasible.any():
                 break
         else:
             return True

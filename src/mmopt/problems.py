@@ -27,7 +27,9 @@ from .core import (
     ProblemInstance,
     SolverConfig,
     SolverResult,
+    SolveStats,
     _is_count,
+    _is_real,
 )
 from .errors import InnerSolveFailed, InvalidNetwork
 from .feasibility import Feasibility, FeasibilityVerdict, least_point_test, mm_sufficient_test
@@ -51,8 +53,18 @@ __all__ = [
 ]
 
 
+def _numbers(v, name: str) -> np.ndarray:
+    """``v`` as a new float array, if numpy reads it as integers or floats;
+    strings, bools and other objects, which a float conversion would take
+    or mangle, raise ``InvalidNetwork``."""
+    arr = np.asarray(v)
+    if arr.dtype.kind not in "iuf":
+        raise InvalidNetwork(f"{name} must hold numbers, got {v!r}")
+    return np.array(arr, dtype=float, copy=True)
+
+
 def _frozen_vector(v, k: int, name: str, lo=None, strict_lo=None) -> np.ndarray:
-    arr = np.array(v, dtype=float, copy=True)
+    arr = _numbers(v, name)
     if arr.shape != (k,):
         raise InvalidNetwork(f"{name} must have shape ({k},), got {arr.shape}")
     if not np.isfinite(arr).all():
@@ -86,15 +98,15 @@ class InterferenceNetwork:
     def __post_init__(self):
         k = np.asarray(self.alpha).size
         object.__setattr__(self, "alpha", _frozen_vector(self.alpha, k, "alpha", strict_lo=0.0))
-        beta = np.array(self.beta, dtype=float, copy=True)
+        beta = _numbers(self.beta, "beta")
         if beta.shape != (k, k):
             raise InvalidNetwork(f"beta must have shape ({k}, {k}), got {beta.shape}")
         if not np.isfinite(beta).all() or np.any(beta < 0):
             raise InvalidNetwork("beta must be finite and nonnegative")
         beta.flags.writeable = False
         object.__setattr__(self, "beta", beta)
-        if not (np.isfinite(self.sigma2) and self.sigma2 > 0):
-            raise InvalidNetwork("sigma2 must be positive")
+        if not (_is_real(self.sigma2) and math.isfinite(self.sigma2) and self.sigma2 > 0):
+            raise InvalidNetwork(f"sigma2 must be a positive number, got {self.sigma2!r}")
         object.__setattr__(self, "sigma2", float(self.sigma2))
         object.__setattr__(self, "p_max", _frozen_vector(self.p_max, k, "p_max", strict_lo=0.0))
         object.__setattr__(self, "w", _frozen_vector(self.w, k, "w", lo=0.0))
@@ -118,22 +130,23 @@ class EnergyModel:
     bandwidth: float = 1.0
 
     def __post_init__(self):
-        phi = np.array(self.phi, dtype=float, copy=True)
+        phi = _numbers(self.phi, "phi")
         if phi.ndim != 1 or not np.isfinite(phi).all() or np.any(phi < 0):
             raise InvalidNetwork("phi must be a finite nonnegative vector")
         phi.flags.writeable = False
         object.__setattr__(self, "phi", phi)
-        pc = np.asarray(self.p_circuit, dtype=float)
-        if pc.ndim == 0:
-            if not (np.isfinite(pc) and pc > 0):
-                raise InvalidNetwork("p_circuit must be positive")
+        pc = self.p_circuit
+        if np.ndim(pc) == 0:
+            if not (_is_real(pc) and math.isfinite(pc) and pc > 0):
+                raise InvalidNetwork(f"p_circuit must be a positive number, got {pc!r}")
             object.__setattr__(self, "p_circuit", float(pc))
         else:
             object.__setattr__(
                 self, "p_circuit", _frozen_vector(pc, phi.size, "p_circuit", strict_lo=0.0)
             )
-        if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
-            raise InvalidNetwork("bandwidth must be positive")
+        bw = self.bandwidth
+        if not (_is_real(bw) and math.isfinite(bw) and bw > 0):
+            raise InvalidNetwork(f"bandwidth must be a positive number, got {bw!r}")
         object.__setattr__(self, "bandwidth", float(self.bandwidth))
 
     @property
@@ -255,22 +268,20 @@ def _floor_oracle(net: InterferenceNetwork, constraints: tuple[MMConstraint, ...
     return oracle
 
 
-def _power_problem(
-    net: InterferenceNetwork, objective: MMFunction, floored: bool = False
-) -> ProblemInstance:
-    """Maximize ``objective`` over the power box [0, p_max], under the
-    network's rate floors when ``floored``.
+def _power_problem(net: InterferenceNetwork, objective: MMFunction) -> ProblemInstance:
+    """Maximize ``objective`` over the power box [0, p_max] under the
+    network's rate floors: the one path of every power-control family.
 
-    Without floors the feasible set is the whole box, which the corner test
-    decides at its lower corner (``mm-conclusive`` mode, no constraints).
-    The floors are built by :func:`_floors` like the ALOHA floors.  They
-    share no monotone split, but each is an affine floor on the powers, so
-    the instance carries the exact :func:`_floor_oracle` (``custom-oracle``
-    mode).  With an oracle ``epsilon_feasibility`` adds no candidate points:
-    it applies to undecided boxes of ``mm-sufficient-only`` mode only.
+    Without a positive ``r_min`` the feasible set is the whole box, which the
+    corner test decides at its lower corner (``mm-conclusive``, no
+    constraints).  The floors are built by :func:`_floors` like the ALOHA
+    floors.  They share no monotone split, but each is an affine floor on
+    the powers, so the instance carries the exact :func:`_floor_oracle`
+    (``custom-oracle``), and ``epsilon_feasibility`` adds no candidate
+    points: it applies to undecided boxes of ``mm-sufficient-only`` only.
     """
     box = BoxNd(np.zeros(net.K), net.p_max)
-    floors = _floors(net, _rate) if floored else ()
+    floors = _floors(net, _rate)
     oracle = _floor_oracle(net, floors) if floors else None
     return ProblemInstance(objective, floors, box, feasibility_oracle=oracle)
 
@@ -312,7 +323,7 @@ def wsr_problem(net: InterferenceNetwork, representation: str = "mmp") -> Proble
     if representation not in _WSR_OBJECTIVES:
         raise InvalidNetwork(f"unknown representation {representation!r}")
     objective = _WSR_OBJECTIVES[representation](net, net.w)
-    return _power_problem(net, objective, floored=True)
+    return _power_problem(net, objective)
 
 
 def bound_gap_mmp_vs_dm(net: InterferenceNetwork, box: BoxNd) -> float:
@@ -343,7 +354,8 @@ def gee_problem(net: InterferenceNetwork, energy: EnergyModel) -> ProblemInstanc
 
     The consumed power (amplifier draw plus static circuit power) enters the
     decreasing slot, so the ratio is optimized directly -- no outer
-    fractional-programming loop.  Minimum-rate constraints are omitted.
+    fractional-programming loop.  Positive ``r_min`` entries become rate
+    floors, decided exactly per box (see :func:`_power_problem`).
     """
     draw = _power_draw(net, energy)
     numerator = _mmp_objective(net, np.full(net.K, energy.bandwidth))
@@ -371,18 +383,15 @@ def _per_user_efficiency_terms(net: InterferenceNetwork, energy: EnergyModel) ->
 
 
 def wsee_problem(net: InterferenceNetwork, energy: EnergyModel) -> ProblemInstance:
-    """Weighted sum of per-user energy efficiencies."""
+    """Weighted sum of per-user energy efficiencies, under the network's
+    rate floors (see :func:`_power_problem`)."""
     return _power_problem(net, mm_sum(_per_user_efficiency_terms(net, energy)))
 
 
 def wmee_problem(net: InterferenceNetwork, energy: EnergyModel) -> ProblemInstance:
-    """Weighted minimum of per-user energy efficiencies."""
+    """Weighted minimum of per-user energy efficiencies, under the network's
+    rate floors (see :func:`_power_problem`)."""
     return _power_problem(net, mm_min(_per_user_efficiency_terms(net, energy)))
-
-
-def _sum_rate(net: InterferenceNetwork, p: np.ndarray) -> float:
-    den = net.sigma2 + net.beta @ p
-    return float(np.sum(np.log2(1.0 + net.alpha * p / den)))
 
 
 def _dinkelbach_aux_objective(
@@ -409,35 +418,48 @@ def dinkelbach_gee(
     """Fractional-programming baseline for the energy-efficiency ratio.
 
     Alternates between solving the parametric auxiliary problem (throughput
-    minus a lam-weighted power draw, by branch-and-bound on the
-    difference-of-logs bound) and updating lam to the achieved ratio; stops
-    once the auxiliary optimum drops to ``_DINKELBACH_TOL``, and gives up
-    after ``_DINKELBACH_MAX_OUTER`` auxiliary solves.  Inner tolerance
-    errors can leak into the result, so this carries no end-to-end
-    optimality guarantee; it serves as a cross-check baseline.
+    minus a lam-weighted power draw under the network's rate floors, by
+    branch-and-bound on the difference-of-logs bound) and updating lam to
+    the ratio the incumbent reaches on the :func:`gee_problem` objective;
+    stops once the auxiliary optimum drops to ``_DINKELBACH_TOL``, and gives
+    up after ``_DINKELBACH_MAX_OUTER`` auxiliary solves.  An auxiliary solve
+    that is not (relative-)eta-optimal, such as an ``infeasible`` one under
+    floors that cannot be met, raises ``InnerSolveFailed``.  ``iterations``
+    and the four box counts of ``stats`` add up over the auxiliary solves
+    (``boxes_created`` counts one root each); the peak is the largest of
+    theirs.  Inner tolerance errors can leak into the result, so this
+    carries no end-to-end optimality guarantee; it serves as a cross-check
+    baseline.
     """
-    draw = _power_draw(net, energy)
+    ratio_of = gee_problem(net, energy).objective
     t0 = time.perf_counter()
     lam = 0.0
     total_iterations = 0
-    peak = 0
+    stats = SolveStats()
     ok_statuses = (STATUS_ETA_OPTIMAL, STATUS_RELATIVE_ETA_OPTIMAL)
     for _ in range(_DINKELBACH_MAX_OUTER):
         res = solve(_power_problem(net, _dinkelbach_aux_objective(net, energy, lam)), inner_config)
         total_iterations += res.iterations
-        peak = max(peak, res.peak_region_count)
+        stats = SolveStats(
+            stats.boxes_created + res.stats.boxes_created,
+            stats.boxes_pruned_infeasible + res.stats.boxes_pruned_infeasible,
+            stats.boxes_pruned_bound + res.stats.boxes_pruned_bound,
+            stats.boxes_reduced_empty + res.stats.boxes_reduced_empty,
+            max(stats.peak_region_count, res.stats.peak_region_count),
+        )
         if res.status not in ok_statuses or res.incumbent is None:
             raise InnerSolveFailed(f"auxiliary solve ended with status {res.status}")
         p = res.incumbent
-        ratio = energy.bandwidth * _sum_rate(net, p) / draw(p)
+        ratio = ratio_of.eval(p, p)
         if res.value <= _DINKELBACH_TOL:
             return SolverResult(
                 incumbent=p,
                 value=ratio,
                 status=res.status,
                 iterations=total_iterations,
-                peak_region_count=peak,
+                peak_region_count=stats.peak_region_count,
                 wall_time=time.perf_counter() - t0,
+                stats=stats,
             )
         lam = ratio
     raise InnerSolveFailed(f"no convergence within {_DINKELBACH_MAX_OUTER} outer iterations")

@@ -61,6 +61,28 @@ def wsr_grid_max(net, n=1001):
     return float(value[feasible].max())
 
 
+def energy_grid_max(net, energy, family, n=801):
+    """Best ``family`` ("gee", "wsee" or "wmee") energy efficiency over the
+    points of an n-per-dimension grid that meet every rate floor (K = 2
+    only); -inf when none does."""
+    assert net.K == 2
+    ax = [np.linspace(0.0, net.p_max[i], n) for i in range(2)]
+    p = np.array(np.meshgrid(ax[0], ax[1], indexing="ij"))
+    rates = wsr_rates(net, p)
+    feasible = np.all(rates >= net.r_min[:, None, None], axis=0)
+    if not feasible.any():
+        return float("-inf")
+    phi = energy.phi[:, None, None]
+    if family == "gee":
+        draw = np.sum(phi * p, axis=0) + float(energy.p_circuit)
+        value = energy.bandwidth * np.sum(rates, axis=0) / draw
+    else:
+        draw = phi * p + energy.p_circuit[:, None, None]
+        terms = net.w[:, None, None] * energy.bandwidth * rates / draw
+        value = np.sum(terms, axis=0) if family == "wsee" else np.min(terms, axis=0)
+    return float(value[feasible].max())
+
+
 def dm_gap_closed_form(net, box):
     """Difference-of-logs bound minus per-rate bound, from the per-user
     two-term log identity evaluated at the box corners."""

@@ -19,9 +19,10 @@ from mmopt.bench import (
     write_json,
 )
 from mmopt.cli import main
-from mmopt.core import MMFunction, ProblemInstance
+from mmopt.core import MMFunction, ProblemInstance, SolverConfig
 from mmopt.errors import ParseError, SchemaVersionError, SpecError
 from mmopt.problems import AlohaNetwork, generate_aloha, wsr_problem
+from mmopt.solver import solve
 
 from oracles import aloha_grid
 
@@ -524,6 +525,31 @@ class TestLoadInstance:
         prob = load_instance(aloha)
         assert prob.feasibility_mode == "custom-oracle"
         np.testing.assert_allclose(prob.initial_box.s, [1.0, 1.0])
+
+    @pytest.mark.parametrize("kind", ["gee", "wsee", "wmee"])
+    @pytest.mark.parametrize("rmin", [[0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])
+    def test_energy_documents_take_rate_floors(self, tmp_path, kind, rmin):
+        pc = 1.0 if kind == "gee" else [1.0, 1.0]
+        prob = load_instance(write_instance(tmp_path, dict(_GEE2, type=kind, Pc=pc, rmin=rmin)))
+        assert len(prob.constraints) == sum(r > 0 for r in rmin)
+        assert prob.feasibility_mode == "custom-oracle"
+
+    @pytest.mark.parametrize("kind", ["wsr", "gee", "wsee", "wmee"])
+    def test_unmeetable_floors_solve_infeasible(self, tmp_path, kind):
+        # 5 bits each need an SINR of 31 for both users at once, which the
+        # unit cross gains rule out
+        doc = dict(
+            _GEE2,
+            type=kind,
+            beta=[[0.0, 1.0], [1.0, 0.0]],
+            rmin=[5.0, 5.0],
+            Pc=1.0 if kind == "gee" else [1.0, 1.0],
+        )
+        prob = load_instance(write_instance(tmp_path, doc))
+        assert len(prob.constraints) == 2
+        assert prob.feasibility_mode == "custom-oracle"
+        res = solve(prob, SolverConfig(eta=0.01))
+        assert (res.status, res.incumbent) == ("infeasible", None)
 
 
 class TestCli:

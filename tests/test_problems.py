@@ -1,12 +1,12 @@
 import hashlib
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from mmopt.core import SolverConfig, check_mm_property, make_box
-from mmopt.errors import InvalidNetwork
+from mmopt.errors import InnerSolveFailed, InvalidNetwork
 from mmopt.feasibility import Feasibility, mm_sufficient_test
 from mmopt.problems import (
     AlohaNetwork,
@@ -31,11 +31,13 @@ from oracles import (
     aloha_rates,
     aloha_utility,
     dm_gap_closed_form,
+    energy_grid_max,
     gee_grid_max_1d,
     gee_value,
     random_box,
     wmee_value,
     wsee_value,
+    wsr_rates,
     wsr_value,
 )
 
@@ -88,6 +90,62 @@ class TestNetworkValidation:
         # count one interferer twice in the floors but once in the objective
         with pytest.raises(InvalidNetwork, match="distinct user indices"):
             AlohaNetwork(c=(1.0, 1.0), interferers=interferers, r_min=(0.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sigma2", True),
+            ("sigma2", "0.01"),
+            ("sigma2", None),
+            ("alpha", ["1.0", "1.0"]),
+            ("alpha", [True, True]),
+            ("beta", [["0", "1"], ["1", "0"]]),
+            ("p_max", [True, True]),
+            ("r_min", ["0.5", "0.5"]),
+        ],
+    )
+    def test_network_rejects_non_numbers(self, field, value):
+        # a float conversion would read True as 1.0 and "1.0" as 1.0
+        with pytest.raises(InvalidNetwork, match=field):
+            replace(symmetric_net(), **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("p_circuit", "1"),
+            ("p_circuit", True),
+            ("p_circuit", ["1", "1"]),
+            ("bandwidth", True),
+            ("bandwidth", "1"),
+            ("phi", [True, False]),
+            ("phi", ["5", "5"]),
+        ],
+    )
+    def test_energy_model_rejects_non_numbers(self, field, value):
+        with pytest.raises(InvalidNetwork, match=field):
+            replace(EnergyModel(phi=(5.0, 5.0), p_circuit=1.0), **{field: value})
+
+    @pytest.mark.parametrize("field, value", [("c", ["2", "2"]), ("r_min", [True, False])])
+    def test_aloha_rejects_non_numbers(self, field, value):
+        net = AlohaNetwork(c=(2.0, 2.0), interferers=((1,), (0,)), r_min=(0.0, 0.0))
+        with pytest.raises(InvalidNetwork, match=field):
+            replace(net, **{field: value})
+
+    def test_integers_and_numpy_numbers_accepted(self):
+        net = InterferenceNetwork(
+            alpha=[1, 2],
+            beta=np.zeros((2, 2), dtype=np.int64),
+            sigma2=np.float64(0.01),
+            p_max=np.ones(2, dtype=np.uint8),
+            w=(1, 1),
+            r_min=(0, 0),
+        )
+        assert net.alpha.dtype == float and net.beta.dtype == float
+        assert type(net.sigma2) is float
+        energy = EnergyModel(phi=[5, 5], p_circuit=np.int64(1), bandwidth=2)
+        assert energy.phi.dtype == float
+        assert type(energy.p_circuit) is float and type(energy.bandwidth) is float
+        assert EnergyModel(phi=[5, 5], p_circuit=[1, 2]).p_circuit.dtype == float
 
     def test_aloha_interferers_take_numpy_integers(self):
         sets = (np.array([2, 1]), (np.int64(0),), ())
@@ -363,6 +421,10 @@ class TestDinkelbach:
             problems_module.solve = original
         # lam = 0 solve plus the confirming solve at the achieved ratio
         assert len(outer_solves) == 2
+        # the box counts add up over both solves, one root each
+        stats = res.stats
+        assert stats.boxes_created == 2 + 2 * res.iterations - stats.boxes_reduced_empty
+        assert stats.peak_region_count == res.peak_region_count > 0
         direct = solve(gee_problem(net, energy), SolverConfig(eta=0.01))
         assert abs(res.value - direct.value) <= 0.02
 
@@ -380,6 +442,56 @@ class TestDinkelbach:
         for _ in range(100):
             x, y = rng.random(2), rng.random(2)
             assert aux.eval(x, y) == pytest.approx(dm.eval(x, y), abs=1e-12)
+
+
+def floored_channels(k, seed, r_min):
+    return replace(generate_channels(k, seed), r_min=np.full(k, r_min))
+
+
+# family -> (problem constructor, energy model for K = 2, oracle value)
+ENERGY_FAMILIES = {
+    "gee": (gee_problem, EnergyModel(phi=np.full(2, 5.0), p_circuit=1.0), gee_value),
+    "wsee": (wsee_problem, EnergyModel(phi=np.full(2, 5.0), p_circuit=np.ones(2)), wsee_value),
+    "wmee": (wmee_problem, EnergyModel(phi=np.full(2, 5.0), p_circuit=np.ones(2)), wmee_value),
+}
+
+
+class TestEnergyFloors:
+    """Every energy-efficiency family, and the Dinkelbach baseline, solve
+    under the network's rate floors.  Floors of 1 bit on these networks rule
+    out each family's unconstrained optimum."""
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    @pytest.mark.parametrize("family", sorted(ENERGY_FAMILIES))
+    def test_solve_meets_floors_and_reaches_grid(self, family, seed):
+        build, energy, value = ENERGY_FAMILIES[family]
+        net = floored_channels(2, seed, 1.0)
+        problem = build(net, energy)
+        assert len(problem.constraints) == 2
+        assert problem.feasibility_mode == "custom-oracle"
+        res = solve(problem, SolverConfig(eta=0.01))
+        assert res.status == "eta-optimal"
+        assert np.all(wsr_rates(net, res.incumbent) >= net.r_min - 1e-12)
+        assert value(net, energy, res.incumbent) == pytest.approx(res.value, abs=1e-12)
+        assert res.value >= energy_grid_max(net, energy, family) - 0.01
+
+    def test_dinkelbach_meets_floors_and_agrees_with_direct_solve(self):
+        _, energy, _ = ENERGY_FAMILIES["gee"]
+        net = floored_channels(2, 5, 1.0)
+        res = dinkelbach_gee(net, energy, SolverConfig(eta=0.01))
+        assert np.all(wsr_rates(net, res.incumbent) >= net.r_min - 1e-12)
+        assert gee_value(net, energy, res.incumbent) == pytest.approx(res.value, abs=1e-12)
+        direct = solve(gee_problem(net, energy), SolverConfig(eta=0.01))
+        assert abs(res.value - direct.value) <= 0.02
+
+    def test_unmeetable_floors(self):
+        net = floored_channels(2, 0, 0.5)
+        for family, (build, energy, _) in ENERGY_FAMILIES.items():
+            assert energy_grid_max(net, energy, family) == -math.inf
+            res = solve(build(net, energy), SolverConfig(eta=0.01))
+            assert (res.status, res.incumbent) == ("infeasible", None)
+        with pytest.raises(InnerSolveFailed, match="status infeasible"):
+            dinkelbach_gee(net, ENERGY_FAMILIES["gee"][1], SolverConfig(eta=0.01))
 
 
 def result_digest(res):
@@ -420,13 +532,15 @@ def _golden_energy_run(name):
 class TestGoldenEnergySolves:
     """Full results (stats included) of fixed energy-efficiency solves,
     recorded before every power-control family built its box and objective
-    through one helper."""
+    through one helper.  The Dinkelbach digest was re-recorded when its
+    stats began to add up the auxiliary solves (6 solves, 4,934 boxes
+    created, peak 93); every other field kept its value."""
 
     DIGESTS = {
         "gee": "1ad9cc92b70ec3128887440f7ffb1eddd2950b801a8824e7f932e8c05a74b318",
         "wsee": "1ded2d011442639bef2636d0694b1ede0832ec5f409f7bdaeb045dbd6d55a62b",
         "wmee-oldest-reduce": "50a755f043345bd1774c35b320754ee9c50be380d5c7a128997e4eb09e7b08f9",
-        "dinkelbach": "1f79148ff65e4bbac98bc3bd7d9d8a5f9ea0200a01524d6bfdb0f882aad78a15",
+        "dinkelbach": "04c66c87c3d2196140e17d5c655f067c53449bbe5263985c673279769fd5422c",
     }
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
