@@ -201,7 +201,8 @@ class ProblemInstance:
     witness of a ``FEASIBLE_WITH_WITNESS`` verdict, and the solver takes it
     only if its shape is ``(dim,)`` (else ``DimensionMismatch``), it lies in
     the box and every constraint holds there within
-    ``epsilon_feasibility``.
+    ``epsilon_feasibility``.  The solver keeps the witness array and
+    evaluates it once per branch, so an oracle must not change it afterwards.
     """
 
     objective: MMFunction
@@ -269,7 +270,7 @@ class SolverConfig:
     trace_path: str | None = None
 
     def __post_init__(self):
-        if not (_is_real(self.eta) and math.isfinite(self.eta) and self.eta > 0):
+        if not (_is_finite_real(self.eta) and self.eta > 0):
             raise MMOptError(f"eta must be positive and finite, got {self.eta!r}")
         if self.tolerance_mode not in ("absolute", "relative"):
             raise MMOptError(f"unknown tolerance_mode {self.tolerance_mode!r}")
@@ -280,7 +281,7 @@ class SolverConfig:
         if not _is_count(self.reduction_bisection_steps, 1):
             raise MMOptError("reduction_bisection_steps must be an integer >= 1")
         eps = self.epsilon_feasibility
-        if not (_is_real(eps) and math.isfinite(eps) and eps >= 0):
+        if not (_is_finite_real(eps) and eps >= 0):
             raise MMOptError(f"epsilon_feasibility must be finite and nonnegative, got {eps!r}")
         if self.max_iterations is not None and not _is_count(self.max_iterations, 0):
             raise MMOptError("max_iterations must be an integer >= 0")
@@ -297,6 +298,17 @@ def _is_count(value, least: int) -> bool:
 def _is_real(value) -> bool:
     """A real number (numpy's included, bools not)."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    """A finite real number (numpy's included, bools not); an integer past
+    the float range is not finite."""
+    if not _is_real(value):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # int too large to convert to float
+        return False
 
 
 @dataclass

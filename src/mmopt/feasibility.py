@@ -99,11 +99,13 @@ def mm_conclusive_test(box: BoxNd, constraints: Sequence[MMConstraint]) -> Feasi
     ``r``.  A constraint without a split, or splits that differ, raise
     :class:`~mmopt.errors.MissingMonotoneSplit`.
     """
+    if not constraints:  # the whole box is feasible; w = r with no split to read
+        return FeasibilityVerdict(Feasibility.FEASIBLE_WITH_WITNESS, box.r)
     r, s = box.r, box.s
     splits = {c.monotone_split for c in constraints}
     if None in splits or len(splits) > 1:
         raise MissingMonotoneSplit("the constraints need one shared monotone_split")
-    split = splits.pop() if splits else range(r.size)
+    split = splits.pop()
     if len(split) == r.size:
         w = r
     elif not split:

@@ -29,7 +29,7 @@ from .core import (
     SolverResult,
     SolveStats,
     _is_count,
-    _is_real,
+    _is_finite_real,
 )
 from .errors import InnerSolveFailed, InvalidNetwork
 from .feasibility import Feasibility, FeasibilityVerdict, least_point_test, mm_sufficient_test
@@ -56,9 +56,13 @@ __all__ = [
 def _numbers(v, name: str) -> np.ndarray:
     """``v`` as a new float array, if numpy reads it as integers or floats;
     strings, bools and other objects, which a float conversion would take
-    or mangle, raise ``InvalidNetwork``."""
+    or mangle, raise ``InvalidNetwork``.  So do bools mixed with numbers,
+    which numpy reads as numbers."""
     arr = np.asarray(v)
-    if arr.dtype.kind not in "iuf":
+    mixed = not isinstance(v, np.ndarray) and any(
+        isinstance(e, (bool, np.bool_)) for e in np.asarray(v, dtype=object).flat
+    )
+    if arr.dtype.kind not in "iuf" or mixed:
         raise InvalidNetwork(f"{name} must hold numbers, got {v!r}")
     return np.array(arr, dtype=float, copy=True)
 
@@ -105,7 +109,7 @@ class InterferenceNetwork:
             raise InvalidNetwork("beta must be finite and nonnegative")
         beta.flags.writeable = False
         object.__setattr__(self, "beta", beta)
-        if not (_is_real(self.sigma2) and math.isfinite(self.sigma2) and self.sigma2 > 0):
+        if not (_is_finite_real(self.sigma2) and self.sigma2 > 0):
             raise InvalidNetwork(f"sigma2 must be a positive number, got {self.sigma2!r}")
         object.__setattr__(self, "sigma2", float(self.sigma2))
         object.__setattr__(self, "p_max", _frozen_vector(self.p_max, k, "p_max", strict_lo=0.0))
@@ -137,7 +141,7 @@ class EnergyModel:
         object.__setattr__(self, "phi", phi)
         pc = self.p_circuit
         if np.ndim(pc) == 0:
-            if not (_is_real(pc) and math.isfinite(pc) and pc > 0):
+            if not (_is_finite_real(pc) and pc > 0):
                 raise InvalidNetwork(f"p_circuit must be a positive number, got {pc!r}")
             object.__setattr__(self, "p_circuit", float(pc))
         else:
@@ -145,7 +149,7 @@ class EnergyModel:
                 self, "p_circuit", _frozen_vector(pc, phi.size, "p_circuit", strict_lo=0.0)
             )
         bw = self.bandwidth
-        if not (_is_real(bw) and math.isfinite(bw) and bw > 0):
+        if not (_is_finite_real(bw) and bw > 0):
             raise InvalidNetwork(f"bandwidth must be a positive number, got {bw!r}")
         object.__setattr__(self, "bandwidth", float(self.bandwidth))
 
@@ -301,7 +305,7 @@ def _dm_objective(net: InterferenceNetwork, weights) -> MMFunction:
     def fn(x, y):
         plus = np.log2(alpha * x + s2 + beta @ x)
         minus = np.log2(s2 + beta @ y)
-        return float(np.dot(weights, plus) - np.dot(weights, minus))
+        return float(weights.dot(plus) - weights.dot(minus))
 
     return MMFunction(net.K, fn, name="wsr_dm")
 

@@ -10,6 +10,14 @@ and optionally shrinks each child without losing any feasible point better
 than the incumbent, and it terminates when no remaining box can beat the
 incumbent by more than the tolerance.
 
+The queue keeps each box's offered point with its bound, and a child that
+offers the very array its popped parent offered is not evaluated again, so
+no point is evaluated twice down a branch.  Its value was compared with the
+incumbent value, which never falls, when the parent was made, and a point
+the parent could not admit the child, a subset, cannot admit either.
+Without constraints the corner test offers ``r``, which the lower bisection
+child shares with its parent.
+
 Reduction pulls each face of a child in by a line search whose predicate is
 a conjunction: the objective above the incumbent and every constraint met.
 Each conjunct is monotone along every line on its own, so a phase first
@@ -108,12 +116,14 @@ def bisect(box: BoxNd) -> tuple[BoxNd, BoxNd]:
     midpoint lies on the edge.
     """
     r, s = box.r, box.s
-    width = s - r
-    axis = int(width.argmax())
-    if width[axis] <= 0.0:
+    widths = (s - r).tolist()
+    longest = max(widths)
+    if longest <= 0.0:
         raise ZeroDiameterBox("cannot bisect a zero-diameter box")
-    mid = 0.5 * (r[axis] + s[axis])
-    if not r[axis] <= mid <= s[axis]:  # r + s overflowed to inf
+    axis = widths.index(longest)
+    lo, hi = r.item(axis), s.item(axis)
+    mid = 0.5 * (lo + hi)
+    if not lo <= mid <= hi:  # r + s overflowed to inf
         raise NonFiniteEntry("box corners must be finite")
     lo_s = s.copy()
     lo_s[axis] = mid
@@ -302,11 +312,16 @@ class RegionQueue:
     ``pop`` returns it with the box.  best-first pops a box maximizing the
     cached bound (ties: push order, which puts the lower bisection child
     first); oldest-first pops in push order (FIFO).  Both are one heap of
-    ``(key, id, bound, box)``, keyed by ``-bound`` for best-first and by a
-    constant for oldest-first.
+    ``(key, id, bound, box, point)``, keyed by ``-bound`` for best-first and
+    by a constant for oldest-first.
+
+    ``point`` is the point the box's verdict offered (or None), which the
+    solver has evaluated; ``pop`` leaves it in :attr:`popped_point`, and the
+    solver does not evaluate a child's point that is this same array, so no
+    point is evaluated twice down a branch.
     """
 
-    __slots__ = ("discipline", "_heap", "_next_id")
+    __slots__ = ("discipline", "_heap", "_next_id", "popped_point")
 
     def __init__(self, discipline: str = "best-first"):
         if discipline not in ("best-first", "oldest-first"):
@@ -314,17 +329,18 @@ class RegionQueue:
         self.discipline = discipline
         self._heap: list = []
         self._next_id = 0
+        self.popped_point = None
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def push(self, box: BoxNd, ubound: float):
+    def push(self, box: BoxNd, ubound: float, point=None):
         key = -ubound if self.discipline == "best-first" else 0.0
-        heapq.heappush(self._heap, (key, self._next_id, ubound, box))
+        heapq.heappush(self._heap, (key, self._next_id, ubound, box, point))
         self._next_id += 1
 
     def pop(self) -> tuple[BoxNd, float, int]:
-        _, box_id, ubound, box = heapq.heappop(self._heap)
+        _, box_id, ubound, box, self.popped_point = heapq.heappop(self._heap)
         return box, ubound, box_id
 
     def max_bound(self) -> float:
@@ -359,9 +375,18 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
             return g + eta
         return (1.0 + eta) * g if g >= 0.0 else (1.0 - eta) * g
 
+    # loop invariants, looked up once
+    evaluate = objective.eval
+    infeasible = Feasibility.INFEASIBLE
+    max_iterations = config.max_iterations
+    max_wall_time = config.max_wall_time
+    reduction = config.reduction_enabled
+
     # loop state; gamma is nondecreasing over iterations
     queue = RegionQueue(config.selection_rule)
+    push = queue.push
     gamma = -math.inf
+    gamma_cut = cutoff(gamma)  # kept equal to cutoff(gamma)
     incumbent = None
     iteration = 0
     stats = SolveStats()
@@ -370,6 +395,7 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
     scale = max(1.0, float(np.abs(root.r).max()), float(np.abs(root.s).max()))
     point_diameter = _POINT_DIAMETER * scale
     boxes = (root,)  # the boxes of this step: the root, then each iteration's children
+    evaluated = None  # the popped box's offered point: no child evaluates it again
 
     trace = None
     status = None
@@ -381,60 +407,58 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
         while True:
             candidates = []
             survivors = []
+            stats.boxes_created += len(boxes)
             for box in boxes:
-                stats.boxes_created += 1
                 verdict = box_test(box)
-                if verdict.kind is Feasibility.INFEASIBLE:
+                if verdict.kind is infeasible:
                     stats.boxes_pruned_infeasible += 1
                     continue
                 x = _candidate_from_verdict(problem, box, verdict, eps)
-                if x is not None:
+                if x is not None and x is not evaluated:
                     candidates.append((x, box))
-                if box.diameter >= point_diameter:
-                    survivors.append((box, objective.eval(box.s, box.r)))
+                r, s = box.r, box.s
+                if max((s - r).tolist()) >= point_diameter:
+                    survivors.append((box, evaluate(s, r), x))
                 else:
-                    thin_bound = max(thin_bound, objective.eval(box.s, box.r))
+                    thin_bound = max(thin_bound, evaluate(s, r))
 
             for x, box in candidates:
-                value = objective.eval(x, x)
+                value = evaluate(x, x)
                 # the constraint check runs only for a point that would be taken
                 if (incumbent is None or value > gamma) and _admissible(constraints, box, x, eps):
                     gamma = value
+                    gamma_cut = cutoff(gamma)
                     incumbent = x
 
-            gamma_cut = cutoff(gamma)
-            for box, box_u in survivors:
+            for box, box_u, x in survivors:
                 if box_u <= gamma_cut:
                     stats.boxes_pruned_bound += 1
                     continue
-                queue.push(box, box_u)
+                push(box, box_u, x)
 
-            if len(queue) > stats.peak_region_count:
-                stats.peak_region_count = len(queue)
+            size = len(queue)
+            if size > stats.peak_region_count:
+                stats.peak_region_count = size
             if trace is not None and iteration:
-                trace.write(
-                    f"{iteration},{selected_id},{selected_u:.12g},{gamma:.12g},{len(queue)}\n"
-                )
+                trace.write(f"{iteration},{selected_id},{selected_u:.12g},{gamma:.12g},{size}\n")
 
-            if len(queue) == 0:
+            if size == 0:
                 break
             if best_first or iteration % 64 == 0:
-                if queue.max_bound() <= cutoff(gamma):
+                if queue.max_bound() <= gamma_cut:
                     break
-            if config.max_iterations is not None and iteration >= config.max_iterations:
+            if max_iterations is not None and iteration >= max_iterations:
                 status = STATUS_ITERATION_LIMIT
                 break
-            if (
-                config.max_wall_time is not None
-                and time.perf_counter() - t_start > config.max_wall_time
-            ):
+            if max_wall_time is not None and time.perf_counter() - t_start > max_wall_time:
                 status = STATUS_TIME_LIMIT
                 break
 
             iteration += 1
             selected, selected_u, selected_id = queue.pop()
+            evaluated = queue.popped_point
             boxes = bisect(selected)
-            if config.reduction_enabled:
+            if reduction:
                 # reduction cuts on the incumbent before this step's update
                 boxes = [reduce_box(child, objective, constraints, gamma, steps) for child in boxes]
                 stats.boxes_reduced_empty += sum(child is None for child in boxes)
@@ -444,7 +468,7 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
             trace.close()
 
     if status is None:
-        if thin_bound > cutoff(gamma):  # a dropped thin child may still beat the incumbent
+        if thin_bound > gamma_cut:  # a dropped thin child may still beat the incumbent
             status = STATUS_RESOLUTION_LIMIT
         elif incumbent is None:
             status = STATUS_INFEASIBLE

@@ -120,6 +120,13 @@ def test_solver_config_numbers_reject_bools_and_strings(field, value):
         SolverConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["eta", "epsilon_feasibility"])
+def test_solver_config_rejects_integers_past_the_float_range(field):
+    # math.isfinite raises OverflowError on 10**400
+    with pytest.raises(MMOptError, match=f"{field} must be"):
+        SolverConfig(**{field: 10**400})
+
+
 @pytest.mark.parametrize("dim", [2.7, True, np.float64(2.0), 0])
 def test_mm_function_dimension_must_be_a_positive_integer(dim):
     # int() would truncate 2.7 to 2 and read True as 1

@@ -131,6 +131,28 @@ class TestNetworkValidation:
         with pytest.raises(InvalidNetwork, match=field):
             replace(net, **{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("alpha", [True, 1.0]), ("beta", [[0.0, True], [1.0, 0.0]]), ("w", (1, np.bool_(True)))],
+    )
+    def test_network_rejects_bools_among_numbers(self, field, value):
+        # numpy reads [True, 1.0] as the floats [1.0, 1.0]
+        with pytest.raises(InvalidNetwork, match=field):
+            replace(symmetric_net(), **{field: value})
+
+    def test_energy_model_rejects_bools_among_numbers(self):
+        with pytest.raises(InvalidNetwork, match="phi"):
+            EnergyModel(phi=[5.0, False], p_circuit=1.0)
+
+    def test_integers_past_the_float_range_rejected(self):
+        # math.isfinite raises OverflowError on 10**400
+        with pytest.raises(InvalidNetwork, match="sigma2 must be a positive number"):
+            replace(symmetric_net(), sigma2=10**400)
+        energy = EnergyModel(phi=(5.0, 5.0), p_circuit=1.0)
+        for field in ("p_circuit", "bandwidth"):
+            with pytest.raises(InvalidNetwork, match=f"{field} must be a positive number"):
+                replace(energy, **{field: 10**400})
+
     def test_integers_and_numpy_numbers_accepted(self):
         net = InterferenceNetwork(
             alpha=[1, 2],

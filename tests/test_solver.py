@@ -476,6 +476,17 @@ class TestRegionQueue:
         with pytest.raises(MMOptError, match="unknown selection_rule 'bogus'"):
             RegionQueue("bogus")
 
+    def test_pop_leaves_the_offered_point(self):
+        q = RegionQueue("best-first")
+        point = np.zeros(1)
+        q.push(make_box((0.0,), (1.0,)), 1.0, point)
+        q.push(make_box((0.0,), (1.0,)), 2.0)
+        assert q.popped_point is None
+        q.pop()
+        assert q.popped_point is None
+        q.pop()
+        assert q.popped_point is point
+
 
 class TestSolve:
     def test_single_user_full_power(self):
@@ -907,3 +918,74 @@ class TestConstrainedNormalSet:
         assert (res_o.status, res_o.iterations, res_o.peak_region_count) == self.COUNTS
         assert repr(res_o.value) == repr(res.value)
         assert np.array_equal(res_o.incumbent, res.incumbent)
+
+
+class TestOfferedPointEvaluatedOnce:
+    """Each point a verdict offers is evaluated once: a child that offers
+    the very array its popped parent offered is not evaluated again.  Its
+    value was compared with the incumbent value when the parent was made,
+    that value never falls, and the child lies inside the parent, so the
+    point cannot be taken the second time."""
+
+    @staticmethod
+    def counted(problem, calls):
+        objective = counting(problem.dim, problem.objective.eval, calls, "f")
+        return replace(problem, objective=objective)
+
+    def test_unconstrained_wsr_makes_three_evaluations_per_iteration(self):
+        # no constraints, best-first, no reduction, no thin boxes: the root's
+        # bound and point, then two child bounds and only the upper child's
+        # point; the lower child's witness is the r it shares with its parent
+        calls = []
+        problem = self.counted(wsr_problem(generate_channels(3, 2), "dm"), calls)
+        assert problem.feasibility_mode == "mm-conclusive" and not problem.constraints
+        res = solve(problem, SolverConfig(eta=0.01))
+        assert (res.status, res.iterations) == ("eta-optimal", 2211)
+        assert res.stats.boxes_created == 1 + 2 * res.iterations
+        assert len(calls) == 2 + 3 * res.iterations
+
+    @pytest.mark.parametrize("selection, reduce", [("best-first", False), ("oldest-first", True)])
+    def test_shared_witness_solves_like_a_fresh_copy(self, selection, reduce, tmp_path):
+        # an oracle offering box.r itself lets the lower child skip its point;
+        # one offering a copy never does, and both must solve the same way
+        problem = wsr_problem(generate_channels(3, 2), "dm")
+        config = SolverConfig(eta=0.01, selection_rule=selection, reduction_enabled=reduce)
+
+        def run(witness, name):
+            def oracle(box):
+                return FeasibilityVerdict(Feasibility.FEASIBLE_WITH_WITNESS, witness(box))
+
+            calls = []
+            instance = self.counted(replace(problem, feasibility_oracle=oracle), calls)
+            path = tmp_path / f"{name}.csv"
+            res = solve(instance, replace(config, trace_path=str(path)))
+            return res, path.read_bytes(), len(calls)
+
+        shared, shared_trace, shared_calls = run(lambda box: box.r, "shared")
+        fresh, fresh_trace, fresh_calls = run(lambda box: box.r.copy(), "fresh")
+        assert shared_trace == fresh_trace
+        assert astuple(shared.stats) == astuple(fresh.stats)
+        assert (shared.status, shared.iterations, shared.peak_region_count) == (
+            fresh.status,
+            fresh.iterations,
+            fresh.peak_region_count,
+        )
+        assert repr(shared.value) == repr(fresh.value)
+        assert shared.incumbent.tobytes() == fresh.incumbent.tobytes()
+        assert shared.iterations > 0 and shared_calls < fresh_calls
+
+    def test_point_a_parent_did_not_offer_is_evaluated(self):
+        # f(x) = -sum(x) is best at the root's lower corner, which the root
+        # does not offer (UNKNOWN); its lower child offers that same array
+        root = make_box((0.0, 0.0), (1.0, 1.0))
+        f = MMFunction(2, lambda x, y: -float(y.sum()), name="f")
+
+        def oracle(box):
+            if box.r is root.r and box.s is root.s:
+                return FeasibilityVerdict(Feasibility.UNKNOWN)
+            return FeasibilityVerdict(Feasibility.FEASIBLE_WITH_WITNESS, box.r)
+
+        res = solve(ProblemInstance(f, (), root, oracle), SolverConfig(eta=0.01))
+        assert (res.status, res.iterations) == ("eta-optimal", 1)
+        assert res.incumbent is root.r
+        assert res.value == 0.0
