@@ -111,7 +111,7 @@ class BoxNd:
     @property
     def diameter(self) -> float:
         """Longest edge length, max_i (s_i - r_i)."""
-        return float((self.s - self.r).max())
+        return max((self.s - self.r).tolist())
 
     def contains(self, x, tol: float = 0.0) -> bool:
         """Whether the point ``x`` (shape ``(dim,)``) lies in the box widened by ``tol``."""

@@ -375,16 +375,8 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
             return g + eta
         return (1.0 + eta) * g if g >= 0.0 else (1.0 - eta) * g
 
-    # loop invariants, looked up once
-    evaluate = objective.eval
-    infeasible = Feasibility.INFEASIBLE
-    max_iterations = config.max_iterations
-    max_wall_time = config.max_wall_time
-    reduction = config.reduction_enabled
-
     # loop state; gamma is nondecreasing over iterations
     queue = RegionQueue(config.selection_rule)
-    push = queue.push
     gamma = -math.inf
     gamma_cut = cutoff(gamma)  # kept equal to cutoff(gamma)
     incumbent = None
@@ -410,20 +402,19 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
             stats.boxes_created += len(boxes)
             for box in boxes:
                 verdict = box_test(box)
-                if verdict.kind is infeasible:
+                if verdict.kind is Feasibility.INFEASIBLE:
                     stats.boxes_pruned_infeasible += 1
                     continue
                 x = _candidate_from_verdict(problem, box, verdict, eps)
                 if x is not None and x is not evaluated:
                     candidates.append((x, box))
-                r, s = box.r, box.s
-                if max((s - r).tolist()) >= point_diameter:
-                    survivors.append((box, evaluate(s, r), x))
+                if box.diameter >= point_diameter:
+                    survivors.append((box, objective.eval(box.s, box.r), x))
                 else:
-                    thin_bound = max(thin_bound, evaluate(s, r))
+                    thin_bound = max(thin_bound, objective.eval(box.s, box.r))
 
             for x, box in candidates:
-                value = evaluate(x, x)
+                value = objective.eval(x, x)
                 # the constraint check runs only for a point that would be taken
                 if (incumbent is None or value > gamma) and _admissible(constraints, box, x, eps):
                     gamma = value
@@ -434,7 +425,7 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
                 if box_u <= gamma_cut:
                     stats.boxes_pruned_bound += 1
                     continue
-                push(box, box_u, x)
+                queue.push(box, box_u, x)
 
             size = len(queue)
             if size > stats.peak_region_count:
@@ -447,10 +438,13 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
             if best_first or iteration % 64 == 0:
                 if queue.max_bound() <= gamma_cut:
                     break
-            if max_iterations is not None and iteration >= max_iterations:
+            if config.max_iterations is not None and iteration >= config.max_iterations:
                 status = STATUS_ITERATION_LIMIT
                 break
-            if max_wall_time is not None and time.perf_counter() - t_start > max_wall_time:
+            if (
+                config.max_wall_time is not None
+                and time.perf_counter() - t_start > config.max_wall_time
+            ):
                 status = STATUS_TIME_LIMIT
                 break
 
@@ -458,7 +452,7 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
             selected, selected_u, selected_id = queue.pop()
             evaluated = queue.popped_point
             boxes = bisect(selected)
-            if reduction:
+            if config.reduction_enabled:
                 # reduction cuts on the incumbent before this step's update
                 boxes = [reduce_box(child, objective, constraints, gamma, steps) for child in boxes]
                 stats.boxes_reduced_empty += sum(child is None for child in boxes)
