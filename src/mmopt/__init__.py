@@ -17,6 +17,7 @@ from .calculus import (
     mm_min,
     mm_product,
     mm_ratio,
+    mm_separable,
     mm_sum,
     mm_unimodal,
     mm_weighted_sum,

@@ -7,7 +7,9 @@ re-entrant, so results are safe to share.
 
 Sums, minima, maxima, monotone compositions, products and ratios combine
 existing representations; :func:`mm_unimodal` starts one from a univariate
-term with a known peak, and its box bound is exact.
+term with a known peak, and its box bound is exact; :func:`mm_separable`
+starts one from an increasing and a decreasing function, and keeps the two
+so that the solver can evaluate each half of a bound apart.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import (
     DirectionViolation,
     DomainError,
     EmptyList,
+    MMOptError,
     NegativeWeight,
     NegativityDetected,
     NonpositiveDenominator,
@@ -38,6 +41,7 @@ __all__ = [
     "mm_product",
     "mm_ratio",
     "mm_unimodal",
+    "mm_separable",
 ]
 
 
@@ -260,3 +264,37 @@ def mm_unimodal(h: Callable[[float], float], index: int, peak: float, dim: int) 
         return rise + fall - h_peak
 
     return MMFunction(dim, fn, name=f"unimodal{index}")
+
+
+def mm_separable(
+    dim: int,
+    up: Callable[[np.ndarray], float],
+    down: Callable[[np.ndarray], float],
+    name: str = "separable",
+) -> MMFunction:
+    """Separable representation ``F(x, y) = up(x) + down(y)``.
+
+    ``up`` must be nondecreasing and ``down`` nonincreasing (componentwise);
+    this is trusted, not checked.  Then ``F`` is mixed monotonic: for
+    ``x <= x'``, ``F(x', y) - F(x, y) = up(x') - up(x) >= 0``, and for
+    ``y <= y'``, ``F(x, y') - F(x, y) = down(y') - down(y) <= 0``, since each
+    half reads only its own slot.  The diagonal is ``up(x) + down(x)``, as in
+    Tuy's difference of increasing functions ``up(x) - (-down(x))``.
+
+    The result keeps ``(up, down)`` as its :attr:`~mmopt.core.MMFunction.halves`,
+    and ``eval`` sums the same two calls, so the two cannot disagree.  A box
+    bound ``F(s, r)`` splits into ``up(s)``, which a bisection child keeps
+    when it keeps the upper corner, and ``down(r)``, which it keeps with the
+    lower corner.  A half that is not callable raises
+    :class:`~mmopt.errors.MMOptError`.
+    """
+    for half, what in ((up, "up"), (down, "down")):
+        if not callable(half):
+            raise MMOptError(f"{name}: {what} must be callable, got {half!r}")
+
+    def fn(x, y):
+        return up(x) + down(y)
+
+    f = MMFunction(dim, fn, name=name)
+    f._halves = (up, down)
+    return f

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -137,19 +138,42 @@ class MMFunction:
     symbolic verification.  Evaluations returning NaN raise
     :class:`~mmopt.errors.EvaluationError` -- NaN must never reach an
     ordering.  ``-inf`` is a legal value (e.g. a log-utility at a zero rate).
+    A ``fn`` that is not callable raises :class:`~mmopt.errors.MMOptError`.
+
+    :attr:`halves` is ``None``, or for a function built by
+    :func:`~mmopt.calculus.mm_separable` its pair ``(up, down)`` with
+    ``F(x, y) = up(x) + down(y)``; the solver then evaluates each half of a
+    box bound apart and reuses the half a bisection child shares.
     """
 
-    __slots__ = ("dim", "_fn", "name")
+    __slots__ = ("dim", "_fn", "name", "_halves")
 
     def __init__(self, dim: int, fn: Callable[[np.ndarray, np.ndarray], float], name: str = "mm"):
         if not _is_count(dim, 1):
             raise DimensionMismatch(f"dimension must be an integer >= 1, got {dim!r}")
+        if not callable(fn):
+            raise MMOptError(f"{name}: fn must be callable, got {fn!r}")
         self.dim = int(dim)
         self._fn = fn
         self.name = name
+        self._halves = None
 
     def eval(self, x, y) -> float:
         v = float(self._fn(x, y))
+        if math.isnan(v):
+            raise EvaluationError(f"{self.name}: evaluation produced NaN")
+        return v
+
+    @property
+    def halves(self) -> tuple[Callable, Callable] | None:
+        """``(up, down)`` of a separable function (see
+        :func:`~mmopt.calculus.mm_separable`), else ``None``."""
+        return self._halves
+
+    def _join(self, up_value, down_value) -> float:
+        """``F``'s value from the values of its halves, checked as :meth:`eval`
+        checks its own: ``up(x) + down(y)`` is what ``eval(x, y)`` sums."""
+        v = float(up_value + down_value)
         if math.isnan(v):
             raise EvaluationError(f"{self.name}: evaluation produced NaN")
         return v
@@ -255,8 +279,8 @@ class SolverConfig:
     ``epsilon_feasibility > 0`` admits incumbents whose constraints hold up
     to that slack; at 0 every incumbent, an oracle's included, meets every
     constraint exactly.  ``max_iterations`` and ``max_wall_time`` (seconds)
-    stop the loop with a limit status; ``trace_path`` names a CSV file that
-    receives one row per iteration.
+    stop the loop with a limit status; ``trace_path`` (a ``str`` or an
+    ``os.PathLike``) names a CSV file that receives one row per iteration.
     """
 
     eta: float = 0.01
@@ -267,7 +291,7 @@ class SolverConfig:
     epsilon_feasibility: float = 0.0
     max_iterations: int | None = None
     max_wall_time: float | None = None
-    trace_path: str | None = None
+    trace_path: str | os.PathLike | None = None
 
     def __post_init__(self):
         if not (_is_finite_real(self.eta) and self.eta > 0):
@@ -288,6 +312,10 @@ class SolverConfig:
         wall = self.max_wall_time
         if wall is not None and not (_is_real(wall) and wall >= 0):
             raise MMOptError(f"max_wall_time must be nonnegative, got {wall!r}")
+        # open() would take an int (or a bool) as a file descriptor and close it
+        path = self.trace_path
+        if path is not None and not isinstance(path, (str, os.PathLike)):
+            raise MMOptError(f"trace_path must be a str or os.PathLike, got {path!r}")
 
 
 def _is_count(value, least: int) -> bool:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import mm_min, mm_ratio, mm_sum, mm_unimodal, mm_weighted_sum
+from .calculus import mm_min, mm_ratio, mm_separable, mm_sum, mm_unimodal, mm_weighted_sum
 from .core import (
     STATUS_ETA_OPTIMAL,
     STATUS_RELATIVE_ETA_OPTIMAL,
@@ -302,12 +302,14 @@ def _dm_objective(net: InterferenceNetwork, weights) -> MMFunction:
     every power in the interference log to the decreasing slot."""
     alpha, beta, s2 = net.alpha, net.beta, net.sigma2
 
-    def fn(x, y):
-        plus = np.log2(alpha * x + s2 + beta @ x)
-        minus = np.log2(s2 + beta @ y)
-        return float(weights.dot(plus) - weights.dot(minus))
+    def up(x):
+        return float(weights.dot(np.log2(alpha * x + s2 + beta @ x)))
 
-    return MMFunction(net.K, fn, name="wsr_dm")
+    def down(y):
+        # a + (-b) rounds exactly as a - b, so the sum is the difference of logs
+        return -float(weights.dot(np.log2(s2 + beta @ y)))
+
+    return mm_separable(net.K, up, down, name="wsr_dm")
 
 
 # the weighted-sum-rate bound of each representation name

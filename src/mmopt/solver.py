@@ -18,6 +18,18 @@ the parent could not admit the child, a subset, cannot admit either.
 Without constraints the corner test offers ``r``, which the lower bisection
 child shares with its parent.
 
+A separable objective (:func:`~mmopt.calculus.mm_separable`,
+``F(x, y) = up(x) + down(y)``) has its bound kept in halves: each queue
+entry also holds ``(up(s), down(r))``.  A child whose ``s`` is the very
+array of its popped parent's ``s`` reuses ``up(s)``, and one whose ``r`` is
+the parent's ``r`` reuses ``down(r)``; corner arrays are read-only, so the
+same array holds the same values, also after a reduction that made no cut.
+A point that is its box's ``r`` reuses ``down(r)``.  So the lower child
+evaluates only ``up`` at its new ``s``, the upper child only ``down`` at its
+new ``r`` and ``up`` at that ``r`` for its point.  Every sum of halves is
+checked for NaN and rounds as ``eval`` does, so the solve is the one the
+whole function gives.
+
 Reduction pulls each face of a child in by a line search whose predicate is
 a conjunction: the objective above the incumbent and every constraint met.
 Each conjunct is monotone along every line on its own, so a phase first
@@ -39,9 +51,10 @@ constraint within ``epsilon_feasibility``.  With the one-sided test only
 corner certificate and the search may not terminate on its own;
 iteration or wall-time limits then return the best incumbent with a limit
 status.  Boxes thinner than ``_POINT_DIAMETER``, scaled by the root, are not
-split further; when one that no test decided has a bound above the final
-cutoff, the solve returns ``resolution-limit``
-instead of claiming optimality or infeasibility.
+split further; when one that was not proven infeasible has a bound above the
+final cutoff, the solve returns ``resolution-limit`` instead of claiming
+optimality or infeasibility, also when a test decided that box feasible and
+its point was evaluated: the bound alone cannot certify the incumbent.
 Relative tolerance replaces every incumbent-plus-eta cutoff by
 ``incumbent + eta * |incumbent|``, which lies above the incumbent for either
 sign; before any incumbent is found the cutoff stays ``-inf``.
@@ -312,16 +325,23 @@ class RegionQueue:
     ``pop`` returns it with the box.  best-first pops a box maximizing the
     cached bound (ties: push order, which puts the lower bisection child
     first); oldest-first pops in push order (FIFO).  Both are one heap of
-    ``(key, id, bound, box, point)``, keyed by ``-bound`` for best-first and
-    by a constant for oldest-first.
+    ``(key, id, bound, box, point, halves)``, keyed by ``-bound`` for
+    best-first and by a constant for oldest-first.
 
     ``point`` is the point the box's verdict offered (or None), which the
     solver has evaluated; ``pop`` leaves it in :attr:`popped_point`, and the
     solver does not evaluate a child's point that is this same array, so no
     point is evaluated twice down a branch.
+
+    ``halves`` is None, or for a separable objective (see
+    :func:`~mmopt.calculus.mm_separable`) the pair ``(up(s), down(r))`` whose
+    sum is the bound; ``pop`` leaves it in :attr:`popped_halves`.  A child
+    whose ``s`` is the very array of its popped parent's ``s`` reuses
+    ``up(s)``, and one whose ``r`` is the parent's ``r`` reuses ``down(r)``:
+    corner arrays are read-only, so the same array holds the same values.
     """
 
-    __slots__ = ("discipline", "_heap", "_next_id", "popped_point")
+    __slots__ = ("discipline", "_heap", "_next_id", "popped_point", "popped_halves")
 
     def __init__(self, discipline: str = "best-first"):
         if discipline not in ("best-first", "oldest-first"):
@@ -330,17 +350,18 @@ class RegionQueue:
         self._heap: list = []
         self._next_id = 0
         self.popped_point = None
+        self.popped_halves = None
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def push(self, box: BoxNd, ubound: float, point=None):
+    def push(self, box: BoxNd, ubound: float, point=None, halves=None):
         key = -ubound if self.discipline == "best-first" else 0.0
-        heapq.heappush(self._heap, (key, self._next_id, ubound, box, point))
+        heapq.heappush(self._heap, (key, self._next_id, ubound, box, point, halves))
         self._next_id += 1
 
     def pop(self) -> tuple[BoxNd, float, int]:
-        _, box_id, ubound, box, self.popped_point = heapq.heappop(self._heap)
+        _, box_id, ubound, box, self.popped_point, self.popped_halves = heapq.heappop(self._heap)
         return box, ubound, box_id
 
     def max_bound(self) -> float:
@@ -388,6 +409,12 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
     point_diameter = _POINT_DIAMETER * scale
     boxes = (root,)  # the boxes of this step: the root, then each iteration's children
     evaluated = None  # the popped box's offered point: no child evaluates it again
+    halves = objective.halves  # (up, down) of a separable objective, else None
+    if halves is not None:
+        up, down = halves
+        join = objective._join
+    # the popped box's corners and their halves, which a child sharing a corner reuses
+    parent_s = parent_r = parent_up = parent_down = None
 
     trace = None
     status = None
@@ -406,26 +433,39 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
                     stats.boxes_pruned_infeasible += 1
                     continue
                 x = _candidate_from_verdict(problem, box, verdict, eps)
-                if x is not None and x is not evaluated:
-                    candidates.append((x, box))
-                if box.diameter >= point_diameter:
-                    survivors.append((box, objective.eval(box.s, box.r), x))
+                s, r = box.s, box.r
+                if halves is None:
+                    box_halves = None
+                    box_u = objective.eval(s, r)
                 else:
-                    thin_bound = max(thin_bound, objective.eval(box.s, box.r))
+                    up_s = parent_up if s is parent_s else up(s)
+                    down_r = parent_down if r is parent_r else down(r)
+                    box_halves = (up_s, down_r)
+                    box_u = join(up_s, down_r)
+                if x is not None and x is not evaluated:
+                    candidates.append((x, box, box_halves))
+                if box.diameter >= point_diameter:
+                    survivors.append((box, box_u, x, box_halves))
+                else:
+                    thin_bound = max(thin_bound, box_u)
 
-            for x, box in candidates:
-                value = objective.eval(x, x)
+            for x, box, box_halves in candidates:
+                if box_halves is None:
+                    value = objective.eval(x, x)
+                else:  # the lower corner as a point reuses its box's down(r)
+                    down_r = box_halves[1]
+                    value = join(up(x), down_r if x is box.r else down(x))
                 # the constraint check runs only for a point that would be taken
                 if (incumbent is None or value > gamma) and _admissible(constraints, box, x, eps):
                     gamma = value
                     gamma_cut = cutoff(gamma)
                     incumbent = x
 
-            for box, box_u, x in survivors:
+            for box, box_u, x, box_halves in survivors:
                 if box_u <= gamma_cut:
                     stats.boxes_pruned_bound += 1
                     continue
-                queue.push(box, box_u, x)
+                queue.push(box, box_u, x, box_halves)
 
             size = len(queue)
             if size > stats.peak_region_count:
@@ -451,6 +491,9 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
             iteration += 1
             selected, selected_u, selected_id = queue.pop()
             evaluated = queue.popped_point
+            if halves is not None:
+                parent_s, parent_r = selected.s, selected.r
+                parent_up, parent_down = queue.popped_halves
             boxes = bisect(selected)
             if config.reduction_enabled:
                 # reduction cuts on the incumbent before this step's update

@@ -10,6 +10,7 @@ from mmopt.calculus import (
     mm_min,
     mm_product,
     mm_ratio,
+    mm_separable,
     mm_sum,
     mm_unimodal,
     mm_weighted_sum,
@@ -20,6 +21,8 @@ from mmopt.errors import (
     DirectionViolation,
     DomainError,
     EmptyList,
+    EvaluationError,
+    MMOptError,
     NegativeWeight,
     NegativityDetected,
     NonpositiveDenominator,
@@ -319,6 +322,59 @@ class TestUnimodal:
         # int() would truncate these; the first evaluation would then fail
         with pytest.raises(DimensionMismatch):
             mm_unimodal(log_barrier_term(1), index, 0.5, dim)
+
+
+class TestSeparable:
+    W = np.array([1.0, 2.0, 0.5])
+
+    def up(self, x):
+        return float(self.W.dot(np.log1p(x)))
+
+    def down(self, y):
+        return -float(self.W.dot(np.sqrt(y)))
+
+    def test_is_mm(self):
+        f = mm_separable(3, self.up, self.down)
+        report = check_mm_property(f, make_box(np.zeros(3), np.full(3, 2.0)), samples=500)
+        assert report.violations == 0
+
+    def test_bound_is_the_sum_of_its_halves(self):
+        f = mm_separable(3, self.up, self.down, name="sep")
+        assert f.halves == (self.up, self.down) and f.name == "sep"
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            r = 2.0 * rng.random(3)
+            s = r + rng.random(3)
+            assert f.eval(s, r) == self.up(s) + self.down(r)
+        # only this combinator sets halves
+        assert x0().halves is None and mm_sum([x0(), neg_y0()]).halves is None
+
+    @pytest.mark.parametrize("half", ["up", "down"])
+    def test_nan_from_either_half_raises(self, half):
+        halves = {"up": lambda x: float(x[0]), "down": lambda y: -float(y[0])}
+        halves[half] = lambda v: float("nan")
+        f = mm_separable(1, halves["up"], halves["down"], name="sep")
+        with pytest.raises(EvaluationError, match="sep"):
+            f.eval(np.zeros(1), np.zeros(1))
+
+    @pytest.mark.parametrize("up, down", [(None, abs), (abs, 1.0)], ids=["up", "down"])
+    def test_rejects_a_half_that_is_not_callable(self, up, down):
+        with pytest.raises(MMOptError, match="must be callable"):
+            mm_separable(1, up, down)
+
+    def test_dm_objective_is_separable_with_the_old_bits(self):
+        # the halves sum to the difference of logs exactly, as a + (-b) == a - b
+        net = generate_channels(4, seed=3)
+        f = wsr_problem(net, "dm").objective
+        up, down = f.halves
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            r = rng.random(4)
+            s = np.minimum(r + rng.random(4), 1.0)
+            plus = np.log2(net.alpha * s + net.sigma2 + net.beta @ s)
+            minus = np.log2(net.sigma2 + net.beta @ r)
+            old = float(net.w.dot(plus) - net.w.dot(minus))
+            assert f.eval(s, r) == up(s) + down(r) == old
 
 
 class TestRepresentationPerturbation:

@@ -169,6 +169,19 @@ class TestProblemInstance:
             ProblemInstance(self.OBJECTIVE, (), self.BOX, "normal")
 
 
+@pytest.mark.parametrize("fn", [None, 1.0, "x + y"])
+def test_mm_function_needs_a_callable(fn):
+    with pytest.raises(MMOptError, match="fn must be callable"):
+        MMFunction(2, fn)
+
+
+@pytest.mark.parametrize("path", [True, 1, b"trace.csv"], ids=["bool", "int", "bytes"])
+def test_solver_config_trace_path_must_be_a_path(path):
+    # open() takes an int or a bool as a file descriptor, and closes it
+    with pytest.raises(MMOptError, match="trace_path must be a str or os.PathLike"):
+        SolverConfig(trace_path=path)
+
+
 def test_mm_function_nan_is_hard_error():
     f = MMFunction(1, lambda x, y: float("nan"))
     with pytest.raises(EvaluationError):

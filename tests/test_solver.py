@@ -15,7 +15,14 @@ from mmopt.core import (
     SolverConfig,
     make_box,
 )
-from mmopt.errors import DimensionMismatch, MMOptError, NonFiniteEntry, ZeroDiameterBox
+from mmopt.calculus import mm_separable
+from mmopt.errors import (
+    DimensionMismatch,
+    EvaluationError,
+    MMOptError,
+    NonFiniteEntry,
+    ZeroDiameterBox,
+)
 from mmopt.feasibility import (
     Feasibility,
     FeasibilityVerdict,
@@ -989,3 +996,94 @@ class TestOfferedPointEvaluatedOnce:
         assert (res.status, res.iterations) == ("eta-optimal", 1)
         assert res.incumbent is root.r
         assert res.value == 0.0
+
+
+class TestSeparableHalves:
+    """A separable objective keeps each box's halves ``(up(s), down(r))``
+    with its queue entry, and a child evaluates only the half whose corner
+    it does not share with its popped parent."""
+
+    @staticmethod
+    def problem(r_min=0.0):
+        net = replace(generate_channels(3, 2), r_min=np.full(3, r_min))
+        return wsr_problem(net, "dm")
+
+    def test_each_iteration_evaluates_three_halves(self):
+        # no constraints, best-first, no reduction, no thin boxes: the root
+        # evaluates up(s), down(r) and up(r) for its point r; per iteration
+        # the lower child evaluates up(lo_s), the upper child down(hi_r) and
+        # up(hi_r) for its point, and reuses the parent's other halves
+        problem = self.problem()
+        up, down = problem.objective.halves
+        calls = []
+
+        def counted(half, name):
+            def fn(v):
+                calls.append(name)
+                return half(v)
+
+            return fn
+
+        objective = mm_separable(3, counted(up, "up"), counted(down, "down"))
+        # the limit only bounds a solve whose halves went wrong
+        config = SolverConfig(eta=0.01, max_iterations=5_000)
+        res = solve(replace(problem, objective=objective), config)
+        assert (res.status, res.iterations) == ("eta-optimal", 2211)
+        assert calls.count("up") == 2 + 2 * res.iterations == 4424
+        assert calls.count("down") == 1 + res.iterations == 2212
+
+    @pytest.mark.parametrize(
+        "r_min, config",
+        [
+            (0.0, SolverConfig(eta=0.01)),
+            (0.0, SolverConfig(eta=0.01, selection_rule="oldest-first", reduction_enabled=True)),
+            (0.0, SolverConfig(eta=0.01, tolerance_mode="relative")),
+            (0.3, SolverConfig(eta=0.01)),
+        ],
+        ids=["best-first", "oldest-first-reduce", "relative", "floors-oracle"],
+    )
+    def test_solves_like_the_plain_function(self, r_min, config, tmp_path):
+        problem = self.problem(r_min)
+        f = problem.objective
+        plain = replace(problem, objective=MMFunction(f.dim, f.eval, name=f.name))
+        assert f.halves is not None and plain.objective.halves is None
+
+        def run(instance, name):
+            path = tmp_path / f"{name}.csv"
+            # the limit only bounds a solve whose halves went wrong
+            res = solve(instance, replace(config, trace_path=path, max_iterations=30_000))
+            return res, path.read_bytes()
+
+        (halved, halved_trace), (whole, whole_trace) = run(problem, "halves"), run(plain, "plain")
+        assert halved.iterations > 0 and halved.incumbent is not None
+        assert halved_trace == whole_trace
+        assert astuple(halved.stats) == astuple(whole.stats)
+        assert (halved.status, halved.iterations, halved.peak_region_count) == (
+            whole.status,
+            whole.iterations,
+            whole.peak_region_count,
+        )
+        assert repr(halved.value) == repr(whole.value)
+        assert halved.incumbent.tobytes() == whole.incumbent.tobytes()
+
+    @pytest.mark.parametrize("half", ["up", "down"])
+    def test_nan_from_either_half_raises_inside_solve(self, half):
+        # up(r) for the root's point at 0, or down(r) of the upper child at 0.5
+        halves = {
+            "up": lambda x: float(x[0]) if x[0] > 0.0 else float("nan"),
+            "down": lambda y: -float(y[0]) if y[0] == 0.0 else float("nan"),
+        }
+        ok = {"up": lambda x: float(x[0]), "down": lambda y: -float(y[0])}
+        ok[half] = halves[half]
+        f = mm_separable(1, ok["up"], ok["down"], name="sep")
+        problem = ProblemInstance(f, (), make_box((0.0,), (1.0,)))
+        with pytest.raises(EvaluationError, match="sep"):
+            solve(problem, SolverConfig(eta=0.01, max_iterations=100))
+
+
+def test_trace_path_takes_a_path_object(tmp_path):
+    path = tmp_path / "trace.csv"
+    res = solve(wsr_problem(generate_channels(2, 0)), SolverConfig(eta=0.01, trace_path=path))
+    rows = path.read_text(encoding="utf-8").splitlines()
+    assert rows[0] == "k,box_id,upper_bound,gamma,queue_size"
+    assert len(rows) == 1 + res.iterations
