@@ -382,8 +382,8 @@ def check_mm_property(
     ``F(x, y) >= F(x, y')`` beyond 1e-12.  Reporting only; never raises on
     a violation.
     """
-    if samples < 1:
-        raise MMOptError("samples must be >= 1")
+    if not _is_count(samples, 1):
+        raise MMOptError(f"samples must be an integer >= 1, got {samples!r}")
     if f.dim != box.dim:
         raise DimensionMismatch("function and box dimensions differ")
     rng = np.random.default_rng(rng_seed)

@@ -12,9 +12,10 @@ For a feasible set cut out by mixed monotonic constraints
   elsewhere, and ``w`` is then the witness.
 * Normal sets (sublevel sets of nondecreasing maps) are this corner test
   with I = every coordinate (``w = r``), conormal sets (superlevel sets)
-  with I = no coordinate (``w = s``).  :func:`mm_conclusive_test` is the one
-  implementation; :func:`normal_set_test` and :func:`conormal_set_test`
-  run it on plain callables of ``x``, declaring that split on each.
+  with I = no coordinate (``w = s``).  :func:`mm_conclusive_test` makes the
+  test on constraints; :func:`normal_set_test` and
+  :func:`conormal_set_test` make it on plain callables of ``x``, each
+  evaluated directly at its corner.
 * Floors of the form ``x >= m x + c`` (``m >= 0``, ``c >= 0``; an affine
   standard interference function, as the WSR rate floors are) meet ``[r, s]``
   iff the least fixed point ``p*`` of ``p = max(r, m p + c)`` lies below
@@ -25,13 +26,14 @@ For a feasible set cut out by mixed monotonic constraints
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import BoxNd, MMConstraint, MMFunction
-from .errors import MissingMonotoneSplit
+from .core import BoxNd, MMConstraint
+from .errors import EvaluationError, MissingMonotoneSplit
 
 __all__ = [
     "Feasibility",
@@ -190,22 +192,24 @@ def normal_set_test(
 ) -> FeasibilityVerdict:
     """Feasibility over a normal set ``{x | g_i(x) <= 0}``, g_i nondecreasing:
     the corner test with every coordinate as the split (the lower corner)."""
-    return mm_conclusive_test(box, _diagonal(box, nondecreasing, 1.0, range(box.dim)))
+    return _corner_test(box.r, nondecreasing, 1.0)
 
 
 def conormal_set_test(
     box: BoxNd, nondecreasing: Sequence[Callable[[np.ndarray], float]]
 ) -> FeasibilityVerdict:
     """Feasibility over a conormal set ``{x | h_i(x) >= 0}``, h_i nondecreasing:
-    the corner test with no coordinate as the split (the upper corner), which
-    is also the witness when there is no ``h_i`` to carry that split."""
-    constraints = _diagonal(box, nondecreasing, -1.0, ())
-    if not constraints:
-        return FeasibilityVerdict(Feasibility.FEASIBLE_WITH_WITNESS, box.s)
-    return mm_conclusive_test(box, constraints)
+    the corner test with no coordinate as the split (the upper corner)."""
+    return _corner_test(box.s, nondecreasing, -1.0)
 
 
-def _diagonal(box: BoxNd, funcs, sign: float, split) -> list[MMConstraint]:
-    # each callable f of x as the constraint G(x, y) = sign * f(x), declaring split
-    g = [MMFunction(box.dim, lambda x, y, f=f: sign * f(x)) for f in funcs]
-    return [MMConstraint(gi, frozenset(split)) for gi in g]
+def _corner_test(w: np.ndarray, funcs, sign: float) -> FeasibilityVerdict:
+    # the corner test of the constraints sign * f(x) <= 0, each least over the
+    # box at w; NaN is rejected as MMFunction.eval rejects it
+    for f in funcs:
+        v = sign * float(f(w))
+        if math.isnan(v):
+            raise EvaluationError(f"{f!r}: evaluation produced NaN")
+        if v > 0.0:
+            return VERDICT_INFEASIBLE
+    return FeasibilityVerdict(Feasibility.FEASIBLE_WITH_WITNESS, w)

@@ -2,8 +2,8 @@
 
 The loop maintains a queue of boxes, each with the cached upper bound
 ``U([r, s]) = F(s, r)``.  Every box, the root and each bisection child,
-gets a verdict, is pruned if infeasible, offers the verdict's point as an
-incumbent candidate, and is then dropped as thin, pruned by its bound or
+is tested, is pruned if infeasible, offers the point its verdict gives as
+an incumbent candidate, and is then dropped as thin, pruned by its bound or
 queued.  Per iteration the loop selects a box (best-first on U or
 oldest-first in push order), bisects it at the midpoint of a longest edge
 and optionally shrinks each child without losing any feasible point better
@@ -16,7 +16,14 @@ no point is evaluated twice down a branch.  Its value was compared with the
 incumbent value, which never falls, when the parent was made, and a point
 the parent could not admit the child, a subset, cannot admit either.
 Without constraints the corner test offers ``r``, which the lower bisection
-child shares with its parent.
+child shares with its parent; the solve then takes ``r`` itself as each
+box's point and builds no verdict.
+
+Each queue entry also holds the box's edge widths ``(s - r).tolist()``.
+The root's are computed once; a bisection child's are its parent's with
+the split edge replaced by ``mid - lo`` or ``hi - mid``, the same IEEE
+subtraction numpy makes, and only a child that reduction cut recomputes
+them.  The split and the thin-box test read them without numpy.
 
 A separable objective (:func:`~mmopt.calculus.mm_separable`,
 ``F(x, y) = up(x) + down(y)``) has its bound kept in halves: each queue
@@ -64,6 +71,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import time
 
 import numpy as np
@@ -83,6 +91,7 @@ from .core import (
     SolverConfig,
     SolverResult,
     SolveStats,
+    _is_count,
 )
 from .errors import DimensionMismatch, MMOptError, NonFiniteEntry, ZeroDiameterBox
 
@@ -128,23 +137,41 @@ def bisect(box: BoxNd) -> tuple[BoxNd, BoxNd]:
     with the parent, so the children are valid by construction once the
     midpoint lies on the edge.
     """
-    r, s = box.r, box.s
-    widths = (s - r).tolist()
+    (lower, _), (upper, _) = _split(box, (box.s - box.r).tolist())
+    return lower, upper
+
+
+def _split(box: BoxNd, widths: list[float]):
+    """:func:`bisect` for a box whose edge widths ``(s - r).tolist()`` are
+    known: the two children, each as ``(child, its widths)``.
+
+    A child's widths are its parent's with the split edge replaced by
+    ``mid - lo`` (lower child) or ``hi - mid`` (upper child), the IEEE
+    subtractions numpy makes elementwise on the child's corners, so they are
+    the child's ``(s - r).tolist()`` bit for bit.
+    """
     longest = max(widths)
     if longest <= 0.0:
         raise ZeroDiameterBox("cannot bisect a zero-diameter box")
     axis = widths.index(longest)
+    r, s = box.r, box.s
     lo, hi = r.item(axis), s.item(axis)
     mid = 0.5 * (lo + hi)
     if not lo <= mid <= hi:  # r + s overflowed to inf
         raise NonFiniteEntry("box corners must be finite")
+    # setflags costs about half of an assignment through .flags, which
+    # builds a flags object first
     lo_s = s.copy()
     lo_s[axis] = mid
-    lo_s.flags.writeable = False
+    lo_s.setflags(write=False)
     hi_r = r.copy()
     hi_r[axis] = mid
-    hi_r.flags.writeable = False
-    return BoxNd._trusted(r, lo_s), BoxNd._trusted(hi_r, s)
+    hi_r.setflags(write=False)
+    lo_widths = widths.copy()
+    lo_widths[axis] = mid - lo
+    hi_widths = widths.copy()
+    hi_widths[axis] = hi - mid
+    return (BoxNd._trusted(r, lo_s), lo_widths), (BoxNd._trusted(hi_r, s), hi_widths)
 
 
 def _face_cuts(base, step, holds, steps: int) -> dict[int, float]:
@@ -228,8 +255,8 @@ def reduce_box(
     The multipliers are those of a search that tests every conjunct at
     every step.
     """
-    if steps < 1:
-        raise MMOptError("steps must be >= 1")
+    if not _is_count(steps, 1):
+        raise MMOptError(f"steps must be an integer >= 1, got {steps!r}")
     constraints = tuple(constraints)
 
     def empty(lo, hi) -> bool:
@@ -274,21 +301,42 @@ def _box_test(problem: ProblemInstance):
     return lambda box: mm_sufficient_test(box, constraints)
 
 
-def _candidate_from_verdict(
-    problem: ProblemInstance, box: BoxNd, verdict: FeasibilityVerdict, epsilon: float
-) -> np.ndarray | None:
-    """The point a verdict offers for a box, or None; see :func:`_admissible`."""
-    kind = verdict.kind
-    if kind is Feasibility.FEASIBLE_WITH_WITNESS:
-        x = np.asarray(verdict.witness, dtype=float)
-        if x.shape != box.r.shape:
-            raise DimensionMismatch(f"witness shape {x.shape} != box shape {box.r.shape}")
-        return x
-    if kind is Feasibility.FULLY_FEASIBLE:
-        return box.r
-    if kind is Feasibility.UNKNOWN and epsilon > 0.0 and problem.feasibility_oracle is None:
-        return box.r
-    return None
+# what a box step returns for a box its test proves infeasible
+_INFEASIBLE = object()
+
+
+def _box_point(problem: ProblemInstance, epsilon: float):
+    """The problem's box step, ``box -> point | None | _INFEASIBLE``, chosen
+    once per solve: the point the box's verdict offers (see
+    :func:`find_incumbent`), None when it offers none, and ``_INFEASIBLE``
+    when the test proves the box infeasible.
+
+    Without constraints the corner test's verdict is always the lower
+    corner as its witness, so the step returns ``box.r`` itself and builds
+    no verdict.
+    """
+    if problem.feasibility_mode == "mm-conclusive" and not problem.constraints:
+        return operator.attrgetter("r")
+    test = _box_test(problem)
+    undecided_offers_r = epsilon > 0.0 and problem.feasibility_oracle is None
+
+    def point(box: BoxNd):
+        verdict = test(box)
+        kind = verdict.kind
+        if kind is Feasibility.INFEASIBLE:
+            return _INFEASIBLE
+        if kind is Feasibility.FEASIBLE_WITH_WITNESS:
+            x = np.asarray(verdict.witness, dtype=float)
+            if x.shape != box.r.shape:
+                raise DimensionMismatch(f"witness shape {x.shape} != box shape {box.r.shape}")
+            return x
+        if kind is Feasibility.FULLY_FEASIBLE:
+            return box.r
+        if kind is Feasibility.UNKNOWN and undecided_offers_r:
+            return box.r
+        return None
+
+    return point
 
 
 def _admissible(constraints, box: BoxNd, x, epsilon: float) -> bool:
@@ -309,11 +357,8 @@ def find_incumbent(box: BoxNd, problem: ProblemInstance, epsilon: float = 0.0):
     witness whose shape is not ``(dim,)`` raises
     :class:`~mmopt.errors.DimensionMismatch`.
     """
-    verdict = _box_test(problem)(box)
-    if verdict.kind is Feasibility.INFEASIBLE:
-        return None
-    x = _candidate_from_verdict(problem, box, verdict, epsilon)
-    if x is None or not _admissible(problem.constraints, box, x, epsilon):
+    x = _box_point(problem, epsilon)(box)
+    if x is None or x is _INFEASIBLE or not _admissible(problem.constraints, box, x, epsilon):
         return None
     return x
 
@@ -325,8 +370,8 @@ class RegionQueue:
     ``pop`` returns it with the box.  best-first pops a box maximizing the
     cached bound (ties: push order, which puts the lower bisection child
     first); oldest-first pops in push order (FIFO).  Both are one heap of
-    ``(key, id, bound, box, point, halves)``, keyed by ``-bound`` for
-    best-first and by a constant for oldest-first.
+    ``(key, id, bound, box, point, halves, widths)``, keyed by ``-bound``
+    for best-first and by a constant for oldest-first.
 
     ``point`` is the point the box's verdict offered (or None), which the
     solver has evaluated; ``pop`` leaves it in :attr:`popped_point`, and the
@@ -339,9 +384,20 @@ class RegionQueue:
     whose ``s`` is the very array of its popped parent's ``s`` reuses
     ``up(s)``, and one whose ``r`` is the parent's ``r`` reuses ``down(r)``:
     corner arrays are read-only, so the same array holds the same values.
+
+    ``widths`` is None, or the box's edge widths ``(s - r).tolist()``, which
+    ``pop`` leaves in :attr:`popped_widths`: the solver splits the popped box
+    on them and derives each child's widths from them without numpy.
     """
 
-    __slots__ = ("discipline", "_heap", "_next_id", "popped_point", "popped_halves")
+    __slots__ = (
+        "discipline",
+        "_heap",
+        "_next_id",
+        "popped_point",
+        "popped_halves",
+        "popped_widths",
+    )
 
     def __init__(self, discipline: str = "best-first"):
         if discipline not in ("best-first", "oldest-first"):
@@ -351,17 +407,19 @@ class RegionQueue:
         self._next_id = 0
         self.popped_point = None
         self.popped_halves = None
+        self.popped_widths = None
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def push(self, box: BoxNd, ubound: float, point=None, halves=None):
+    def push(self, box: BoxNd, ubound: float, point=None, halves=None, widths=None):
         key = -ubound if self.discipline == "best-first" else 0.0
-        heapq.heappush(self._heap, (key, self._next_id, ubound, box, point, halves))
+        heapq.heappush(self._heap, (key, self._next_id, ubound, box, point, halves, widths))
         self._next_id += 1
 
     def pop(self) -> tuple[BoxNd, float, int]:
-        _, box_id, ubound, box, self.popped_point, self.popped_halves = heapq.heappop(self._heap)
+        entry = heapq.heappop(self._heap)
+        _, box_id, ubound, box, self.popped_point, self.popped_halves, self.popped_widths = entry
         return box, ubound, box_id
 
     def max_bound(self) -> float:
@@ -387,7 +445,7 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
     eps = config.epsilon_feasibility
     steps = config.reduction_bisection_steps
     best_first = config.selection_rule == "best-first"
-    box_test = _box_test(problem)
+    box_point = _box_point(problem, eps)
 
     def cutoff(g: float) -> float:
         # relative: g + eta*|g|, as (1 + eta) * g for g >= 0 and (1 - eta) * g below;
@@ -407,7 +465,8 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
     root = problem.initial_box
     scale = max(1.0, float(np.abs(root.r).max()), float(np.abs(root.s).max()))
     point_diameter = _POINT_DIAMETER * scale
-    boxes = (root,)  # the boxes of this step: the root, then each iteration's children
+    # the boxes of this step with their edge widths: the root, then each iteration's children
+    boxes = ((root, (root.s - root.r).tolist()),)
     evaluated = None  # the popped box's offered point: no child evaluates it again
     halves = objective.halves  # (up, down) of a separable objective, else None
     if halves is not None:
@@ -427,12 +486,11 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
             candidates = []
             survivors = []
             stats.boxes_created += len(boxes)
-            for box in boxes:
-                verdict = box_test(box)
-                if verdict.kind is Feasibility.INFEASIBLE:
+            for box, widths in boxes:
+                x = box_point(box)
+                if x is _INFEASIBLE:
                     stats.boxes_pruned_infeasible += 1
                     continue
-                x = _candidate_from_verdict(problem, box, verdict, eps)
                 s, r = box.s, box.r
                 if halves is None:
                     box_halves = None
@@ -444,8 +502,8 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
                     box_u = join(up_s, down_r)
                 if x is not None and x is not evaluated:
                     candidates.append((x, box, box_halves))
-                if box.diameter >= point_diameter:
-                    survivors.append((box, box_u, x, box_halves))
+                if max(widths) >= point_diameter:
+                    survivors.append((box, box_u, x, box_halves, widths))
                 else:
                     thin_bound = max(thin_bound, box_u)
 
@@ -461,11 +519,11 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
                     gamma_cut = cutoff(gamma)
                     incumbent = x
 
-            for box, box_u, x, box_halves in survivors:
+            for box, box_u, x, box_halves, widths in survivors:
                 if box_u <= gamma_cut:
                     stats.boxes_pruned_bound += 1
                     continue
-                queue.push(box, box_u, x, box_halves)
+                queue.push(box, box_u, x, box_halves, widths)
 
             size = len(queue)
             if size > stats.peak_region_count:
@@ -494,12 +552,20 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
             if halves is not None:
                 parent_s, parent_r = selected.s, selected.r
                 parent_up, parent_down = queue.popped_halves
-            boxes = bisect(selected)
+            boxes = _split(selected, queue.popped_widths)
             if config.reduction_enabled:
-                # reduction cuts on the incumbent before this step's update
-                boxes = [reduce_box(child, objective, constraints, gamma, steps) for child in boxes]
-                stats.boxes_reduced_empty += sum(child is None for child in boxes)
-                boxes = [child for child in boxes if child is not None]
+                # reduction cuts on the incumbent before this step's update; a
+                # child it returns unchanged keeps its widths
+                reduced = []
+                for child, widths in boxes:
+                    cut = reduce_box(child, objective, constraints, gamma, steps)
+                    if cut is None:
+                        stats.boxes_reduced_empty += 1
+                    elif cut is child:
+                        reduced.append((child, widths))
+                    else:
+                        reduced.append((cut, (cut.s - cut.r).tolist()))
+                boxes = reduced
     finally:
         if trace is not None:
             trace.close()

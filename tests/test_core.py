@@ -235,6 +235,16 @@ def test_check_mm_property_interference_rate():
     assert report.violations == 0
 
 
+@pytest.mark.parametrize("samples", [2.5, True, 0])
+def test_check_mm_property_samples_must_be_a_count(samples):
+    # a float once raised a bare TypeError, and True drew one sample
+    f = MMFunction(1, lambda x, y: float(x[0] - y[0]))
+    box = make_box((0.0,), (1.0,))
+    with pytest.raises(MMOptError, match="samples must be an integer >= 1"):
+        check_mm_property(f, box, samples=samples)
+    assert check_mm_property(f, box, samples=np.int64(3)).violations == 0
+
+
 def test_diagonal_never_exceeds_corner_bound():
     # f(x) = F(x, x) <= F(s, r) for every x in [r, s]
     rng = np.random.default_rng(11)

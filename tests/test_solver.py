@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import Counter
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mmopt.solver
 from mmopt.core import (
     BoxNd,
     MMConstraint,
@@ -265,6 +267,15 @@ class TestReduce:
         for steps in (0, -1):
             with pytest.raises(MMOptError):
                 reduce_box(box, f, (), 0.5, steps=steps)
+
+    @pytest.mark.parametrize("steps", [2.5, 3.0, True, 0])
+    def test_steps_must_be_a_count(self, steps):
+        # a float once failed inside the line search, and True ran as 1 step
+        f = MMFunction(1, lambda x, y: float(x[0]))
+        box = make_box((0.0,), (1.0,))
+        with pytest.raises(MMOptError, match="steps must be an integer >= 1"):
+            reduce_box(box, f, (), 0.5, steps=steps)
+        assert reduce_box(box, f, (), 0.5, steps=np.int64(3)) is not None
 
 
 def reduction_cases():
@@ -1079,6 +1090,87 @@ class TestSeparableHalves:
         problem = ProblemInstance(f, (), make_box((0.0,), (1.0,)))
         with pytest.raises(EvaluationError, match="sep"):
             solve(problem, SolverConfig(eta=0.01, max_iterations=100))
+
+
+class TestCarriedWidths:
+    """Each queue entry carries its box's edge widths: the root's are
+    computed once, a bisection child's come from its parent's, and a child
+    that reduction cut recomputes them.  Every box the solver pops carries
+    its own ``(s - r).tolist()``."""
+
+    @pytest.mark.parametrize(
+        "build, config",
+        [
+            (lambda: wsr_problem(generate_channels(3, 2), "dm"), SolverConfig(eta=0.01)),
+            TestGoldenTrace.CASES["wsr3-floors-oldest-reduce"][:2],
+            (
+                lambda: wsr_problem(generate_channels(3, 2)),
+                SolverConfig(eta=0.01, tolerance_mode="relative"),
+            ),
+        ],
+        ids=["best-first", "floors-oldest-first-reduce", "relative"],
+    )
+    def test_popped_widths_are_the_box_widths(self, build, config, monkeypatch):
+        pop, reduce = RegionQueue.pop, mmopt.solver.reduce_box
+        carried = []
+        outcomes = Counter()
+
+        def checked_pop(queue):
+            box, u, box_id = pop(queue)
+            carried.append(queue.popped_widths == (box.s - box.r).tolist())
+            return box, u, box_id
+
+        def counted_reduce(box, *args):
+            out = reduce(box, *args)
+            outcomes["empty" if out is None else "same" if out is box else "cut"] += 1
+            return out
+
+        monkeypatch.setattr(RegionQueue, "pop", checked_pop)
+        monkeypatch.setattr(mmopt.solver, "reduce_box", counted_reduce)
+        res = solve(build(), config)
+        assert res.iterations > 0 and len(carried) == res.iterations and all(carried)
+        # with reduction, children both kept and recomputed their widths
+        assert not config.reduction_enabled or outcomes["same"] > 0 < outcomes["cut"]
+
+
+class TestPointWithoutVerdict:
+    """Without constraints the corner test's witness is the lower corner, so
+    the solve takes ``box.r`` itself and runs no test; with constraints the
+    corner test runs once per box and solves as it did through verdicts."""
+
+    @staticmethod
+    def counted_corner_test(monkeypatch):
+        calls = []
+        test = mmopt.solver.mm_conclusive_test
+
+        def counted(box, constraints):
+            calls.append(box)
+            return test(box, constraints)
+
+        monkeypatch.setattr(mmopt.solver, "mm_conclusive_test", counted)
+        return calls
+
+    def test_unconstrained_solve_runs_no_test(self, monkeypatch):
+        calls = self.counted_corner_test(monkeypatch)
+        problem = wsr_problem(generate_channels(3, 2), "dm")
+        assert problem.feasibility_mode == "mm-conclusive" and not problem.constraints
+        res = solve(problem, SolverConfig(eta=0.01))
+        assert (res.status, res.iterations) == ("eta-optimal", 2211)
+        assert find_incumbent(problem.initial_box, problem) is problem.initial_box.r
+        assert calls == []
+
+    def test_constrained_corner_test_runs_once_per_box(self, monkeypatch, tmp_path):
+        calls = self.counted_corner_test(monkeypatch)
+        case = TestConstrainedNormalSet()
+        _, problem = case.problem()
+        res, trace = case.solve_traced(problem, tmp_path / "trace.csv")
+        assert len(calls) == res.stats.boxes_created
+        # the result recorded when each box's point came from its verdict
+        assert (res.status, res.iterations, res.peak_region_count) == case.COUNTS
+        assert hashlib.sha256(trace).hexdigest() == case.DIGEST
+        assert repr(res.value) == "8.652281773690335"
+        assert res.incumbent.tobytes().hex() == "000000000010e03f00000000000000000000000000f0ef3f"
+        assert astuple(res.stats) == (1659, 88, 672, 0, 172)
 
 
 def test_trace_path_takes_a_path_object(tmp_path):
