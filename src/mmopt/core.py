@@ -109,11 +109,6 @@ class BoxNd:
     def dim(self) -> int:
         return self.r.size
 
-    @property
-    def diameter(self) -> float:
-        """Longest edge length, max_i (s_i - r_i)."""
-        return max((self.s - self.r).tolist())
-
     def contains(self, x, tol: float = 0.0) -> bool:
         """Whether the point ``x`` (shape ``(dim,)``) lies in the box widened by ``tol``."""
         x = np.asarray(x, dtype=float)
@@ -177,10 +172,6 @@ class MMFunction:
         if math.isnan(v):
             raise EvaluationError(f"{self.name}: evaluation produced NaN")
         return v
-
-    def diagonal(self, x) -> float:
-        """Objective value f(x) = F(x, x)."""
-        return self.eval(x, x)
 
     def __repr__(self):
         return f"MMFunction({self.name}, dim={self.dim})"
@@ -361,9 +352,13 @@ class SolverResult:
     value: float
     status: str
     iterations: int
-    peak_region_count: int
     wall_time: float
     stats: SolveStats = field(default_factory=SolveStats)
+
+    @property
+    def peak_region_count(self) -> int:
+        """Most boxes stored at once, ``stats.peak_region_count``."""
+        return self.stats.peak_region_count
 
 
 @dataclass(frozen=True)
@@ -384,6 +379,8 @@ def check_mm_property(
     """
     if not _is_count(samples, 1):
         raise MMOptError(f"samples must be an integer >= 1, got {samples!r}")
+    if not _is_count(rng_seed, 0):
+        raise MMOptError(f"rng_seed must be an integer >= 0, got {rng_seed!r}")
     if f.dim != box.dim:
         raise DimensionMismatch("function and box dimensions differ")
     rng = np.random.default_rng(rng_seed)

@@ -463,7 +463,6 @@ def dinkelbach_gee(
                 value=ratio,
                 status=res.status,
                 iterations=total_iterations,
-                peak_region_count=stats.peak_region_count,
                 wall_time=time.perf_counter() - t0,
                 stats=stats,
             )

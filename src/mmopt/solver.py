@@ -2,40 +2,43 @@
 
 The loop maintains a queue of boxes, each with the cached upper bound
 ``U([r, s]) = F(s, r)``.  Every box, the root and each bisection child,
-is tested, is pruned if infeasible, offers the point its verdict gives as
-an incumbent candidate, and is then dropped as thin, pruned by its bound or
-queued.  Per iteration the loop selects a box (best-first on U or
-oldest-first in push order), bisects it at the midpoint of a longest edge
-and optionally shrinks each child without losing any feasible point better
-than the incumbent, and it terminates when no remaining box can beat the
-incumbent by more than the tolerance.
+is tested, is pruned if infeasible, is bounded, offers the point its
+verdict gives as an incumbent candidate, and is then dropped as thin or
+kept; once every box of the step has offered its point, the kept ones are
+pruned by their bound or queued.  Per iteration the loop selects a box
+(best-first on U or oldest-first in push order), bisects it at the
+midpoint of a longest edge and optionally shrinks each child without
+losing any feasible point better than the incumbent, and it terminates
+when no remaining box can beat the incumbent by more than the tolerance.
 
-The queue keeps each box's offered point with its bound, and a child that
-offers the very array its popped parent offered is not evaluated again, so
-no point is evaluated twice down a branch.  Its value was compared with the
-incumbent value, which never falls, when the parent was made, and a point
-the parent could not admit the child, a subset, cannot admit either.
-Without constraints the corner test offers ``r``, which the lower bisection
-child shares with its parent; the solve then takes ``r`` itself as each
-box's point and builds no verdict.
+What a stored box carries: the queue stores one record per box,
+``(box, point, halves, widths)``, under the box's bound; the popped record
+is the parent of the step's two children, which reuse three of its parts.
 
-Each queue entry also holds the box's edge widths ``(s - r).tolist()``.
-The root's are computed once; a bisection child's are its parent's with
-the split edge replaced by ``mid - lo`` or ``hi - mid``, the same IEEE
-subtraction numpy makes, and only a child that reduction cut recomputes
-them.  The split and the thin-box test read them without numpy.
-
-A separable objective (:func:`~mmopt.calculus.mm_separable`,
-``F(x, y) = up(x) + down(y)``) has its bound kept in halves: each queue
-entry also holds ``(up(s), down(r))``.  A child whose ``s`` is the very
-array of its popped parent's ``s`` reuses ``up(s)``, and one whose ``r`` is
-the parent's ``r`` reuses ``down(r)``; corner arrays are read-only, so the
-same array holds the same values, also after a reduction that made no cut.
-A point that is its box's ``r`` reuses ``down(r)``.  So the lower child
-evaluates only ``up`` at its new ``s``, the upper child only ``down`` at its
-new ``r`` and ``up`` at that ``r`` for its point.  Every sum of halves is
-checked for NaN and rounds as ``eval`` does, so the solve is the one the
-whole function gives.
+- ``point`` is the point the box's test offered (or None), which the solve
+  has evaluated.  A child that offers this very array is not evaluated
+  again, so no point is evaluated twice down a branch: its value was
+  compared with the incumbent value, which never falls, when the parent was
+  made, and a point the parent could not admit the child, a subset, cannot
+  admit either.  Without constraints the corner test offers ``r``, which the
+  lower bisection child shares with its parent; the solve then takes ``r``
+  itself as each box's point and builds no verdict.
+- ``halves`` is None, or for a separable objective
+  (:func:`~mmopt.calculus.mm_separable`, ``F(x, y) = up(x) + down(y)``) the
+  pair ``(up(s), down(r))`` whose sum is the bound.  A child whose ``s`` is
+  the very array of its parent's ``s`` reuses ``up(s)``, and one whose ``r``
+  is the parent's ``r`` reuses ``down(r)``; corner arrays are read-only, so
+  the same array holds the same values, also after a reduction that made no
+  cut.  A point that is its box's ``r`` reuses ``down(r)``.  So the lower
+  child evaluates only ``up`` at its new ``s``, the upper child only
+  ``down`` at its new ``r`` and ``up`` at that ``r`` for its point.  Every
+  sum of halves is checked for NaN and rounds as ``eval`` does, so the solve
+  is the one the whole function gives.
+- ``widths`` is the box's edge widths ``(s - r).tolist()``.  The root's are
+  computed once; a bisection child's are its parent's with the split edge
+  replaced by ``mid - lo`` or ``hi - mid``, the same IEEE subtraction numpy
+  makes, and only a child that reduction cut recomputes them.  The split
+  and the thin-box test read them without numpy.
 
 Reduction pulls each face of a child in by a line search whose predicate is
 a conjunction: the objective above the incumbent and every constraint met.
@@ -92,6 +95,8 @@ from .core import (
     SolverResult,
     SolveStats,
     _is_count,
+    _is_finite_real,
+    _is_real,
 )
 from .errors import DimensionMismatch, MMOptError, NonFiniteEntry, ZeroDiameterBox
 
@@ -244,7 +249,8 @@ def reduce_box(
     the new lower corner (at ``(s, y)`` and ``G(y, s) <= 0``).
     Per-coordinate multipliers are found by ``steps`` halvings of [0, 1],
     rounding up so the surviving region is never undercut.
-    ``gamma = -inf`` disables the objective cut.
+    ``gamma = -inf`` disables the objective cut; a gamma that is NaN or not
+    a real number raises :class:`~mmopt.errors.MMOptError`.
 
     Each condition (a *conjunct*) is monotone along every line on its own,
     which is what makes the search exact and cheap: a conjunct that holds at
@@ -257,6 +263,8 @@ def reduce_box(
     """
     if not _is_count(steps, 1):
         raise MMOptError(f"steps must be an integer >= 1, got {steps!r}")
+    if not _is_real(gamma) or gamma != gamma:  # NaN alone is unequal to itself
+        raise MMOptError(f"gamma must be a real number or +-inf, got {gamma!r}")
     constraints = tuple(constraints)
 
     def empty(lo, hi) -> bool:
@@ -355,8 +363,11 @@ def find_incumbent(box: BoxNd, problem: ProblemInstance, epsilon: float = 0.0):
     the lower corner of an undecided box.  The point is returned only if it
     lies in the box and meets every constraint within ``epsilon``; a
     witness whose shape is not ``(dim,)`` raises
-    :class:`~mmopt.errors.DimensionMismatch`.
+    :class:`~mmopt.errors.DimensionMismatch`, and an ``epsilon`` that is not
+    a finite real number >= 0 raises :class:`~mmopt.errors.MMOptError`.
     """
+    if not (_is_finite_real(epsilon) and epsilon >= 0):
+        raise MMOptError(f"epsilon must be a finite real number >= 0, got {epsilon!r}")
     x = _box_point(problem, epsilon)(box)
     if x is None or x is _INFEASIBLE or not _admissible(problem.constraints, box, x, epsilon):
         return None
@@ -364,40 +375,18 @@ def find_incumbent(box: BoxNd, problem: ProblemInstance, epsilon: float = 0.0):
 
 
 class RegionQueue:
-    """Undecided boxes with cached bounds, under one selection discipline.
+    """Opaque items with cached bounds, under one selection discipline.
 
-    ``push`` gives each box the next id, 0, 1, 2, ... in push order, and
-    ``pop`` returns it with the box.  best-first pops a box maximizing the
-    cached bound (ties: push order, which puts the lower bisection child
-    first); oldest-first pops in push order (FIFO).  Both are one heap of
-    ``(key, id, bound, box, point, halves, widths)``, keyed by ``-bound``
-    for best-first and by a constant for oldest-first.
-
-    ``point`` is the point the box's verdict offered (or None), which the
-    solver has evaluated; ``pop`` leaves it in :attr:`popped_point`, and the
-    solver does not evaluate a child's point that is this same array, so no
-    point is evaluated twice down a branch.
-
-    ``halves`` is None, or for a separable objective (see
-    :func:`~mmopt.calculus.mm_separable`) the pair ``(up(s), down(r))`` whose
-    sum is the bound; ``pop`` leaves it in :attr:`popped_halves`.  A child
-    whose ``s`` is the very array of its popped parent's ``s`` reuses
-    ``up(s)``, and one whose ``r`` is the parent's ``r`` reuses ``down(r)``:
-    corner arrays are read-only, so the same array holds the same values.
-
-    ``widths`` is None, or the box's edge widths ``(s - r).tolist()``, which
-    ``pop`` leaves in :attr:`popped_widths`: the solver splits the popped box
-    on them and derives each child's widths from them without numpy.
+    ``push`` gives each item the next id, 0, 1, 2, ... in push order, and
+    ``pop`` returns the item with its bound and id.  best-first pops an item
+    maximizing the bound (ties: push order, which puts the lower bisection
+    child first); oldest-first pops in push order (FIFO).  Both are one heap
+    of ``(key, id, bound, item)``, keyed by ``-bound`` for best-first and by
+    a constant for oldest-first.  Ids are unique, so the heap never compares
+    items, and the queue reads nothing of them.
     """
 
-    __slots__ = (
-        "discipline",
-        "_heap",
-        "_next_id",
-        "popped_point",
-        "popped_halves",
-        "popped_widths",
-    )
+    __slots__ = ("discipline", "_heap", "_next_id")
 
     def __init__(self, discipline: str = "best-first"):
         if discipline not in ("best-first", "oldest-first"):
@@ -405,22 +394,18 @@ class RegionQueue:
         self.discipline = discipline
         self._heap: list = []
         self._next_id = 0
-        self.popped_point = None
-        self.popped_halves = None
-        self.popped_widths = None
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def push(self, box: BoxNd, ubound: float, point=None, halves=None, widths=None):
+    def push(self, item, ubound: float):
         key = -ubound if self.discipline == "best-first" else 0.0
-        heapq.heappush(self._heap, (key, self._next_id, ubound, box, point, halves, widths))
+        heapq.heappush(self._heap, (key, self._next_id, ubound, item))
         self._next_id += 1
 
-    def pop(self) -> tuple[BoxNd, float, int]:
-        entry = heapq.heappop(self._heap)
-        _, box_id, ubound, box, self.popped_point, self.popped_halves, self.popped_widths = entry
-        return box, ubound, box_id
+    def pop(self) -> tuple[object, float, int]:
+        _, item_id, ubound, item = heapq.heappop(self._heap)
+        return item, ubound, item_id
 
     def max_bound(self) -> float:
         """Largest cached bound over stored boxes (-inf when empty).
@@ -467,13 +452,13 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
     point_diameter = _POINT_DIAMETER * scale
     # the boxes of this step with their edge widths: the root, then each iteration's children
     boxes = ((root, (root.s - root.r).tolist()),)
-    evaluated = None  # the popped box's offered point: no child evaluates it again
     halves = objective.halves  # (up, down) of a separable objective, else None
     if halves is not None:
         up, down = halves
         join = objective._join
-    # the popped box's corners and their halves, which a child sharing a corner reuses
-    parent_s = parent_r = parent_up = parent_down = None
+    # the popped record's point, corners and halves: no child evaluates the
+    # point again, and a child sharing a corner reuses its half
+    evaluated = parent_s = parent_r = parent_halves = None
 
     trace = None
     status = None
@@ -483,7 +468,6 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
             trace.write(_TRACE_HEADER + "\n")
 
         while True:
-            candidates = []
             survivors = []
             stats.boxes_created += len(boxes)
             for box, widths in boxes:
@@ -496,34 +480,32 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
                     box_halves = None
                     box_u = objective.eval(s, r)
                 else:
-                    up_s = parent_up if s is parent_s else up(s)
-                    down_r = parent_down if r is parent_r else down(r)
+                    up_s = parent_halves[0] if s is parent_s else up(s)
+                    down_r = parent_halves[1] if r is parent_r else down(r)
                     box_halves = (up_s, down_r)
                     box_u = join(up_s, down_r)
                 if x is not None and x is not evaluated:
-                    candidates.append((x, box, box_halves))
+                    if halves is None:
+                        value = objective.eval(x, x)
+                    else:  # the lower corner as a point reuses its box's down(r)
+                        value = join(up(x), down_r if x is r else down(x))
+                    # the constraint check runs only for a point that would be taken
+                    if incumbent is None or value > gamma:
+                        if _admissible(constraints, box, x, eps):
+                            gamma = value
+                            gamma_cut = cutoff(gamma)
+                            incumbent = x
                 if max(widths) >= point_diameter:
-                    survivors.append((box, box_u, x, box_halves, widths))
+                    survivors.append((box_u, (box, x, box_halves, widths)))
                 else:
                     thin_bound = max(thin_bound, box_u)
 
-            for x, box, box_halves in candidates:
-                if box_halves is None:
-                    value = objective.eval(x, x)
-                else:  # the lower corner as a point reuses its box's down(r)
-                    down_r = box_halves[1]
-                    value = join(up(x), down_r if x is box.r else down(x))
-                # the constraint check runs only for a point that would be taken
-                if (incumbent is None or value > gamma) and _admissible(constraints, box, x, eps):
-                    gamma = value
-                    gamma_cut = cutoff(gamma)
-                    incumbent = x
-
-            for box, box_u, x, box_halves, widths in survivors:
+            # survivors are pruned on the incumbent of the whole step
+            for box_u, record in survivors:
                 if box_u <= gamma_cut:
                     stats.boxes_pruned_bound += 1
                     continue
-                queue.push(box, box_u, x, box_halves, widths)
+                queue.push(record, box_u)
 
             size = len(queue)
             if size > stats.peak_region_count:
@@ -547,12 +529,10 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
                 break
 
             iteration += 1
-            selected, selected_u, selected_id = queue.pop()
-            evaluated = queue.popped_point
-            if halves is not None:
-                parent_s, parent_r = selected.s, selected.r
-                parent_up, parent_down = queue.popped_halves
-            boxes = _split(selected, queue.popped_widths)
+            record, selected_u, selected_id = queue.pop()
+            selected, evaluated, parent_halves, widths = record
+            parent_s, parent_r = selected.s, selected.r
+            boxes = _split(selected, widths)
             if config.reduction_enabled:
                 # reduction cuts on the incumbent before this step's update; a
                 # child it returns unchanged keeps its widths
@@ -587,7 +567,6 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
         value=gamma,
         status=status,
         iterations=iteration,
-        peak_region_count=stats.peak_region_count,
         wall_time=time.perf_counter() - t_start,
         stats=stats,
     )

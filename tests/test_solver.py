@@ -173,11 +173,11 @@ class TestBisect:
 
     def test_diameter_halves_within_dimension_splits(self):
         box = make_box(np.zeros(3), np.ones(3))
-        d0 = box.diameter
+        d0 = max((box.s - box.r).tolist())
         for level in range(1, 4):
             for _ in range(3):
                 box = bisect(box)[0]
-            assert box.diameter <= d0 / 2**level + 1e-15
+            assert max((box.s - box.r).tolist()) <= d0 / 2**level + 1e-15
 
 
 class TestReduce:
@@ -276,6 +276,16 @@ class TestReduce:
         with pytest.raises(MMOptError, match="steps must be an integer >= 1"):
             reduce_box(box, f, (), 0.5, steps=steps)
         assert reduce_box(box, f, (), 0.5, steps=np.int64(3)) is not None
+
+    @pytest.mark.parametrize("gamma", [float("nan"), np.float64("nan"), "0.5", None, True])
+    def test_gamma_must_be_a_real_number(self, gamma):
+        # a NaN gamma once failed every objective test and cut the box to a sliver
+        f = MMFunction(2, lambda x, y: float(x.sum() - y.sum()))
+        box = make_box((0.0, 0.0), (1.0, 1.0))
+        with pytest.raises(MMOptError, match="gamma must be a real number"):
+            reduce_box(box, f, (), gamma)
+        assert reduce_box(box, f, (), float("-inf")) is box
+        assert reduce_box(box, f, (), float("inf")) is None
 
 
 def reduction_cases():
@@ -455,6 +465,14 @@ class TestFindIncumbent:
         # the point must lie in the box itself, not within a tolerance of it
         assert find_incumbent(make_box((0.0,), (0.5,)), prob, epsilon=1e-9) is None
 
+    @pytest.mark.parametrize("epsilon", [-1.0, float("nan"), float("inf"), True, "0.1"])
+    def test_epsilon_must_be_a_finite_real_at_least_zero(self, epsilon):
+        # each of these once returned a point
+        prob = ProblemInstance(MMFunction(1, lambda x, y: float(x[0])), (), make_box((0,), (1,)))
+        with pytest.raises(MMOptError, match="epsilon must be a finite real number >= 0"):
+            find_incumbent(prob.initial_box, prob, epsilon=epsilon)
+        np.testing.assert_array_equal(find_incumbent(prob.initial_box, prob, np.float64(0.1)), [0])
+
 
 class TestRegionQueue:
     def test_best_first_pops_max_bound(self):
@@ -494,16 +512,17 @@ class TestRegionQueue:
         with pytest.raises(MMOptError, match="unknown selection_rule 'bogus'"):
             RegionQueue("bogus")
 
-    def test_pop_leaves_the_offered_point(self):
-        q = RegionQueue("best-first")
-        point = np.zeros(1)
-        q.push(make_box((0.0,), (1.0,)), 1.0, point)
-        q.push(make_box((0.0,), (1.0,)), 2.0)
-        assert q.popped_point is None
-        q.pop()
-        assert q.popped_point is None
-        q.pop()
-        assert q.popped_point is point
+    @pytest.mark.parametrize("discipline", ["best-first", "oldest-first"])
+    def test_pop_returns_the_very_item(self, discipline):
+        # items are opaque: the queue orders them by bound and id alone
+        q = RegionQueue(discipline)
+        items = [object(), (make_box((0.0,), (1.0,)), np.zeros(1), None, [1.0]), object()]
+        for item, u in zip(items, (1.0, 3.0, 2.0)):
+            q.push(item, u)
+        order = (1, 2, 0) if discipline == "best-first" else (0, 1, 2)
+        for want in order:
+            item, u, item_id = q.pop()
+            assert item is items[want] and (u, item_id) == ((1.0, 3.0, 2.0)[want], want)
 
 
 class TestSolve:
@@ -1116,9 +1135,10 @@ class TestCarriedWidths:
         outcomes = Counter()
 
         def checked_pop(queue):
-            box, u, box_id = pop(queue)
-            carried.append(queue.popped_widths == (box.s - box.r).tolist())
-            return box, u, box_id
+            record, u, box_id = pop(queue)
+            box, _, _, widths = record
+            carried.append(widths == (box.s - box.r).tolist())
+            return record, u, box_id
 
         def counted_reduce(box, *args):
             out = reduce(box, *args)
