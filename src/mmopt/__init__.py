@@ -57,6 +57,6 @@ from .problems import (
     wsee_problem,
     wsr_problem,
 )
-from .solver import RegionQueue, bisect, bound, find_incumbent, reduce_box, solve
+from .solver import RegionQueue, bisect, find_incumbent, reduce_box, solve
 
 __version__ = "0.1.0"

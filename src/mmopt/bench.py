@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ProblemInstance, SolverConfig
+from .core import ProblemInstance, SolverConfig, _is_count
 from .errors import MMOptError, ParseError, SchemaVersionError, SpecError
 from .problems import (
     REPRESENTATIONS,
@@ -75,10 +75,10 @@ class BenchSpec:
     def __post_init__(self):
         if self.experiment not in _EXPERIMENTS:
             raise SpecError(f"unknown experiment {self.experiment!r}")
-        if self.realizations < 1:
-            raise SpecError("realizations must be >= 1")
-        if self.k < 1:
-            raise SpecError("k must be >= 1")
+        for name, least in (("realizations", 1), ("k", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not _is_count(value, least):
+                raise SpecError(f"{name} must be an integer >= {least}, got {value!r}")
         if not self.selections or not self.reductions or not self.representations:
             raise SpecError("selections, reductions and representations must be nonempty")
         if self.experiment == "single-solve" and self.instance_path is None:
@@ -126,10 +126,11 @@ class ResultRow:
     error: str | None = None
 
 
+_ON_OFF = {"on": True, "off": False}  # a bool in CSV rows and in the CLI's flag lists
 # CSV columns in the order of the fields of ResultRow, each with its parser
 _CSV_PARSERS = {
     "str": str,
-    "bool": {"on": True, "off": False}.__getitem__,
+    "bool": _ON_OFF.__getitem__,
     "int": int,
     "float": float,
     "float | None": lambda v: float(v) if v else None,
@@ -407,12 +408,16 @@ def read_csv(path) -> list[ResultRow]:
     return rows
 
 
-def read_json(path) -> list[ResultRow]:
+def _load_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+
+
+def read_json(path) -> list[ResultRow]:
+    payload = _load_json(path)
     if not isinstance(payload, list) or not all(isinstance(e, dict) for e in payload):
         raise ParseError("result JSON must be a list of objects")
     rows = []
@@ -462,21 +467,16 @@ def _parse_int(value, field: str) -> int:
     return value
 
 
-def _parse_array(doc, field, shape, default=None):
-    if field not in doc:
-        if default is None:
-            raise ParseError(f"missing field {field!r}")
-        return np.full(shape, default, dtype=float)
-    if not _numeric(doc[field], shape):
-        raise ParseError(f"field {field!r} must hold numbers in shape {shape}")
-    return np.array(doc[field], dtype=float)
-
-
-def _parse_number(doc, field, default=None) -> float:
-    value = _require(doc, field) if default is None else doc.get(field, default)
-    if not _numeric(value, ()):
-        raise ParseError(f"field {field!r} is not a number")
-    return float(value)
+def _parse_numbers(doc, field, shape=(), default=None):
+    """Field ``field`` as a float array of ``shape`` (a float for ``shape == ()``);
+    a missing field takes ``default`` in every entry, or without one fails."""
+    if field in doc or default is None:
+        if not _numeric(_require(doc, field), shape):
+            raise ParseError(f"field {field!r} must hold numbers in shape {shape}")
+        array = np.array(doc[field], dtype=float)
+    else:
+        array = np.full(shape, default, dtype=float)
+    return array if shape else float(array)
 
 
 def _parse_interferers(doc, k):
@@ -491,11 +491,7 @@ def _parse_interferers(doc, k):
 
 def load_instance(path, representation: str = "mmp") -> ProblemInstance:
     """Parse an ``mmp-bench/1`` JSON document into a problem instance."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+    doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
     schema = _require(doc, "schema")
@@ -509,8 +505,8 @@ def load_instance(path, representation: str = "mmp") -> ProblemInstance:
         raise ParseError("field 'K' must be >= 1")
 
     if kind == "aloha":
-        c = _parse_array(doc, "c", (k,))
-        r_min = _parse_array(doc, "rmin", (k,), default=0.0)
+        c = _parse_numbers(doc, "c", (k,))
+        r_min = _parse_numbers(doc, "rmin", (k,), default=0.0)
         if "interferers" in doc:
             interferers = _parse_interferers(doc, k)
         else:
@@ -521,12 +517,12 @@ def load_instance(path, representation: str = "mmp") -> ProblemInstance:
         except Exception as exc:
             raise ParseError(str(exc)) from exc
 
-    alpha = _parse_array(doc, "alpha", (k,))
-    beta = _parse_array(doc, "beta", (k, k))
-    sigma2 = _parse_number(doc, "sigma2")
-    p_max = _parse_array(doc, "P", (k,))
-    w = _parse_array(doc, "w", (k,), default=1.0)
-    r_min = _parse_array(doc, "rmin", (k,), default=0.0)
+    alpha = _parse_numbers(doc, "alpha", (k,))
+    beta = _parse_numbers(doc, "beta", (k, k))
+    sigma2 = _parse_numbers(doc, "sigma2")
+    p_max = _parse_numbers(doc, "P", (k,))
+    w = _parse_numbers(doc, "w", (k,), default=1.0)
+    r_min = _parse_numbers(doc, "rmin", (k,), default=0.0)
     try:
         net = InterferenceNetwork(
             alpha=alpha, beta=beta, sigma2=sigma2, p_max=p_max, w=w, r_min=r_min
@@ -537,16 +533,13 @@ def load_instance(path, representation: str = "mmp") -> ProblemInstance:
     if kind == "wsr":
         return wsr_problem(net, representation=representation)
 
-    phi = _parse_array(doc, "phi", (k,))
-    bandwidth = _parse_number(doc, "B", default=1.0)
+    phi = _parse_numbers(doc, "phi", (k,))
+    bandwidth = _parse_numbers(doc, "B", default=1.0)
+    pc = _parse_numbers(doc, "Pc", () if kind == "gee" else (k,))
     try:
-        if kind == "gee":
-            pc = _parse_number(doc, "Pc")
-            return gee_problem(net, EnergyModel(phi=phi, p_circuit=pc, bandwidth=bandwidth))
-        pc = _parse_array(doc, "Pc", (k,))
         energy = EnergyModel(phi=phi, p_circuit=pc, bandwidth=bandwidth)
+        if kind == "gee":
+            return gee_problem(net, energy)
         return wsee_problem(net, energy) if kind == "wsee" else wmee_problem(net, energy)
-    except ParseError:
-        raise
     except Exception as exc:
         raise ParseError(str(exc)) from exc

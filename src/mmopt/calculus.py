@@ -28,6 +28,7 @@ from .errors import (
     MMOptError,
     NegativeWeight,
     NegativityDetected,
+    NonFiniteEntry,
     NonpositiveDenominator,
 )
 
@@ -75,7 +76,7 @@ def mm_sum(parts: Sequence[MMFunction]) -> MMFunction:
 
 
 def mm_weighted_sum(weights, parts: Sequence[MMFunction]) -> MMFunction:
-    """Nonnegative-weighted sum of mixed monotonic functions.
+    """Sum of mixed monotonic functions with finite nonnegative weights.
 
     The terms are added in order in Python floats.  Each part is evaluated
     through ``p.eval`` looked up at call time, not a method bound in
@@ -86,6 +87,8 @@ def mm_weighted_sum(weights, parts: Sequence[MMFunction]) -> MMFunction:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size != len(parts):
         raise DimensionMismatch(f"{w.size} weights for {len(parts)} functions")
+    if not np.isfinite(w).all():
+        raise NonFiniteEntry(f"weights must be finite, got {w.tolist()}")
     if np.any(w < 0):
         raise NegativeWeight("weights must be nonnegative")
     dim = _common_dim(parts)
@@ -145,6 +148,20 @@ def _apply_scalar(g, value: float, name: str) -> float:
     return out
 
 
+def _compose(g, inner: MMFunction, check_range, nondecreasing: bool) -> MMFunction:
+    """``g`` applied to ``inner(x, y)``, or for a nonincreasing ``g`` to
+    ``inner(y, x)``, after the optional spot check of its direction."""
+    if check_range is not None:
+        _spot_check_direction(g, check_range[0], check_range[1], nondecreasing)
+
+    def fn(x, y):
+        if not nondecreasing:
+            x, y = y, x
+        return _apply_scalar(g, inner.eval(x, y), "compose")
+
+    return MMFunction(inner.dim, fn, name=f"{'g' if nondecreasing else 'h'}({inner.name})")
+
+
 def mm_compose_nondecreasing(
     g: Callable[[float], float],
     inner: MMFunction,
@@ -155,13 +172,7 @@ def mm_compose_nondecreasing(
     ``check_range=(lo, hi)`` spot-checks the declared direction of ``g`` by
     sampling; omit it when no meaningful sampling interval exists.
     """
-    if check_range is not None:
-        _spot_check_direction(g, check_range[0], check_range[1], nondecreasing=True)
-
-    def fn(x, y):
-        return _apply_scalar(g, inner.eval(x, y), "compose")
-
-    return MMFunction(inner.dim, fn, name=f"g({inner.name})")
+    return _compose(g, inner, check_range, nondecreasing=True)
 
 
 def mm_compose_nonincreasing(
@@ -175,13 +186,7 @@ def mm_compose_nonincreasing(
     evaluates ``h(inner(y, x))`` -- so that the composition is again
     nondecreasing in ``x`` and nonincreasing in ``y``.
     """
-    if check_range is not None:
-        _spot_check_direction(h, check_range[0], check_range[1], nondecreasing=False)
-
-    def fn(x, y):
-        return _apply_scalar(h, inner.eval(y, x), "compose")
-
-    return MMFunction(inner.dim, fn, name=f"h({inner.name})")
+    return _compose(h, inner, check_range, nondecreasing=False)
 
 
 def mm_product(parts: Sequence[MMFunction], domain_box: BoxNd) -> MMFunction:
@@ -197,16 +202,6 @@ def mm_product(parts: Sequence[MMFunction], domain_box: BoxNd) -> MMFunction:
     if domain_box.dim != dim:
         raise DimensionMismatch("domain box dimension differs from the factors")
 
-    rng = np.random.default_rng(0)
-    r, width = domain_box.r, domain_box.s - domain_box.r
-    for _ in range(1000):
-        x = r + width * rng.random(dim)
-        y = r + width * rng.random(dim)
-        for p in parts:
-            v = p.eval(x, y)
-            if v < -1e-12:
-                raise NegativityDetected(f"factor {p.name} sampled negative ({v}) at construction")
-
     def fn(x, y):
         out = 1.0
         for p in parts:
@@ -216,6 +211,10 @@ def mm_product(parts: Sequence[MMFunction], domain_box: BoxNd) -> MMFunction:
             out *= v if v > 0.0 else 0.0
         return out
 
+    rng = np.random.default_rng(0)
+    r, width = domain_box.r, domain_box.s - domain_box.r
+    for _ in range(1000):  # x drawn before y; a negative factor raises in fn
+        fn(r + width * rng.random(dim), r + width * rng.random(dim))
     return MMFunction(dim, fn, name="prod")
 
 

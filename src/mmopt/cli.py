@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import BenchSpec, run_bench, write_csv, write_json
+from .bench import _EXPERIMENTS, _ON_OFF, BenchSpec, run_bench, write_csv, write_json
 from .errors import MMOptError
 
 
@@ -28,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--experiment",
         required=True,
-        choices=["wsr-compare", "gee-compare", "aloha", "single-solve"],
+        choices=list(_EXPERIMENTS),
     )
     parser.add_argument("--k", type=int, default=2, help="number of users/variables")
     parser.add_argument("--realizations", type=int, default=1)
@@ -52,13 +52,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _SELECTIONS = {"best": "best-first", "oldest": "oldest-first"}
-_REDUCTIONS = {"on": True, "off": False}
 
 
 def spec_from_args(args: argparse.Namespace) -> BenchSpec:
     try:
         selections = tuple(_SELECTIONS[s] for s in _csv_list(args.selection))
-        reductions = tuple(_REDUCTIONS[s] for s in _csv_list(args.reduction))
+        reductions = tuple(_ON_OFF[s] for s in _csv_list(args.reduction))
     except KeyError as exc:
         raise MMOptError(f"unknown flag value {exc.args[0]!r}") from exc
     return BenchSpec(

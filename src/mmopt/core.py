@@ -60,7 +60,7 @@ def _as_readonly_vector(v, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxNd:
     """Axis-aligned hyperrectangle ``[r, s]``.
 
@@ -204,7 +204,7 @@ class MMConstraint:
         return self.g.dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """A maximization problem over a box-enclosed feasible set.
 
@@ -346,7 +346,7 @@ class SolveStats:
     peak_region_count: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolverResult:
     incumbent: np.ndarray | None
     value: float

@@ -55,7 +55,7 @@ class Feasibility(enum.Enum):
     FEASIBLE_WITH_WITNESS = "feasible-with-witness"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeasibilityVerdict:
     kind: Feasibility
     witness: np.ndarray | None = None

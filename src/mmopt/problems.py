@@ -81,7 +81,7 @@ def _frozen_vector(v, k: int, name: str, lo=None, strict_lo=None) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InterferenceNetwork:
     """K-user interference network with per-user power caps.
 
@@ -121,7 +121,7 @@ class InterferenceNetwork:
         return self.alpha.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyModel:
     """Power-consumption model: amplifier inefficiencies, circuit power, bandwidth.
 
@@ -158,7 +158,7 @@ class EnergyModel:
         return isinstance(self.p_circuit, np.ndarray)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlohaNetwork:
     """Slotted random access: success rates, interferer sets, rate floors."""
 
@@ -549,8 +549,8 @@ def aloha_feasibility_boundary(k: int) -> float:
     """Largest ratio rho such that every user can simultaneously reach a
     throughput of rho times its success rate under full interference;
     attained at equal transmit probabilities 1/K."""
-    if k < 1:
-        raise InvalidNetwork("need at least one user")
+    if not _is_count(k, 1):
+        raise InvalidNetwork(f"need an integer count of users >= 1, got {k!r}")
     if k == 1:
         return 1.0
     return (k - 1) ** (k - 1) / k**k
@@ -564,8 +564,8 @@ def generate_channels(k: int, seed: int) -> InterferenceNetwork:
     """Random interference network: squared magnitudes of unit-variance
     complex normal gains, no self-interference, noise power 0.01, unit
     power caps and weights, no rate floors.  Deterministic per seed."""
-    if k < 1:
-        raise InvalidNetwork("need at least one user")
+    if not _is_count(k, 1):
+        raise InvalidNetwork(f"need an integer count of users >= 1, got {k!r}")
     rng = np.random.default_rng(seed)
     za = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2.0)
     alpha = np.abs(za) ** 2
@@ -591,8 +591,8 @@ def generate_aloha(k: int, seed: int) -> AlohaNetwork:
     feasibility boundary (std 0.05, clipped at zero), so some floors are
     active and draws straddle infeasibility.  Deterministic per seed.
     """
-    if k < 1:
-        raise InvalidNetwork("need at least one user")
+    if not _is_count(k, 1):
+        raise InvalidNetwork(f"need an integer count of users >= 1, got {k!r}")
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2.0)
     c = np.log2(1.0 + np.abs(z) ** 2)

@@ -113,7 +113,6 @@ from .feasibility import (  # noqa: F401
 __all__ = [
     "RegionQueue",
     "SolveStats",
-    "bound",
     "bisect",
     "reduce_box",
     "find_incumbent",
@@ -126,13 +125,6 @@ __all__ = [
 _POINT_DIAMETER = 1e-12
 
 _TRACE_HEADER = "k,box_id,upper_bound,gamma,queue_size"
-
-
-def bound(objective: MMFunction, box: BoxNd) -> float:
-    """Upper bound on the objective over the box: F at (upper, lower) corners."""
-    if objective.dim != box.dim:
-        raise DimensionMismatch("objective and box dimensions differ")
-    return objective.eval(box.s, box.r)
 
 
 def bisect(box: BoxNd) -> tuple[BoxNd, BoxNd]:

@@ -191,6 +191,24 @@ class TestSpec:
         with pytest.raises(SpecError):
             BenchSpec(experiment="wsr-compare", realizations=0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(k=2.5),
+            dict(k=True),
+            dict(k=0),
+            dict(realizations=1.5),
+            dict(realizations=True),
+            dict(seed=-1),
+            dict(seed=0.5),
+            dict(seed=False),
+        ],
+    )
+    def test_counts_must_be_integers(self, bad):
+        (name,) = bad
+        with pytest.raises(SpecError, match=f"{name} must be an integer >= "):
+            BenchSpec(experiment="wsr-compare", **bad)
+
     def test_unknown_experiment(self):
         with pytest.raises(SpecError):
             BenchSpec(experiment="wsr")
@@ -243,7 +261,6 @@ class TestSpec:
 class TestRunBench:
     def test_wsr_compare_row_count_and_direction(self):
         from mmopt.problems import generate_channels, wsr_problem
-        from mmopt.solver import bound
 
         spec = BenchSpec(
             experiment="wsr-compare",
@@ -259,7 +276,8 @@ class TestRunBench:
             by_instance.setdefault(row.instance_id, {})[row.representation] = row
             # objective can never exceed the root bound of its own instance
             prob = wsr_problem(generate_channels(2, seed=row.seed), row.representation)
-            assert row.objective <= bound(prob.objective, prob.initial_box) + 1e-9
+            root = prob.initial_box
+            assert row.objective <= prob.objective.eval(root.s, root.r) + 1e-9
         wins = sum(
             1
             for pair in by_instance.values()
@@ -632,6 +650,13 @@ class TestCli:
         rc = main(["--experiment", "wsr-compare", "--realizations", "0"])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_negative_seed_exit_code(self, capsys):
+        rc = main(["--experiment", "wsr-compare", "--seed", "-1"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: seed must be an integer >= 0" in captured.err
 
     def test_malformed_instance_exit_code(self, tmp_path, capsys):
         path = write_instance(tmp_path, dict(_WSR2, sigma2="abc"))

@@ -25,6 +25,7 @@ from mmopt.errors import (
     MMOptError,
     NegativeWeight,
     NegativityDetected,
+    NonFiniteEntry,
     NonpositiveDenominator,
 )
 from mmopt.problems import generate_channels, wsr_problem
@@ -100,6 +101,11 @@ class TestWeightedSum:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             mm_weighted_sum((1.0, 2.0), [x0()])
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected_at_construction(self, weight):
+        with pytest.raises(NonFiniteEntry):
+            mm_weighted_sum((1.0, weight), [x0(), x0()])
 
 
 class TestMinMax:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from mmopt.core import (
     MMFunction,
     ProblemInstance,
     SolverConfig,
+    SolverResult,
     check_mm_property,
     make_box,
 )
@@ -18,7 +20,8 @@ from mmopt.errors import (
     MMOptError,
     NonFiniteEntry,
 )
-from mmopt.problems import generate_channels, wsr_problem
+from mmopt.feasibility import Feasibility, FeasibilityVerdict
+from mmopt.problems import EnergyModel, generate_aloha, generate_channels, wsr_problem
 
 
 def test_solver_config_takes_numpy_integers_and_zero_limits():
@@ -245,3 +248,25 @@ def test_diagonal_never_exceeds_corner_bound():
     for _ in range(1000):
         x = box.r + (box.s - box.r) * rng.random(3)
         assert objective.eval(x, x) <= ubound + 1e-9
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_box((0.0,), (1.0,)),
+        lambda: wsr_problem(generate_channels(2, 0)),
+        lambda: SolverResult(np.zeros(2), 0.0, "eta-optimal", 0, 0.0),
+        lambda: FeasibilityVerdict(Feasibility.FEASIBLE_WITH_WITNESS, witness=np.zeros(2)),
+        lambda: generate_channels(2, 0),
+        lambda: EnergyModel(phi=(5.0, 5.0), p_circuit=(1.0, 1.0)),
+        lambda: generate_aloha(2, 0),
+    ],
+    ids=["box", "problem", "result", "verdict", "network", "energy", "aloha"],
+)
+def test_records_with_array_fields_compare_and_hash_by_identity(make):
+    # value equality would compare numpy arrays, which raises on == and hash()
+    a = make()
+    b = replace(a)
+    assert a == a and a != b and a != make()
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2

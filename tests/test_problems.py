@@ -54,6 +54,14 @@ def symmetric_net():
 
 
 class TestNetworkValidation:
+    @pytest.mark.parametrize("k", [0, 2.5, True, np.float64(2.0)])
+    def test_generators_need_an_integer_user_count(self, k):
+        for make in (generate_channels, generate_aloha):
+            with pytest.raises(InvalidNetwork, match="count of users"):
+                make(k, 0)
+        with pytest.raises(InvalidNetwork, match="count of users"):
+            aloha_feasibility_boundary(k)
+
     def test_shape_mismatch(self):
         with pytest.raises(InvalidNetwork):
             InterferenceNetwork(
