@@ -10,7 +10,9 @@ standard error and into the row's ``error`` field (JSON output only).
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import itertools
 import json
 import sys
@@ -21,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .core import ProblemInstance, SolverConfig, _is_count
-from .errors import MMOptError, ParseError, SchemaVersionError, SpecError
+from .errors import InvalidNetwork, MMOptError, ParseError, SchemaVersionError, SpecError
 from .problems import (
     REPRESENTATIONS,
     AlohaNetwork,
@@ -127,29 +129,21 @@ class ResultRow:
 
 
 _ON_OFF = {"on": True, "off": False}  # a bool in CSV rows and in the CLI's flag lists
+# per ResultRow field type: its CSV parser (None: no CSV column) and the JSON
+# value types it takes; exact types, so a bool is no int or float
+_FIELD_TYPES = {
+    "str": (str, (str,)),
+    "str | None": (None, (str, type(None))),
+    "bool": (_ON_OFF.__getitem__, (bool,)),
+    "int": (int, (int,)),
+    "float": (float, (float, int)),
+    "float | None": (lambda v: float(v) if v else None, (float, int, type(None))),
+}
+_ROW_TYPES = {f.name: _FIELD_TYPES[f.type] for f in dataclasses.fields(ResultRow)}
 # CSV columns in the order of the fields of ResultRow, each with its parser
-_CSV_PARSERS = {
-    "str": str,
-    "bool": _ON_OFF.__getitem__,
-    "int": int,
-    "float": float,
-    "float | None": lambda v: float(v) if v else None,
-}
-_CSV_COLUMNS = tuple(
-    (f.name, _CSV_PARSERS[f.type]) for f in dataclasses.fields(ResultRow) if f.name != "error"
-)
+_CSV_COLUMNS = tuple((name, parse) for name, (parse, _) in _ROW_TYPES.items() if parse)
 CSV_HEADER = ",".join(name for name, _ in _CSV_COLUMNS)
-# the JSON value types each field of ResultRow takes; exact types, so a bool
-# is no int or float
-_JSON_TYPES = {
-    "str": (str,),
-    "str | None": (str, type(None)),
-    "bool": (bool,),
-    "int": (int,),
-    "float": (float, int),
-    "float | None": (float, int, type(None)),
-}
-_JSON_FIELDS = {f.name: _JSON_TYPES[f.type] for f in dataclasses.fields(ResultRow)}
+_JSON_FIELDS = {name: types for name, (_, types) in _ROW_TYPES.items()}
 
 
 def _instance_seed(spec_seed: int, index: int) -> int:
@@ -370,9 +364,11 @@ def _write_text(text: str, target):
 
 
 def write_csv(rows, path):
-    lines = [CSV_HEADER]
-    lines += (",".join(_fmt(getattr(row, name)) for name, _ in _CSV_COLUMNS) for row in rows)
-    _write_text("\n".join(lines) + "\n", path)
+    buf = io.StringIO()  # csv quotes only a field with a comma, a quote or a line break
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(name for name, _ in _CSV_COLUMNS)
+    writer.writerows([_fmt(getattr(row, name)) for name, _ in _CSV_COLUMNS] for row in rows)
+    _write_text(buf.getvalue(), path)
 
 
 def write_json(rows, path):
@@ -387,24 +383,26 @@ def write_json(rows, path):
 
 
 def read_csv(path) -> list[ResultRow]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            records = [(reader.line_num, parts) for parts in reader]
+        except csv.Error as exc:
+            raise ParseError(f"line {reader.line_num}: {exc}") from exc
+    header = ",".join(records[0][1]) if records else ""
+    if header != CSV_HEADER:
+        raise ParseError(f"unexpected CSV header: {header!r}")
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ParseError(f"unexpected CSV header: {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != len(_CSV_COLUMNS):
-                raise ParseError(
-                    f"line {lineno}: expected {len(_CSV_COLUMNS)} fields, got {len(parts)}"
-                )
-            values = {}
-            for (name, parse), v in zip(_CSV_COLUMNS, parts):
-                try:
-                    values[name] = parse(v)
-                except (KeyError, ValueError) as exc:
-                    raise ParseError(f"line {lineno}, column {name!r}: bad value {v!r}") from exc
-            rows.append(ResultRow(**values))
+    for line, parts in records[1:]:
+        if len(parts) != len(_CSV_COLUMNS):
+            raise ParseError(f"line {line}: expected {len(_CSV_COLUMNS)} fields, got {len(parts)}")
+        values = {}
+        for (name, parse), v in zip(_CSV_COLUMNS, parts):
+            try:
+                values[name] = parse(v)
+            except (KeyError, ValueError) as exc:
+                raise ParseError(f"line {line}, column {name!r}: bad value {v!r}") from exc
+        rows.append(ResultRow(**values))
     return rows
 
 
@@ -436,7 +434,8 @@ def read_json(path) -> list[ResultRow]:
 # instance files
 
 _SCHEMA = "mmp-bench/1"
-_TYPES = ("wsr", "gee", "wsee", "wmee", "aloha")
+_ENERGY_PROBLEMS = {"gee": gee_problem, "wsee": wsee_problem, "wmee": wmee_problem}
+_TYPES = ("wsr", *_ENERGY_PROBLEMS, "aloha")
 
 
 def _require(doc: dict, field: str):
@@ -480,6 +479,9 @@ def _parse_numbers(doc, field, shape=(), default=None):
 
 
 def _parse_interferers(doc, k):
+    """Field ``interferers``; when it is missing, every user interferes with every other."""
+    if "interferers" not in doc:
+        return tuple(tuple(j for j in range(k) if j != i) for i in range(k))
     raw = doc["interferers"]
     if not isinstance(raw, list) or len(raw) != k:
         raise ParseError(f"field 'interferers' must list {k} index sets")
@@ -490,7 +492,8 @@ def _parse_interferers(doc, k):
 
 
 def load_instance(path, representation: str = "mmp") -> ProblemInstance:
-    """Parse an ``mmp-bench/1`` JSON document into a problem instance."""
+    """Parse an ``mmp-bench/1`` JSON document into a problem instance; only a
+    ``wsr`` document takes a ``representation`` other than ``mmp``."""
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
@@ -500,46 +503,39 @@ def load_instance(path, representation: str = "mmp") -> ProblemInstance:
     kind = _require(doc, "type")
     if kind not in _TYPES:
         raise ParseError(f"unknown problem type {kind!r}")
+    if representation not in REPRESENTATIONS or (kind != "wsr" and representation != "mmp"):
+        raise InvalidNetwork(f"a {kind} instance takes no representation {representation!r}")
     k = _parse_int(_require(doc, "K"), "K")
     if k < 1:
         raise ParseError("field 'K' must be >= 1")
 
     if kind == "aloha":
-        c = _parse_numbers(doc, "c", (k,))
-        r_min = _parse_numbers(doc, "rmin", (k,), default=0.0)
-        if "interferers" in doc:
-            interferers = _parse_interferers(doc, k)
-        else:
-            interferers = tuple(tuple(j for j in range(k) if j != i) for i in range(k))
-        try:
-            net = AlohaNetwork(c=c, interferers=interferers, r_min=r_min)
-            return aloha_problem(net)
-        except Exception as exc:
-            raise ParseError(str(exc)) from exc
-
-    alpha = _parse_numbers(doc, "alpha", (k,))
-    beta = _parse_numbers(doc, "beta", (k, k))
-    sigma2 = _parse_numbers(doc, "sigma2")
-    p_max = _parse_numbers(doc, "P", (k,))
-    w = _parse_numbers(doc, "w", (k,), default=1.0)
-    r_min = _parse_numbers(doc, "rmin", (k,), default=0.0)
-    try:
-        net = InterferenceNetwork(
-            alpha=alpha, beta=beta, sigma2=sigma2, p_max=p_max, w=w, r_min=r_min
+        aloha = dict(
+            c=_parse_numbers(doc, "c", (k,)),
+            r_min=_parse_numbers(doc, "rmin", (k,), default=0.0),
+            interferers=_parse_interferers(doc, k),
         )
-    except Exception as exc:
-        raise ParseError(str(exc)) from exc
-
-    if kind == "wsr":
-        return wsr_problem(net, representation=representation)
-
-    phi = _parse_numbers(doc, "phi", (k,))
-    bandwidth = _parse_numbers(doc, "B", default=1.0)
-    pc = _parse_numbers(doc, "Pc", () if kind == "gee" else (k,))
+    else:
+        network = dict(
+            alpha=_parse_numbers(doc, "alpha", (k,)),
+            beta=_parse_numbers(doc, "beta", (k, k)),
+            sigma2=_parse_numbers(doc, "sigma2"),
+            p_max=_parse_numbers(doc, "P", (k,)),
+            w=_parse_numbers(doc, "w", (k,), default=1.0),
+            r_min=_parse_numbers(doc, "rmin", (k,), default=0.0),
+        )
+    if kind in _ENERGY_PROBLEMS:
+        energy = dict(
+            phi=_parse_numbers(doc, "phi", (k,)),
+            bandwidth=_parse_numbers(doc, "B", default=1.0),
+            p_circuit=_parse_numbers(doc, "Pc", () if kind == "gee" else (k,)),
+        )
     try:
-        energy = EnergyModel(phi=phi, p_circuit=pc, bandwidth=bandwidth)
-        if kind == "gee":
-            return gee_problem(net, energy)
-        return wsee_problem(net, energy) if kind == "wsee" else wmee_problem(net, energy)
+        if kind == "aloha":
+            return aloha_problem(AlohaNetwork(**aloha))
+        net = InterferenceNetwork(**network)
+        if kind == "wsr":
+            return wsr_problem(net, representation=representation)
+        return _ENERGY_PROBLEMS[kind](net, EnergyModel(**energy))
     except Exception as exc:
         raise ParseError(str(exc)) from exc

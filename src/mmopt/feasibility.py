@@ -60,10 +60,6 @@ class FeasibilityVerdict:
     kind: Feasibility
     witness: np.ndarray | None = None
 
-    @property
-    def is_feasible(self) -> bool:
-        return self.kind in (Feasibility.FULLY_FEASIBLE, Feasibility.FEASIBLE_WITH_WITNESS)
-
 
 # the verdicts without a witness, built once: every test returns these instances
 VERDICT_INFEASIBLE = FeasibilityVerdict(Feasibility.INFEASIBLE)

@@ -67,10 +67,12 @@ def _numbers(v, name: str) -> np.ndarray:
     return np.array(arr, dtype=float, copy=True)
 
 
-def _frozen_vector(v, k: int, name: str, lo=None, strict_lo=None) -> np.ndarray:
+def _frozen(v, shape: tuple[int, ...], name: str, lo=None, strict_lo=None) -> np.ndarray:
+    """``v`` as a read-only finite float array of ``shape``, each entry
+    ``>= lo`` and ``> strict_lo`` where given; else ``InvalidNetwork``."""
     arr = _numbers(v, name)
-    if arr.shape != (k,):
-        raise InvalidNetwork(f"{name} must have shape ({k},), got {arr.shape}")
+    if arr.shape != shape:
+        raise InvalidNetwork(f"{name} must have shape {shape}, got {arr.shape}")
     if not np.isfinite(arr).all():
         raise InvalidNetwork(f"{name} must be finite")
     if lo is not None and np.any(arr < lo):
@@ -79,6 +81,12 @@ def _frozen_vector(v, k: int, name: str, lo=None, strict_lo=None) -> np.ndarray:
         raise InvalidNetwork(f"{name} must be > {strict_lo}")
     arr.flags.writeable = False
     return arr
+
+
+def _positive(v, name: str) -> float:
+    if not (_is_finite_real(v) and v > 0):
+        raise InvalidNetwork(f"{name} must be a positive number, got {v!r}")
+    return float(v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,20 +109,12 @@ class InterferenceNetwork:
 
     def __post_init__(self):
         k = np.asarray(self.alpha).size
-        object.__setattr__(self, "alpha", _frozen_vector(self.alpha, k, "alpha", strict_lo=0.0))
-        beta = _numbers(self.beta, "beta")
-        if beta.shape != (k, k):
-            raise InvalidNetwork(f"beta must have shape ({k}, {k}), got {beta.shape}")
-        if not np.isfinite(beta).all() or np.any(beta < 0):
-            raise InvalidNetwork("beta must be finite and nonnegative")
-        beta.flags.writeable = False
-        object.__setattr__(self, "beta", beta)
-        if not (_is_finite_real(self.sigma2) and self.sigma2 > 0):
-            raise InvalidNetwork(f"sigma2 must be a positive number, got {self.sigma2!r}")
-        object.__setattr__(self, "sigma2", float(self.sigma2))
-        object.__setattr__(self, "p_max", _frozen_vector(self.p_max, k, "p_max", strict_lo=0.0))
-        object.__setattr__(self, "w", _frozen_vector(self.w, k, "w", lo=0.0))
-        object.__setattr__(self, "r_min", _frozen_vector(self.r_min, k, "r_min", lo=0.0))
+        object.__setattr__(self, "alpha", _frozen(self.alpha, (k,), "alpha", strict_lo=0.0))
+        object.__setattr__(self, "beta", _frozen(self.beta, (k, k), "beta", lo=0.0))
+        object.__setattr__(self, "sigma2", _positive(self.sigma2, "sigma2"))
+        object.__setattr__(self, "p_max", _frozen(self.p_max, (k,), "p_max", strict_lo=0.0))
+        object.__setattr__(self, "w", _frozen(self.w, (k,), "w", lo=0.0))
+        object.__setattr__(self, "r_min", _frozen(self.r_min, (k,), "r_min", lo=0.0))
 
     @property
     def K(self) -> int:
@@ -134,24 +134,14 @@ class EnergyModel:
     bandwidth: float = 1.0
 
     def __post_init__(self):
-        phi = _numbers(self.phi, "phi")
-        if phi.ndim != 1 or not np.isfinite(phi).all() or np.any(phi < 0):
-            raise InvalidNetwork("phi must be a finite nonnegative vector")
-        phi.flags.writeable = False
-        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "phi", _frozen(self.phi, (np.size(self.phi),), "phi", lo=0.0))
         pc = self.p_circuit
         if np.ndim(pc) == 0:
-            if not (_is_finite_real(pc) and pc > 0):
-                raise InvalidNetwork(f"p_circuit must be a positive number, got {pc!r}")
-            object.__setattr__(self, "p_circuit", float(pc))
+            pc = _positive(pc, "p_circuit")
         else:
-            object.__setattr__(
-                self, "p_circuit", _frozen_vector(pc, phi.size, "p_circuit", strict_lo=0.0)
-            )
-        bw = self.bandwidth
-        if not (_is_finite_real(bw) and bw > 0):
-            raise InvalidNetwork(f"bandwidth must be a positive number, got {bw!r}")
-        object.__setattr__(self, "bandwidth", float(self.bandwidth))
+            pc = _frozen(pc, self.phi.shape, "p_circuit", strict_lo=0.0)
+        object.__setattr__(self, "p_circuit", pc)
+        object.__setattr__(self, "bandwidth", _positive(self.bandwidth, "bandwidth"))
 
     @property
     def per_user_circuit(self) -> bool:
@@ -168,7 +158,7 @@ class AlohaNetwork:
 
     def __post_init__(self):
         k = np.asarray(self.c).size
-        object.__setattr__(self, "c", _frozen_vector(self.c, k, "c", strict_lo=0.0))
+        object.__setattr__(self, "c", _frozen(self.c, (k,), "c", strict_lo=0.0))
         sets = []
         if len(self.interferers) != k:
             raise InvalidNetwork(f"interferers must list {k} index sets")
@@ -180,7 +170,7 @@ class AlohaNetwork:
                 raise InvalidNetwork(f"user {i} cannot interfere with itself")
             sets.append(tuple(sorted(int(j) for j in ids)))
         object.__setattr__(self, "interferers", tuple(sets))
-        object.__setattr__(self, "r_min", _frozen_vector(self.r_min, k, "r_min", lo=0.0))
+        object.__setattr__(self, "r_min", _frozen(self.r_min, (k,), "r_min", lo=0.0))
 
     @property
     def K(self) -> int:
@@ -549,8 +539,7 @@ def aloha_feasibility_boundary(k: int) -> float:
     """Largest ratio rho such that every user can simultaneously reach a
     throughput of rho times its success rate under full interference;
     attained at equal transmit probabilities 1/K."""
-    if not _is_count(k, 1):
-        raise InvalidNetwork(f"need an integer count of users >= 1, got {k!r}")
+    _check_draw(k)
     if k == 1:
         return 1.0
     return (k - 1) ** (k - 1) / k**k
@@ -560,12 +549,19 @@ def aloha_feasibility_boundary(k: int) -> float:
 # seeded generators
 
 
+def _check_draw(k, seed=0) -> None:
+    """``InvalidNetwork`` unless ``k`` is an integer >= 1 and ``seed`` one >= 0."""
+    if not _is_count(k, 1):
+        raise InvalidNetwork(f"need an integer count of users >= 1, got {k!r}")
+    if not _is_count(seed, 0):
+        raise InvalidNetwork(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def generate_channels(k: int, seed: int) -> InterferenceNetwork:
     """Random interference network: squared magnitudes of unit-variance
     complex normal gains, no self-interference, noise power 0.01, unit
     power caps and weights, no rate floors.  Deterministic per seed."""
-    if not _is_count(k, 1):
-        raise InvalidNetwork(f"need an integer count of users >= 1, got {k!r}")
+    _check_draw(k, seed)
     rng = np.random.default_rng(seed)
     za = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2.0)
     alpha = np.abs(za) ** 2
@@ -591,8 +587,7 @@ def generate_aloha(k: int, seed: int) -> AlohaNetwork:
     feasibility boundary (std 0.05, clipped at zero), so some floors are
     active and draws straddle infeasibility.  Deterministic per seed.
     """
-    if not _is_count(k, 1):
-        raise InvalidNetwork(f"need an integer count of users >= 1, got {k!r}")
+    _check_draw(k, seed)
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2.0)
     c = np.log2(1.0 + np.abs(z) ** 2)

@@ -289,18 +289,6 @@ def reduce_box(
     return BoxNd._trusted(r_new, s_new)
 
 
-def _box_test(problem: ProblemInstance):
-    """The problem's box test, ``box -> FeasibilityVerdict``, by its
-    ``feasibility_mode``; each call looks the test up in this module, where a
-    tracer may wrap it."""
-    mode, constraints = problem.feasibility_mode, problem.constraints
-    if mode == "custom-oracle":
-        return problem.feasibility_oracle
-    if mode == "mm-conclusive":
-        return lambda box: mm_conclusive_test(box, constraints)
-    return lambda box: mm_sufficient_test(box, constraints)
-
-
 # what a box step returns for a box its test proves infeasible
 _INFEASIBLE = object()
 
@@ -311,13 +299,20 @@ def _box_point(problem: ProblemInstance, epsilon: float):
     :func:`find_incumbent`), None when it offers none, and ``_INFEASIBLE``
     when the test proves the box infeasible.
 
-    Without constraints the corner test's verdict is always the lower
-    corner as its witness, so the step returns ``box.r`` itself and builds
-    no verdict.
+    The verdict is that of the ``feasibility_mode``'s test, looked up in this
+    module at each call, where a tracer may wrap it.  Without constraints
+    the corner test's verdict is always the lower corner as its witness, so
+    the step returns ``box.r`` itself and builds no verdict.
     """
-    if problem.feasibility_mode == "mm-conclusive" and not problem.constraints:
+    mode, constraints = problem.feasibility_mode, problem.constraints
+    if mode == "custom-oracle":
+        test = problem.feasibility_oracle
+    elif not constraints:
         return operator.attrgetter("r")
-    test = _box_test(problem)
+    elif mode == "mm-conclusive":
+        test = lambda box: mm_conclusive_test(box, constraints)  # noqa: E731
+    else:
+        test = lambda box: mm_sufficient_test(box, constraints)  # noqa: E731
     undecided_offers_r = epsilon > 0.0 and problem.feasibility_oracle is None
 
     def point(box: BoxNd):
@@ -353,13 +348,15 @@ def find_incumbent(box: BoxNd, problem: ProblemInstance, epsilon: float = 0.0):
     ``mm-conclusive`` mode, or an oracle); the lower corner of a box
     certified ``FULLY_FEASIBLE``; or, with ``epsilon > 0`` and no oracle,
     the lower corner of an undecided box.  The point is returned only if it
-    lies in the box and meets every constraint within ``epsilon``; a
-    witness whose shape is not ``(dim,)`` raises
+    lies in the box and meets every constraint within ``epsilon``.  A box
+    or a witness whose dimension is not the problem's raises
     :class:`~mmopt.errors.DimensionMismatch`, and an ``epsilon`` that is not
     a finite real number >= 0 raises :class:`~mmopt.errors.MMOptError`.
     """
     if not (_is_finite_real(epsilon) and epsilon >= 0):
         raise MMOptError(f"epsilon must be a finite real number >= 0, got {epsilon!r}")
+    if box.dim != problem.dim:
+        raise DimensionMismatch(f"box dimension {box.dim} != problem dimension {problem.dim}")
     x = _box_point(problem, epsilon)(box)
     if x is None or x is _INFEASIBLE or not _admissible(problem.constraints, box, x, epsilon):
         return None

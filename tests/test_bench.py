@@ -1,7 +1,8 @@
+import csv
 import io
 import json
 import math
-from dataclasses import asdict, astuple
+from dataclasses import asdict, astuple, replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from mmopt.bench import (
 )
 from mmopt.cli import main
 from mmopt.core import MMFunction, ProblemInstance, SolverConfig
-from mmopt.errors import ParseError, SchemaVersionError, SpecError
+from mmopt.errors import InvalidNetwork, ParseError, SchemaVersionError, SpecError
 from mmopt.problems import AlohaNetwork, generate_aloha, wsr_problem
 from mmopt.solver import solve
 
@@ -74,6 +75,24 @@ class TestSerialization:
         rows = small_rows()
         write_csv(rows, path)
         assert read_csv(path) == rows
+
+    def test_csv_round_trip_quotes_an_id_with_a_comma(self, tmp_path):
+        # single-solve takes the id from the file stem, which may hold a comma
+        rows = [replace(small_rows()[0], instance_id="net,2")]
+        path = tmp_path / "comma.csv"
+        write_csv(rows, path)
+        assert path.read_text().splitlines()[1].startswith('"net,2",brb,')
+        assert read_csv(path) == rows
+
+    def test_csv_reader_error_raises_parse_error(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text(CSV_HEADER + "\n" + "x" * 200 + "\n")
+        limit = csv.field_size_limit(100)
+        try:
+            with pytest.raises(ParseError, match="line 2: field larger than field limit"):
+                read_csv(path)
+        finally:
+            csv.field_size_limit(limit)
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "rt.json"
@@ -506,6 +525,15 @@ class TestLoadInstance:
         with pytest.raises(ParseError, match="beta"):
             load_instance(path)
 
+    @pytest.mark.parametrize(
+        "doc, representation",
+        [(_GEE2, "dm"), (_ALOHA2, "dm"), (_GEE2, "bogus"), (_WSR2, "bogus")],
+    )
+    def test_representation_the_type_does_not_take_rejected(self, tmp_path, doc, representation):
+        # a gee document once built its mmp problem for any representation
+        with pytest.raises(InvalidNetwork, match=f"{doc['type']} instance .*'{representation}'"):
+            load_instance(write_instance(tmp_path, doc), representation=representation)
+
     def test_unknown_type(self, tmp_path):
         path = write_instance(
             tmp_path, {"schema": "mmp-bench/1", "type": "scheduling", "K": 1}
@@ -682,6 +710,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: unknown representation 'foo'" in captured.err
+
+    def test_dm_on_a_gee_instance_exit_code(self, tmp_path, capsys):
+        # two identical rows were written, one of them labelled dm
+        path = write_instance(tmp_path, _GEE2)
+        out = tmp_path / "out.csv"
+        argv = ["--experiment", "single-solve", "--instance", str(path), "--repr", "mmp,dm"]
+        rc = main(argv + ["--out", str(out)])
+        assert rc == 1
+        assert "error: a gee instance takes no representation 'dm'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_error_rows_exit_code(self, tmp_path, monkeypatch):
         def exploding_solve(problem, config):

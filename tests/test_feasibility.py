@@ -9,6 +9,7 @@ from mmopt.feasibility import (
     VERDICT_INFEASIBLE,
     VERDICT_UNKNOWN,
     Feasibility,
+    FeasibilityVerdict,
     conormal_set_test,
     least_point_test,
     mm_conclusive_test,
@@ -16,7 +17,7 @@ from mmopt.feasibility import (
     normal_set_test,
 )
 from mmopt.problems import generate_aloha, generate_channels, wsr_problem
-from mmopt.solver import _box_test
+from mmopt.solver import _INFEASIBLE, _box_point
 
 from oracles import (
     conormal_set_test_reference,
@@ -211,7 +212,7 @@ class TestConclusive:
             sufficient = mm_sufficient_test(box, (c,))
             conclusive = mm_conclusive_test(box, (c,))
             if sufficient.kind is Feasibility.FULLY_FEASIBLE:
-                assert conclusive.is_feasible
+                assert conclusive.kind is Feasibility.FEASIBLE_WITH_WITNESS
             if sufficient.kind is Feasibility.INFEASIBLE:
                 assert conclusive.kind is Feasibility.INFEASIBLE
 
@@ -310,7 +311,10 @@ class TestCornerTestMatchesReference:
     def solver_verdict(self, box, constraints):
         problem = ProblemInstance(self.OBJECTIVE[box.dim], constraints, box)
         assert problem.feasibility_mode == "mm-conclusive"
-        return _box_test(problem)(box)
+        point = _box_point(problem, 0.0)(box)
+        if point is _INFEASIBLE:
+            return VERDICT_INFEASIBLE
+        return FeasibilityVerdict(Feasibility.FEASIBLE_WITH_WITNESS, witness=point)
 
     def random_box(self, rng, dim):
         lo = rng.random(dim)

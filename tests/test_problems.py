@@ -62,6 +62,13 @@ class TestNetworkValidation:
         with pytest.raises(InvalidNetwork, match="count of users"):
             aloha_feasibility_boundary(k)
 
+    @pytest.mark.parametrize("seed", [True, -1, 1.5, "1", None])
+    def test_generators_need_an_integer_seed(self, seed):
+        # True once ran as seed 1; -1 and 1.5 failed inside numpy
+        for make in (generate_channels, generate_aloha):
+            with pytest.raises(InvalidNetwork, match="seed must be an integer >= 0"):
+                make(2, seed)
+
     def test_shape_mismatch(self):
         with pytest.raises(InvalidNetwork):
             InterferenceNetwork(

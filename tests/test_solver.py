@@ -439,6 +439,12 @@ class TestFindIncumbent:
         with pytest.raises(DimensionMismatch):
             solve(prob, SolverConfig(max_iterations=10))
 
+    def test_box_of_another_dimension_raises(self):
+        # a 3-d box on a 2-user problem once returned its lower corner
+        prob = wsr_problem(generate_channels(2, 0))
+        with pytest.raises(DimensionMismatch, match="box dimension 3 != problem dimension 2"):
+            find_incumbent(make_box(np.zeros(3), np.ones(3)), prob)
+
     def test_epsilon_admits_near_feasible_corner(self):
         # undecided box whose lower corner violates the floor by 0.01
         g = MMConstraint(MMFunction(1, lambda x, y: float(x[0] - 0.5 * y[0] - 0.24)))
