@@ -69,7 +69,6 @@ class BenchSpec:
     seed: int = 0
     max_iterations: int | None = None
     max_wall_time: float | None = None
-    epsilon_feasibility: float = 0.0
     reduction_bisection_steps: int = 10
     instance_path: str | None = None
     trace_path: str | None = None
@@ -91,24 +90,23 @@ class BenchSpec:
         takes_representation = _EXPERIMENTS[self.experiment].takes_representation
         if not takes_representation and tuple(self.representations) != ("mmp",):
             raise SpecError(f"{self.experiment} takes no representation other than mmp")
-        # the solver settings of every run, checked here so that a bad value
-        # fails the spec instead of every run; runs replace only the
-        # selection, the reduction and the trace path
+        # each run's solver settings per (selection, reduction), built here so
+        # that a bad value fails the spec, not every run; a run adds its trace
         try:
             config = SolverConfig(
                 eta=self.eta,
                 tolerance_mode=self.tolerance_mode,
                 reduction_bisection_steps=self.reduction_bisection_steps,
-                epsilon_feasibility=self.epsilon_feasibility,
                 max_iterations=self.max_iterations,
                 max_wall_time=self.max_wall_time,
             )
-            for selection in self.selections:
-                for reduction in self.reductions:
-                    replace(config, selection_rule=selection, reduction_enabled=reduction)
+            configs = {
+                (sel, red): replace(config, selection_rule=sel, reduction_enabled=red)
+                for sel, red in itertools.product(self.selections, self.reductions)
+            }
         except MMOptError as exc:
             raise SpecError(str(exc)) from exc
-        object.__setattr__(self, "_base_config", config)
+        object.__setattr__(self, "_configs", configs)
 
 
 @dataclass(frozen=True)
@@ -161,9 +159,7 @@ def _run_one(run, spec: BenchSpec, trace: str | None, **fields) -> ResultRow:
     ``fields`` (instance_id, algorithm, representation, selection, reduction,
     seed); any failure, building the problem included, becomes an error row."""
     selection, reduction = fields["selection"], fields["reduction"]
-    config = replace(
-        spec._base_config, selection_rule=selection, reduction_enabled=reduction, trace_path=trace
-    )
+    config = replace(spec._configs[selection, reduction], trace_path=trace)
     try:
         res = run(config)
     except Exception as exc:
@@ -372,13 +368,11 @@ def write_csv(rows, path):
 
 
 def write_json(rows, path):
-    payload = []
-    for row in rows:
-        d = asdict(row)
-        d["wall_time_s"] = float(f"{row.wall_time_s:.12g}")
-        if row.objective is not None:
-            d["objective"] = float(f"{row.objective:.12g}")
-        payload.append(d)
+    # every float rounded by the CSV's rule
+    payload = [
+        {k: float(_fmt(v)) if isinstance(v, float) else v for k, v in asdict(row).items()}
+        for row in rows
+    ]
     _write_text(json.dumps(payload, indent=1) + "\n", path)
 
 

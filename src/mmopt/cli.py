@@ -43,7 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-iter", type=int, default=None)
     parser.add_argument("--timeout-s", type=float, default=None)
     parser.add_argument("--reduction-steps", type=int, default=10)
-    parser.add_argument("--eps-feasibility", type=float, default=0.0)
     parser.add_argument("--instance", default=None, help="instance file for single-solve")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -72,7 +71,6 @@ def spec_from_args(args: argparse.Namespace) -> BenchSpec:
         seed=args.seed,
         max_iterations=args.max_iter,
         max_wall_time=args.timeout_s,
-        epsilon_feasibility=args.eps_feasibility,
         reduction_bisection_steps=args.reduction_steps,
         instance_path=args.instance,
         trace_path=args.trace,

@@ -52,8 +52,24 @@ STATUS_TIME_LIMIT = "time-limit"
 STATUS_RESOLUTION_LIMIT = "resolution-limit"
 
 
+def _numbers(v, name: str, error: type[MMOptError]) -> np.ndarray:
+    """``v`` as a new float array if numpy reads it as integers or floats, else
+    ``error``: strings, bools (also among numbers) and ragged lists fail."""
+    try:
+        arr = np.asarray(v)
+        ok = arr.dtype.kind in "iuf" and (
+            isinstance(v, np.ndarray)
+            or not any(isinstance(e, (bool, np.bool_)) for e in np.asarray(v, dtype=object).flat)
+        )
+    except ValueError:  # a ragged list
+        ok = False
+    if not ok:
+        raise error(f"{name} must hold numbers, got {v!r}")
+    return np.array(arr, dtype=float, copy=True)
+
+
 def _as_readonly_vector(v, name: str) -> np.ndarray:
-    arr = np.array(v, dtype=float, copy=True)
+    arr = _numbers(v, name, MMOptError)
     if arr.ndim != 1 or arr.size < 1:
         raise DimensionMismatch(f"{name} must be a 1-d vector with n >= 1, got shape {arr.shape}")
     arr.flags.writeable = False

@@ -97,13 +97,11 @@ def mm_conclusive_test(box: BoxNd, constraints: Sequence[MMConstraint]) -> Feasi
     ``r``.  A constraint without a split, or splits that differ, raise
     :class:`~mmopt.errors.MissingMonotoneSplit`.
     """
-    if not constraints:  # the whole box is feasible; w = r with no split to read
-        return FeasibilityVerdict(Feasibility.FEASIBLE_WITH_WITNESS, box.r)
     r, s = box.r, box.s
     splits = {c.monotone_split for c in constraints}
     if None in splits or len(splits) > 1:
         raise MissingMonotoneSplit("the constraints need one shared monotone_split")
-    split = splits.pop()
+    split = splits.pop() if splits else range(r.size)  # no constraints: w = r
     if len(split) == r.size:
         w = r
     elif not split:
@@ -113,9 +111,14 @@ def mm_conclusive_test(box: BoxNd, constraints: Sequence[MMConstraint]) -> Feasi
         idx = sorted(split)
         w[idx] = r[idx]
         w.flags.writeable = False
+    return _witness_verdict(w, constraints, VERDICT_INFEASIBLE)
+
+
+def _witness_verdict(w, constraints, otherwise: FeasibilityVerdict) -> FeasibilityVerdict:
+    """FEASIBLE_WITH_WITNESS ``w`` when every ``G_i(w, w) <= 0``, else ``otherwise``."""
     for c in constraints:
         if c.g.eval(w, w) > 0.0:
-            return VERDICT_INFEASIBLE
+            return otherwise
     return FeasibilityVerdict(Feasibility.FEASIBLE_WITH_WITNESS, w)
 
 
@@ -177,10 +180,7 @@ def least_point_test(
     # meets them with a slack of margin * c_k
     w = np.minimum(p * (1.0 + _LEAST_POINT_MARGIN), s)
     w.flags.writeable = False
-    for con in constraints:
-        if con.g.eval(w, w) > 0.0:
-            return VERDICT_UNKNOWN
-    return FeasibilityVerdict(Feasibility.FEASIBLE_WITH_WITNESS, w)
+    return _witness_verdict(w, constraints, VERDICT_UNKNOWN)
 
 
 def normal_set_test(

@@ -19,6 +19,7 @@ import numpy as np
 
 from .calculus import mm_min, mm_ratio, mm_separable, mm_sum, mm_unimodal, mm_weighted_sum
 from .core import (
+    STATUS_EPS_ETA_APPROXIMATE,
     STATUS_ETA_OPTIMAL,
     STATUS_RELATIVE_ETA_OPTIMAL,
     BoxNd,
@@ -30,9 +31,10 @@ from .core import (
     SolveStats,
     _is_count,
     _is_finite_real,
+    _numbers,
 )
 from .errors import InnerSolveFailed, InvalidNetwork
-from .feasibility import Feasibility, FeasibilityVerdict, least_point_test, mm_sufficient_test
+from .feasibility import Feasibility, _witness_verdict, least_point_test, mm_sufficient_test
 from .solver import solve
 
 __all__ = [
@@ -53,24 +55,12 @@ __all__ = [
 ]
 
 
-def _numbers(v, name: str) -> np.ndarray:
-    """``v`` as a new float array, if numpy reads it as integers or floats;
-    strings, bools and other objects, which a float conversion would take
-    or mangle, raise ``InvalidNetwork``.  So do bools mixed with numbers,
-    which numpy reads as numbers."""
-    arr = np.asarray(v)
-    mixed = not isinstance(v, np.ndarray) and any(
-        isinstance(e, (bool, np.bool_)) for e in np.asarray(v, dtype=object).flat
-    )
-    if arr.dtype.kind not in "iuf" or mixed:
-        raise InvalidNetwork(f"{name} must hold numbers, got {v!r}")
-    return np.array(arr, dtype=float, copy=True)
-
-
 def _frozen(v, shape: tuple[int, ...], name: str, lo=None, strict_lo=None) -> np.ndarray:
-    """``v`` as a read-only finite float array of ``shape``, each entry
-    ``>= lo`` and ``> strict_lo`` where given; else ``InvalidNetwork``."""
-    arr = _numbers(v, name)
+    """``v`` as a nonempty read-only finite float array of ``shape``, each
+    entry ``>= lo`` and ``> strict_lo`` where given; else ``InvalidNetwork``."""
+    arr = _numbers(v, name, InvalidNetwork)
+    if arr.size == 0:
+        raise InvalidNetwork(f"{name} must not be empty")
     if arr.shape != shape:
         raise InvalidNetwork(f"{name} must have shape {shape}, got {arr.shape}")
     if not np.isfinite(arr).all():
@@ -108,7 +98,7 @@ class InterferenceNetwork:
     r_min: np.ndarray
 
     def __post_init__(self):
-        k = np.asarray(self.alpha).size
+        k = _numbers(self.alpha, "alpha", InvalidNetwork).size
         object.__setattr__(self, "alpha", _frozen(self.alpha, (k,), "alpha", strict_lo=0.0))
         object.__setattr__(self, "beta", _frozen(self.beta, (k, k), "beta", lo=0.0))
         object.__setattr__(self, "sigma2", _positive(self.sigma2, "sigma2"))
@@ -134,7 +124,8 @@ class EnergyModel:
     bandwidth: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", _frozen(self.phi, (np.size(self.phi),), "phi", lo=0.0))
+        n = _numbers(self.phi, "phi", InvalidNetwork).size
+        object.__setattr__(self, "phi", _frozen(self.phi, (n,), "phi", lo=0.0))
         pc = self.p_circuit
         if np.ndim(pc) == 0:
             pc = _positive(pc, "p_circuit")
@@ -157,18 +148,20 @@ class AlohaNetwork:
     r_min: np.ndarray
 
     def __post_init__(self):
-        k = np.asarray(self.c).size
+        k = _numbers(self.c, "c", InvalidNetwork).size
         object.__setattr__(self, "c", _frozen(self.c, (k,), "c", strict_lo=0.0))
-        sets = []
-        if len(self.interferers) != k:
-            raise InvalidNetwork(f"interferers must list {k} index sets")
-        for i, idx in enumerate(self.interferers):
-            ids = tuple(idx)
+        try:
+            sets = [tuple(idx) for idx in self.interferers]
+        except TypeError:  # not a list of index lists
+            sets = []  # k >= 1, as c is not empty
+        if len(sets) != k:
+            raise InvalidNetwork(f"interferers must list {k} index sets, got {self.interferers!r}")
+        for i, ids in enumerate(sets):
             if not all(_is_count(j, 0) and j < k for j in ids) or len(set(ids)) < len(ids):
                 raise InvalidNetwork(f"interferers[{i}] must hold distinct user indices below {k}")
             if i in ids:
                 raise InvalidNetwork(f"user {i} cannot interfere with itself")
-            sets.append(tuple(sorted(int(j) for j in ids)))
+            sets[i] = tuple(sorted(int(j) for j in ids))
         object.__setattr__(self, "interferers", tuple(sets))
         object.__setattr__(self, "r_min", _frozen(self.r_min, (k,), "r_min", lo=0.0))
 
@@ -251,7 +244,7 @@ def _floor_oracle(net: InterferenceNetwork, constraints: tuple[MMConstraint, ...
     """
     affine = None
 
-    def oracle(box: BoxNd) -> FeasibilityVerdict:
+    def oracle(box: BoxNd):
         nonlocal affine
         if affine is None:
             affine = _floor_map(net)
@@ -419,8 +412,9 @@ def dinkelbach_gee(
     the ratio the incumbent reaches on the :func:`gee_problem` objective;
     stops once the auxiliary optimum drops to ``_DINKELBACH_TOL``, and gives
     up after ``_DINKELBACH_MAX_OUTER`` auxiliary solves.  An auxiliary solve
-    that is not (relative-)eta-optimal, such as an ``infeasible`` one under
-    floors that cannot be met, raises ``InnerSolveFailed``.  ``iterations``
+    that is not (relative-)eta-optimal, nor eps-eta-approximate (the label
+    under a positive ``epsilon_feasibility``), such as an ``infeasible`` one
+    under floors that cannot be met, raises ``InnerSolveFailed``.  ``iterations``
     and the four box counts of ``stats`` add up over the auxiliary solves
     (``boxes_created`` counts one root each); the peak is the largest of
     theirs.  Inner tolerance errors can leak into the result, so this
@@ -432,7 +426,7 @@ def dinkelbach_gee(
     lam = 0.0
     total_iterations = 0
     stats = SolveStats()
-    ok_statuses = (STATUS_ETA_OPTIMAL, STATUS_RELATIVE_ETA_OPTIMAL)
+    ok_statuses = (STATUS_ETA_OPTIMAL, STATUS_RELATIVE_ETA_OPTIMAL, STATUS_EPS_ETA_APPROXIMATE)
     for _ in range(_DINKELBACH_MAX_OUTER):
         res = solve(_power_problem(net, _dinkelbach_aux_objective(net, energy, lam)), inner_config)
         total_iterations += res.iterations
@@ -523,12 +517,10 @@ def aloha_problem(net: AlohaNetwork) -> ProblemInstance:
     objective = mm_sum([_aloha_utility_term(net, j) for j in range(k)])
     constraints = _floors(net, _aloha_rate)
 
-    def oracle(box: BoxNd) -> FeasibilityVerdict:
+    def oracle(box: BoxNd):
         verdict = mm_sufficient_test(box, constraints)
         if verdict.kind is Feasibility.UNKNOWN:
-            x = 0.5 * (box.r + box.s)
-            if all(c.g.eval(x, x) <= 0.0 for c in constraints):
-                return FeasibilityVerdict(Feasibility.FEASIBLE_WITH_WITNESS, witness=x)
+            return _witness_verdict(0.5 * (box.r + box.s), constraints, verdict)
         return verdict
 
     box = BoxNd(np.full(k, _ALOHA_FLOOR), np.ones(k))

@@ -19,7 +19,7 @@ from mmopt.bench import (
     write_csv,
     write_json,
 )
-from mmopt.cli import main
+from mmopt.cli import build_parser, main, spec_from_args
 from mmopt.core import MMFunction, ProblemInstance, SolverConfig
 from mmopt.errors import InvalidNetwork, ParseError, SchemaVersionError, SpecError
 from mmopt.problems import AlohaNetwork, generate_aloha, wsr_problem
@@ -110,6 +110,21 @@ class TestSerialization:
         lines[2] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=f"line 3, column '{column}'"):
+            read_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "unexpected CSV header: ''"),
+            ("instance_id,algorithm\n", "unexpected CSV header: 'instance_id,algorithm'"),
+            (CSV_HEADER + "\nwsr-k1-000,brb\n", "line 2: expected 11 fields, got 2"),
+        ],
+        ids=["empty", "short-header", "short-row"],
+    )
+    def test_csv_bad_layout_raises_parse_error(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message):
             read_csv(path)
 
     @pytest.mark.parametrize(
@@ -256,7 +271,7 @@ class TestSpec:
             (dict(tolerance_mode="percent"), "tolerance_mode"),
             (dict(selections=("best-first", "random")), "selection_rule"),
             (dict(reduction_bisection_steps=0), "reduction_bisection_steps"),
-            (dict(epsilon_feasibility=-0.5), "epsilon_feasibility"),
+            (dict(eta=0.0), "eta must be positive"),
             (dict(reduction_bisection_steps=2.5, reductions=(True,)), "reduction_bisection_steps"),
             (dict(reduction_bisection_steps=True), "reduction_bisection_steps"),
             (dict(max_iterations=-5), "max_iterations"),
@@ -264,8 +279,9 @@ class TestSpec:
             (dict(max_iterations=3.0), "max_iterations"),
             (dict(max_wall_time=-1.0), "max_wall_time"),
             (dict(max_wall_time=math.nan), "max_wall_time"),
-            (dict(epsilon_feasibility=math.nan), "epsilon_feasibility"),
-            (dict(epsilon_feasibility=math.inf), "epsilon_feasibility"),
+            (dict(max_wall_time=True), "max_wall_time"),
+            # the CLI's short name is no selection rule
+            (dict(selections=("oldest",)), "selection_rule"),
             (dict(eta=math.inf), "eta must be positive"),
             (dict(eta=math.nan), "eta must be positive"),
             (dict(reductions=("off",)), "reduction_enabled"),
@@ -458,6 +474,8 @@ MALFORMED = [
     (dict(_GEE2, B="1.0"), "B"),
     (dict(_GEE2, Pc="1.0"), "Pc"),
     (dict(_WSR2, sigma2=10**400), "sigma2"),  # past the float range
+    ({key: v for key, v in _WSR2.items() if key != "alpha"}, "alpha"),  # missing
+    (dict(_WSR2, K=0), "K"),
 ]
 
 _WSR1 = dict(_WSR2, K=1, alpha=[1.0], beta=[[0.0]], P=[1.0])
@@ -476,6 +494,16 @@ class TestLoadInstance:
     def test_malformed_field_raises_parse_error(self, tmp_path, doc, field):
         with pytest.raises(ParseError, match=f"'{field}'"):
             load_instance(write_instance(tmp_path, doc))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{", "invalid JSON"), ("[1, 2]", "instance document must be a JSON object")],
+    )
+    def test_unreadable_document_raises_parse_error(self, tmp_path, text, message):
+        path = tmp_path / "inst.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message):
+            load_instance(path)
 
     @pytest.mark.parametrize("doc, field", NON_INTEGRAL_OR_BOOLEAN)
     def test_non_integral_or_boolean_field_rejected(self, tmp_path, doc, field):
@@ -720,6 +748,22 @@ class TestCli:
         assert rc == 1
         assert "error: a gee instance takes no representation 'dm'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_solver_flags_reach_the_spec(self):
+        argv = ["--experiment", "wsr-compare", "--relative", "--reduction", "on,off"]
+        argv += ["--max-iter", "7", "--timeout-s", "2.5", "--reduction-steps", "4"]
+        spec = spec_from_args(build_parser().parse_args(argv))
+        assert spec.tolerance_mode == "relative"
+        assert spec.selections == ("best-first",) and spec.reductions == (True, False)
+        assert (spec.max_iterations, spec.max_wall_time) == (7, 2.5)
+        assert spec.reduction_bisection_steps == 4
+
+    def test_unknown_selection_exit_code(self, capsys):
+        rc = main(["--experiment", "wsr-compare", "--selection", "best,worst"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: unknown flag value 'worst'" in captured.err
 
     def test_error_rows_exit_code(self, tmp_path, monkeypatch):
         def exploding_solve(problem, config):

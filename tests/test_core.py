@@ -63,6 +63,17 @@ def test_make_box_dimension_mismatch():
         make_box((0.0,), (1.0, 2.0))
 
 
+@pytest.mark.parametrize(
+    "r, s",
+    [(["0"], ["1"]), ([False], [True]), ([0.0, True], [1.0, 1.0]), ([[0.0, 1.0], [0.0]], [1.0])],
+    ids=["strings", "bools", "bool-among-numbers", "ragged"],
+)
+def test_make_box_takes_only_numbers(r, s):
+    # a float conversion read "0" and False as 0.0; numpy raised ValueError on a ragged list
+    with pytest.raises(MMOptError, match="r must hold numbers"):
+        make_box(r, s)
+
+
 def test_make_box_nonfinite():
     with pytest.raises(NonFiniteEntry):
         make_box((0.0,), (np.inf,))
@@ -150,6 +161,18 @@ class TestProblemInstance:
     def test_feasibility_mode_is_no_argument(self):
         with pytest.raises(TypeError):
             ProblemInstance(self.OBJECTIVE, (), self.BOX, feasibility_mode="normal")
+
+    @pytest.mark.parametrize(
+        "box, constraints",
+        [
+            (make_box((0.0,), (1.0,)), ()),
+            (BOX, (MMConstraint(MMFunction(3, lambda x, y: 0.0)),)),
+        ],
+        ids=["box", "constraint"],
+    )
+    def test_dimensions_must_match_the_objective(self, box, constraints):
+        with pytest.raises(DimensionMismatch, match="dimension"):
+            ProblemInstance(self.OBJECTIVE, constraints, box)
 
     def test_oracle_must_be_callable(self):
         # the fourth positional argument is the oracle, not a mode name

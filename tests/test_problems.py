@@ -5,7 +5,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from mmopt.core import SolverConfig, check_mm_property, make_box
+from mmopt.core import STATUS_EPS_ETA_APPROXIMATE, SolverConfig, check_mm_property, make_box
 from mmopt.errors import InnerSolveFailed, InvalidNetwork
 from mmopt.feasibility import Feasibility, mm_sufficient_test
 from mmopt.problems import (
@@ -117,6 +117,7 @@ class TestNetworkValidation:
             ("beta", [["0", "1"], ["1", "0"]]),
             ("p_max", [True, True]),
             ("r_min", ["0.5", "0.5"]),
+            ("beta", [[0.0, 1.0], [1.0]]),  # ragged: numpy raised ValueError
         ],
     )
     def test_network_rejects_non_numbers(self, field, value):
@@ -158,6 +159,44 @@ class TestNetworkValidation:
     def test_energy_model_rejects_bools_among_numbers(self):
         with pytest.raises(InvalidNetwork, match="phi"):
             EnergyModel(phi=[5.0, False], p_circuit=1.0)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: replace(symmetric_net(), alpha=(1.0, math.inf)), "alpha must be finite"),
+            (lambda: replace(symmetric_net(), w=(1.0, -1.0)), "w must be >= 0.0"),
+            (
+                lambda: InterferenceNetwork(
+                    alpha=[], beta=np.zeros((0, 0)), sigma2=0.01, p_max=[], w=[], r_min=[]
+                ),
+                "alpha must not be empty",
+            ),
+            (lambda: AlohaNetwork(c=[], interferers=(), r_min=[]), "c must not be empty"),
+            (lambda: EnergyModel(phi=[], p_circuit=1.0), "phi must not be empty"),
+            (
+                lambda: AlohaNetwork(c=(1.0, 1.0), interferers=5, r_min=(0.0, 0.0)),
+                "interferers must list 2 index sets",
+            ),
+            (
+                lambda: AlohaNetwork(c=(1.0, 1.0), interferers=[1, 0], r_min=(0.0, 0.0)),
+                "interferers must list 2 index sets",
+            ),
+        ],
+        ids=[
+            "infinite",
+            "below-lo",
+            "no-users",
+            "aloha-no-users",
+            "energy-no-users",
+            "interferers-int",
+            "interferers-flat",
+        ],
+    )
+    def test_bad_value_names_its_field(self, make, message):
+        # no users failed later in wsr_problem with "need at least one function",
+        # and interferers that were no list of lists raised TypeError
+        with pytest.raises(InvalidNetwork, match=message):
+            make()
 
     def test_integers_past_the_float_range_rejected(self):
         # math.isfinite raises OverflowError on 10**400
@@ -464,6 +503,14 @@ class TestDinkelbach:
         assert stats.peak_region_count == res.peak_region_count > 0
         direct = solve(gee_problem(net, energy), SolverConfig(eta=0.01))
         assert abs(res.value - direct.value) <= 0.02
+
+    def test_positive_epsilon_feasibility_keeps_the_solve(self):
+        # every auxiliary solve ended eps-eta-approximate, which raised InnerSolveFailed
+        net, energy = generate_channels(2, 0), EnergyModel(phi=[5, 5], p_circuit=1.0)
+        exact = dinkelbach_gee(net, energy, SolverConfig())
+        res = dinkelbach_gee(net, energy, SolverConfig(epsilon_feasibility=0.05))
+        assert res.status == STATUS_EPS_ETA_APPROXIMATE
+        assert res.value == exact.value and np.array_equal(res.incumbent, exact.incumbent)
 
     def test_phi_of_wrong_size_rejected(self):
         energy = EnergyModel(phi=np.full(3, 5.0), p_circuit=1.0)

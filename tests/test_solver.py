@@ -193,6 +193,14 @@ class TestReduce:
         assert red.r[0] >= 0.5 - 1e-12
         assert red.s[0] == 1.0
 
+    def test_zero_width_edge_keeps_its_coordinate(self):
+        f = MMFunction(2, lambda x, y: float(x[0]))
+        box = make_box((0.0, 0.5), (1.0, 0.5))
+        red = reduce_box(box, f, (), 0.5, steps=10)
+        want = reduce_box_reference(box, f, (), 0.5, 10)
+        assert np.array_equal(red.r, want.r) and np.array_equal(red.s, want.s)
+        assert red.r[1] == red.s[1] == 0.5 and 0.5 <= red.r[0] < 0.5 + 2**-9
+
     def test_infeasible_corner_shortcut(self):
         f = MMFunction(1, lambda x, y: float(x[0]))
         g = MMConstraint(MMFunction(1, lambda x, y: float(x[0] - 1.0)))
