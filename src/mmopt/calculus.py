@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import BoxNd, MMFunction, _is_count
+from .core import BoxNd, MMFunction, _is_count, _numbers
 from .errors import (
     DimensionMismatch,
     DirectionViolation,
@@ -84,7 +84,7 @@ def mm_weighted_sum(weights, parts: Sequence[MMFunction]) -> MMFunction:
     counter) sees the nested evaluations too.
     """
     parts = tuple(parts)
-    w = np.asarray(weights, dtype=float)
+    w = _numbers(weights, "weights", MMOptError)
     if w.ndim != 1 or w.size != len(parts):
         raise DimensionMismatch(f"{w.size} weights for {len(parts)} functions")
     if not np.isfinite(w).all():

@@ -127,7 +127,7 @@ class BoxNd:
 
     def contains(self, x, tol: float = 0.0) -> bool:
         """Whether the point ``x`` (shape ``(dim,)``) lies in the box widened by ``tol``."""
-        x = np.asarray(x, dtype=float)
+        x = _numbers(x, "point", MMOptError)
         if x.shape != self.r.shape:
             raise DimensionMismatch(f"point shape {x.shape} != box shape {self.r.shape}")
         return bool(np.all(x >= self.r - tol) and np.all(x <= self.s + tol))

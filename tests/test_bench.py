@@ -3,6 +3,8 @@ import io
 import json
 import math
 from dataclasses import asdict, astuple, replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,10 +24,16 @@ from mmopt.bench import (
 from mmopt.cli import build_parser, main, spec_from_args
 from mmopt.core import MMFunction, ProblemInstance, SolverConfig
 from mmopt.errors import InvalidNetwork, ParseError, SchemaVersionError, SpecError
-from mmopt.problems import AlohaNetwork, generate_aloha, wsr_problem
+from mmopt.problems import (
+    _ALOHA_FLOOR,
+    AlohaNetwork,
+    aloha_feasibility_boundary,
+    generate_aloha,
+    wsr_problem,
+)
 from mmopt.solver import solve
 
-from oracles import aloha_grid
+from oracles import aloha_grid, aloha_rates
 
 
 def small_rows():
@@ -409,24 +417,9 @@ class TestRunBench:
         assert len(rows) == 2
         assert all(row.status == "eta-optimal" for row in rows)
 
-    def test_aloha_screen_agrees_with_full_grid(self):
-        # slab-by-slab screening must give the full grid's verdict, also for
-        # partial interferer sets; small grids keep the full oracle cheap
-        verdicts = []
-        for k, points in ((1, 257), (2, 101), (3, 31), (4, 13)):
-            rng = np.random.default_rng(k)
-            for seed in range(80):
-                net = generate_aloha(k, seed)
-                if seed % 2:
-                    sets = tuple(
-                        tuple(j for j in range(k) if j != i and rng.random() < 0.6)
-                        for i in range(k)
-                    )
-                    net = AlohaNetwork(c=net.c, interferers=sets, r_min=net.r_min)
-                verdict = bench._aloha_grid_feasible(net, points)
-                assert verdict == aloha_grid(net, points)[0], (k, seed)
-                verdicts.append(verdict)
-        assert 0 < sum(verdicts) < len(verdicts)
+    def test_aloha_batch_beyond_k4(self):
+        rows = run_bench(BenchSpec(experiment="aloha", k=5, realizations=1, max_iterations=20_000))
+        assert [row.status for row in rows] == ["eta-optimal"]
 
     def test_gee_compare_pairs(self):
         spec = BenchSpec(experiment="gee-compare", k=1, realizations=2, seed=4)
@@ -439,6 +432,88 @@ class TestRunBench:
             by_instance.setdefault(row.instance_id, {})[row.algorithm] = row
         for pair in by_instance.values():
             assert abs(pair["brb"].objective - pair["dinkelbach"].objective) <= 0.02
+
+
+def _screen_draws():
+    """Draws at K = 1-4 with a grid size each; every other draw gets random
+    partial interferer sets."""
+    for k, points in ((1, 257), (2, 101), (3, 31), (4, 13)):
+        rng = np.random.default_rng(k)
+        for seed in range(80):
+            net = generate_aloha(k, seed)
+            if seed % 2:
+                sets = tuple(
+                    tuple(j for j in range(k) if j != i and rng.random() < 0.6) for i in range(k)
+                )
+                net = AlohaNetwork(c=net.c, interferers=sets, r_min=net.r_min)
+            yield k, seed, points, net
+
+
+def _symmetric_aloha(k, r_min):
+    full = tuple(tuple(j for j in range(k) if j != i) for i in range(k))
+    return AlohaNetwork(c=np.ones(k), interferers=full, r_min=np.full(k, r_min))
+
+
+class _CountingSets(tuple):
+    """Interferer sets that count the screen's passes over them, one per sweep."""
+
+    def __iter__(self):
+        self.sweeps = getattr(self, "sweeps", 0) + 1
+        return super().__iter__()
+
+
+class TestAlohaScreen:
+    def test_witness_lies_in_the_box_and_meets_every_floor(self):
+        verdicts = []
+        for k, seed, _, net in _screen_draws():
+            witness = bench._aloha_feasible(net)
+            verdicts.append(witness is not None)
+            if witness is not None:
+                assert len(witness) == k and all(_ALOHA_FLOOR <= p <= 1.0 for p in witness)
+                assert np.all(aloha_rates(net, witness) >= net.r_min), (k, seed)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_keeps_every_draw_whose_raised_floors_a_grid_point_meets(self):
+        met = 0
+        for k, seed, points, net in _screen_draws():
+            raised = replace(net, r_min=(1.0 + bench._ALOHA_MARGIN) * net.r_min)
+            if aloha_grid(raised, points)[0]:
+                met += 1
+                assert bench._aloha_feasible(net) is not None, (k, seed)
+        assert met > 0
+
+    @pytest.mark.parametrize("k, spec_seed, draw", [(2, 13, 36), (3, 1, 28)])
+    def test_keeps_feasible_harness_draws_that_the_grid_missed(self, k, spec_seed, draw):
+        # the 401- and 201-point grids rejected these feasible draws
+        net = generate_aloha(k, bench._instance_seed(spec_seed, draw))
+        witness = bench._aloha_feasible(net)
+        assert witness is not None
+        assert np.all(aloha_rates(net, witness) >= net.r_min)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    @pytest.mark.parametrize("excess", [0.0, 1e-12], ids=["at", "above"])
+    def test_floors_at_the_boundary_are_rejected_within_the_sweep_cap(self, k, excess):
+        # equality holds only at p = 1/K, so the raised floors cannot be met
+        net = _symmetric_aloha(k, aloha_feasibility_boundary(k) * (1.0 + excess))
+        counted = SimpleNamespace(
+            c=net.c, r_min=net.r_min, K=k, interferers=_CountingSets(net.interferers)
+        )
+        assert bench._aloha_feasible(counted) is None
+        assert counted.interferers.sweeps < bench._ALOHA_MAX_SWEEPS
+
+    def test_sweep_cap_rejects(self, monkeypatch):
+        net = _symmetric_aloha(3, aloha_feasibility_boundary(3) * 0.999)
+        assert bench._aloha_feasible(net) is not None
+        monkeypatch.setattr(bench, "_ALOHA_MAX_SWEEPS", 10)
+        assert bench._aloha_feasible(net) is None
+
+
+def test_benchmark_pool_passes_the_screen():
+    # perfbench's timed set-up raises RuntimeError on a pool seed the screen rejects
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "pools" / "aloha-k3.json"
+    seeds = [e["seed"] for e in json.loads(path.read_text(encoding="utf-8"))["entries"]]
+    assert len(seeds) == 60
+    assert [s for s in seeds if not bench._aloha_grid_feasible(generate_aloha(3, s), 201)] == []
 
 
 def write_instance(tmp_path, doc, name="inst.json"):

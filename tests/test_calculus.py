@@ -107,6 +107,16 @@ class TestWeightedSum:
         with pytest.raises(NonFiniteEntry):
             mm_weighted_sum((1.0, weight), [x0(), x0()])
 
+    @pytest.mark.parametrize(
+        "weights",
+        [["2.0", "1.0"], [True, 1.0], [[1.0, 2.0], [1.0]]],
+        ids=["strings", "bool-among-numbers", "ragged"],
+    )
+    def test_weights_take_only_numbers(self, weights):
+        # a float conversion read "2.0" as 2.0 and True as 1.0
+        with pytest.raises(MMOptError, match="weights must hold numbers"):
+            mm_weighted_sum(weights, [x0(), x0()])
+
 
 class TestMinMax:
     def test_min(self):

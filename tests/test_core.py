@@ -104,6 +104,17 @@ def test_box_contains_rejects_wrong_shape(point):
 
 
 @pytest.mark.parametrize(
+    "point",
+    [["0.5", "1.0"], [True, False], [0.5, True], [[0.5, 1.0], [0.5]]],
+    ids=["strings", "bools", "bool-among-numbers", "ragged"],
+)
+def test_box_contains_takes_only_numbers(point):
+    # a float conversion read "0.5" as 0.5 and True as 1.0
+    with pytest.raises(MMOptError, match="point must hold numbers"):
+        make_box((0.0, 0.0), (1.0, 2.0)).contains(point)
+
+
+@pytest.mark.parametrize(
     "field, value",
     [
         ("eta", True),

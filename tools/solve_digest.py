@@ -67,7 +67,7 @@ def record(label: str, res, with_stats: bool = True) -> tuple:
 def digest(w: workloads.Workload) -> tuple[int, str, int, Counter]:
     cap = w.max_ref_iterations
     entries = [e for e in workloads.load_pool(w) if cap is None or workloads._ref_cost(e) <= cap]
-    # every pool entry passes the ALOHA screen; skipping it saves its grids
+    # every pool entry passes the ALOHA screen (a tier-1 test checks the pool)
     instances = workloads.build(w, entries, screened=False)
     sha = hashlib.sha256()
     failed = 0
