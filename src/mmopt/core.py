@@ -234,18 +234,32 @@ class ProblemInstance:
     the box and every constraint holds there within
     ``epsilon_feasibility``.  The solver keeps the witness array and
     evaluates it once per branch, so an oracle must not change it afterwards.
+
+    ``reducer``, a ``(box, gamma, steps) -> BoxNd | None`` callable, is the
+    reduction step that runs in place of :func:`~mmopt.solver.reduce_box`
+    when ``reduction_enabled`` is set.  It keeps ``reduce_box``'s contract:
+    ``None`` only when the box holds no feasible point of value above
+    ``gamma``, else a box inside ``box`` (``box`` itself when nothing is cut)
+    that keeps every such point, with read-only corners.  A reducer carries
+    its own copy of the objective and the constraints (the power problems'
+    reducer inverts the rate floors and the sum rate in closed form), so a
+    copy of the problem with another objective or other constraints must
+    drop it (``reducer=None``).
     """
 
     objective: MMFunction
     constraints: tuple[MMConstraint, ...]
     initial_box: BoxNd
     feasibility_oracle: Callable[[BoxNd], "object"] | None = None
+    reducer: Callable[[BoxNd, float, int], "BoxNd | None"] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
-        oracle = self.feasibility_oracle
+        oracle, reducer = self.feasibility_oracle, self.reducer
         if oracle is not None and not callable(oracle):
             raise MMOptError(f"feasibility_oracle must be callable, got {oracle!r}")
+        if reducer is not None and not callable(reducer):
+            raise MMOptError(f"reducer must be callable, got {reducer!r}")
         n = self.objective.dim
         if self.initial_box.dim != n:
             raise DimensionMismatch(
@@ -281,8 +295,13 @@ class SolverConfig:
     the incumbent value gamma (``tolerance_mode="relative"``: a box whose
     bound does not exceed ``gamma + eta * |gamma|`` is pruned, for either
     sign).  ``selection_rule`` is ``"best-first"`` or ``"oldest-first"``.
-    ``reduction_enabled`` (a bool) shrinks every child by
-    ``reduction_bisection_steps`` halvings per line search.
+    ``reduction_enabled`` (a bool) shrinks every child, by the problem's
+    ``reducer`` when it has one, else by :func:`~mmopt.solver.reduce_box`.
+    ``reduction_bisection_steps`` is the number of halvings per line search
+    of a conjunct that has no closed-form face: every conjunct of
+    ``reduce_box``, and only the objective's grow phase (or, for an
+    objective other than the sum rate, both phases) in the power problems'
+    reducer.
     ``epsilon_feasibility > 0`` admits incumbents whose constraints hold up
     to that slack; at 0 every incumbent, an oracle's included, meets every
     constraint exactly.  ``max_iterations`` and ``max_wall_time`` (seconds)

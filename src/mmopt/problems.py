@@ -34,8 +34,14 @@ from .core import (
     _numbers,
 )
 from .errors import InnerSolveFailed, InvalidNetwork
-from .feasibility import Feasibility, _witness_verdict, least_point_test, mm_sufficient_test
-from .solver import solve
+from .feasibility import (
+    _LEAST_POINT_MARGIN,
+    Feasibility,
+    _witness_verdict,
+    least_point_test,
+    mm_sufficient_test,
+)
+from .solver import _face_cuts, reduce_box, solve
 
 __all__ = [
     "REPRESENTATIONS",
@@ -186,7 +192,7 @@ def _rate(net: InterferenceNetwork, k: int):
 
     def fn(x, y):
         xk = float(x[k])
-        den = s2 + bkk * xk + float(np.dot(cross, y))
+        den = s2 + bkk * xk + float(cross.dot(y))
         return math.log2(1.0 + a * xk / den)
 
     return fn
@@ -235,27 +241,195 @@ def _floor_map(net: InterferenceNetwork) -> tuple[np.ndarray, np.ndarray] | tupl
     return m, scale * net.sigma2
 
 
-def _floor_oracle(net: InterferenceNetwork, constraints: tuple[MMConstraint, ...]):
-    """The feasibility oracle of the WSR rate floors ``constraints``:
-    :func:`~mmopt.feasibility.least_point_test` on :func:`_floor_map`, which
-    decides every box.  The map is built on the first call, which keeps
-    building a problem cheap.  When a floor cannot be met, the oracle is the
-    one-sided test, which then finds every box infeasible.
+def _floor_hooks(net: InterferenceNetwork, objective: MMFunction, floors, sum_rate_weights):
+    """The feasibility oracle and the reducer of a power problem under the
+    WSR rate floors ``floors`` (see :func:`_power_problem`).
+
+    Both read :func:`_floor_map`, built on the first call of either, and the
+    reducer the :class:`_SumRate` of ``sum_rate_weights`` (when given), built
+    on its first call, which keeps building a problem cheap.  When a floor
+    cannot be met, the oracle is the one-sided test, which then finds every
+    box infeasible, and the reducer is :func:`~mmopt.solver.reduce_box`.
+    Otherwise the oracle is :func:`~mmopt.feasibility.least_point_test`,
+    which decides every box, and the reducer is :func:`_reduce_power_box`.
     """
-    affine = None
+    built = sum_rate = None
+
+    def floor_map():
+        nonlocal built
+        if built is None:
+            built = _floor_map(net)
+        return built
 
     def oracle(box: BoxNd):
-        nonlocal affine
-        if affine is None:
-            affine = _floor_map(net)
+        affine = floor_map()
         if not affine:
-            return mm_sufficient_test(box, constraints)
-        return least_point_test(box, constraints, *affine)
+            return mm_sufficient_test(box, floors)
+        return least_point_test(box, floors, *affine)
 
-    return oracle
+    def reducer(box: BoxNd, gamma: float, steps: int):
+        nonlocal sum_rate
+        affine = floor_map()
+        if not affine:
+            return reduce_box(box, objective, floors, gamma, steps)
+        if sum_rate is None and sum_rate_weights is not None:
+            sum_rate = _SumRate(net, sum_rate_weights)
+        return _reduce_power_box(box, gamma, steps, objective, *affine, sum_rate)
+
+    return oracle, reducer
 
 
-def _power_problem(net: InterferenceNetwork, objective: MMFunction) -> ProblemInstance:
+_LN2 = math.log(2.0)
+
+
+class _SumRate:
+    """A network's weighted sum rate, with the closed-form faces it puts on
+    a box in the shrink phase of reduction.  The interference is one numpy
+    matrix-vector product; the rest runs on Python floats, which for a few
+    users is faster than numpy."""
+
+    __slots__ = ("w", "alpha", "own", "cross", "s2")
+
+    def __init__(self, net: InterferenceNetwork, weights):
+        self.w = [float(v) for v in weights]
+        self.alpha = net.alpha.tolist()
+        self.own = np.diag(net.beta).tolist()
+        self.cross = np.array(net.beta)
+        np.fill_diagonal(self.cross, 0.0)
+        self.s2 = net.sigma2
+
+    def noise(self, y: np.ndarray) -> list:
+        """Each user's noise plus interference ``D_k = sigma2 + sum_{j != k}
+        beta_kj y_j``."""
+        s2 = self.s2
+        return [s2 + v for v in self.cross.dot(y).tolist()]
+
+    def terms(self, x: list, noise: list) -> list:
+        """The weighted rates ``w_k rate_k`` at own powers ``x`` over
+        :meth:`noise` ``D``."""
+        return [
+            wk * math.log2(1.0 + ak * xk / (dk + bk * xk))
+            for wk, ak, bk, dk, xk in zip(self.w, self.alpha, self.own, noise, x)
+        ]
+
+    def value(self, x: np.ndarray, y: np.ndarray) -> float:
+        """``F(x, y)``, the sum of :meth:`terms`."""
+        return math.fsum(self.terms(x.tolist(), self.noise(y)))
+
+    def faces(self, terms: list, noise: list, gamma: float) -> list:
+        """Each ``x_i`` below which ``F(x, r) <= gamma`` with the other own
+        powers at ``s``, from the :meth:`terms` at ``(s, r)``.
+
+        Only term i reads ``x_i`` there, so the face inverts its SINR:
+        ``x_i = t D_i / (alpha_i - t beta_ii)`` with ``t = 2^((gamma -
+        rest) / w_i) - 1`` and ``rest`` the other terms.  A coordinate gets
+        no face (``-inf``) when its weight is zero, when its term exceeds
+        ``gamma - rest`` at every power, or when that would take a rate of
+        more than 1,000 bits, which only roundoff next to a tiny weight
+        gives, since ``F(s, r) > gamma``.
+        """
+        out = []
+        for i, (wi, ai, bi, di) in enumerate(zip(self.w, self.alpha, self.own, noise)):
+            face = -math.inf
+            if wi > 0.0:
+                bits = (gamma - math.fsum(terms[:i] + terms[i + 1 :])) / wi
+                if 0.0 < bits <= 1000.0:
+                    t = math.expm1(_LN2 * bits)
+                    den = ai - t * bi
+                    if den > 0.0:  # den <= 0 only by roundoff, as F(s, r) > gamma
+                        face = t * di / den
+            out.append(face)
+        return out
+
+
+def _readonly(values: list) -> np.ndarray:
+    out = np.array(values)
+    out.flags.writeable = False
+    return out
+
+
+def _reduce_power_box(box: BoxNd, gamma: float, steps: int, objective, m, c, sum_rate):
+    """:func:`~mmopt.solver.reduce_box` for a power problem whose rate floors
+    read ``p >= m p + c``, with the faces of the conjuncts that invert along
+    their lines set in closed form.
+
+    Shrink phase (lower faces, the other own powers at ``s``, interference
+    at ``r``): floor i's face is ``(m r + c)_i``, and the objective's, when
+    it is the weighted sum rate ``sum_rate`` (a :class:`_SumRate`), its SINR
+    inverse; any other objective is line-searched by ``steps`` halvings over
+    what the floors leave of each line.  Grow phase (upper faces, own powers
+    at ``s``, interference from the new lower corner): floor ``k != i`` caps
+    ``y_i <= (s_k - c_k - sum_{j != i} m_kj y_j) / m_ki``, and the
+    objective, which has no inverse there, is line-searched over what is
+    left.  Every closed-form face is moved outward by the relative margin
+    ``_LEAST_POINT_MARGIN`` and clipped to the box.
+
+    Returns what ``reduce_box`` returns: ``None`` when no feasible point
+    above gamma remains, by the MM certificates on the box or on it with the
+    new lower corner (a floor that fails at the optimistic corner pair by
+    more than the margin, or a bound not above gamma), ``box`` itself when
+    nothing is cut.
+    """
+    down, up = 1.0 - _LEAST_POINT_MARGIN, 1.0 + _LEAST_POINT_MARGIN
+    value = objective.eval if sum_rate is None else sum_rate.value
+    r, s = box.r, box.s
+    rl, sl, c = r.tolist(), s.tolist(), c.tolist()
+
+    def floor_needs(y: np.ndarray) -> list | None:
+        # each floor's least own power (m y + c)_k under the interference of
+        # y, or None when one exceeds s by more than the margin
+        need = [ck + v for ck, v in zip(c, m.dot(y).tolist())]
+        return None if any(nk * down > sk for nk, sk in zip(need, sl)) else need
+
+    need = floor_needs(r)
+    if need is None:
+        return None
+    lo = [nk * down for nk in need]  # the floors' faces
+    if sum_rate is None:
+        if value(s, r) <= gamma:
+            return None
+        if gamma > -math.inf:
+            start = np.minimum(np.maximum(lo, r), s)
+            holds = [lambda x: value(x, r) > gamma]
+            lo = start.tolist()
+            for i, v in _face_cuts(s, start - s, holds, steps).items():
+                lo[i] = v
+    else:
+        noise = sum_rate.noise(r)
+        terms = sum_rate.terms(sl, noise)
+        if math.fsum(terms) <= gamma:
+            return None
+        if gamma > -math.inf:
+            faces = sum_rate.faces(terms, noise, gamma)
+            lo = [max(f, face * down) for f, face in zip(lo, faces)]
+    lo = [min(sk, max(rk, f)) for rk, sk, f in zip(rl, sl, lo)]
+    if lo == rl:
+        r_new = r
+    else:
+        r_new = _readonly(lo)
+        need = floor_needs(r_new)
+        if need is None or value(s, r_new) <= gamma:
+            return None
+
+    # floor k holds at (s, r_new), so it caps each y_i with m_ki > 0
+    top = list(sl)
+    for row, nk, sk in zip(m.tolist(), need, sl):
+        slack = sk - nk
+        for i, mki in enumerate(row):
+            if mki > 0.0:
+                top[i] = min(top[i], max(lo[i], (lo[i] + slack / mki) * up))
+    if gamma > -math.inf:
+        holds = [lambda y: value(s, y) > gamma]
+        for i, v in _face_cuts(r_new, np.array(top) - r_new, holds, steps).items():
+            top[i] = min(top[i], v)
+    if top == sl:
+        return box if r_new is r else BoxNd._trusted(r_new, s)
+    return BoxNd._trusted(r_new, _readonly(top))
+
+
+def _power_problem(
+    net: InterferenceNetwork, objective: MMFunction, sum_rate_weights=None
+) -> ProblemInstance:
     """Maximize ``objective`` over the power box [0, p_max] under the
     network's rate floors: the one path of every power-control family.
 
@@ -263,14 +437,19 @@ def _power_problem(net: InterferenceNetwork, objective: MMFunction) -> ProblemIn
     corner test decides at its lower corner (``mm-conclusive``, no
     constraints).  The floors are built by :func:`_floors` like the ALOHA
     floors.  They share no monotone split, but each is an affine floor on
-    the powers, so the instance carries the exact :func:`_floor_oracle`
-    (``custom-oracle``), and ``epsilon_feasibility`` adds no candidate
-    points: it applies to undecided boxes of ``mm-sufficient-only`` only.
+    the powers, so the instance carries the exact oracle and the closed-form
+    reducer of :func:`_floor_hooks` (``custom-oracle``), and
+    ``epsilon_feasibility`` adds no candidate points: it applies to
+    undecided boxes of ``mm-sufficient-only`` only.  ``sum_rate_weights``
+    says that ``objective`` is the weighted sum rate with these weights,
+    whose faces the reducer then also sets in closed form.
     """
     box = BoxNd(np.zeros(net.K), net.p_max)
     floors = _floors(net, _rate)
-    oracle = _floor_oracle(net, floors) if floors else None
-    return ProblemInstance(objective, floors, box, feasibility_oracle=oracle)
+    if not floors:
+        return ProblemInstance(objective, floors, box)
+    oracle, reducer = _floor_hooks(net, objective, floors, sum_rate_weights)
+    return ProblemInstance(objective, floors, box, feasibility_oracle=oracle, reducer=reducer)
 
 
 def _mmp_objective(net: InterferenceNetwork, weights) -> MMFunction:
@@ -312,7 +491,7 @@ def wsr_problem(net: InterferenceNetwork, representation: str = "mmp") -> Proble
     if representation not in _WSR_OBJECTIVES:
         raise InvalidNetwork(f"unknown representation {representation!r}")
     objective = _WSR_OBJECTIVES[representation](net, net.w)
-    return _power_problem(net, objective)
+    return _power_problem(net, objective, net.w if representation == "mmp" else None)
 
 
 def bound_gap_mmp_vs_dm(net: InterferenceNetwork, box: BoxNd) -> float:
@@ -335,7 +514,7 @@ def _power_draw(net: InterferenceNetwork, energy: EnergyModel):
     if energy.per_user_circuit:
         raise InvalidNetwork("network energy efficiency takes a scalar p_circuit")
     phi, pc = energy.phi, energy.p_circuit
-    return lambda p: float(np.dot(phi, p)) + pc
+    return lambda p: float(phi.dot(p)) + pc
 
 
 def gee_problem(net: InterferenceNetwork, energy: EnergyModel) -> ProblemInstance:

@@ -47,7 +47,10 @@ tests every conjunct once at its extreme corner (a *phase certificate*) and
 drops those that hold there from all of its lines; each line then tests the
 rest at its far end and bisects on the ones that failed there (its
 *binding set*).  The multipliers are those of testing every conjunct at
-every step.
+every step.  A problem that carries its own ``reducer`` (see
+:class:`~mmopt.core.ProblemInstance`) is reduced by it instead; the power
+problems' reducer sets the faces of the conjuncts that invert along their
+lines in closed form and line-searches only the rest.
 
 Feasibility is decided per box by the test the problem's inputs imply (its
 ``feasibility_mode``, read once per solve): a user oracle when one is
@@ -420,6 +423,11 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
     steps = config.reduction_bisection_steps
     best_first = config.selection_rule == "best-first"
     box_point = _box_point(problem, eps)
+    reduce = problem.reducer
+    if reduce is None:
+
+        def reduce(box, gamma, steps):
+            return reduce_box(box, objective, constraints, gamma, steps)
 
     def cutoff(g: float) -> float:
         # relative: g + eta*|g|, as (1 + eta) * g for g >= 0 and (1 - eta) * g below;
@@ -527,7 +535,7 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
                 # child it returns unchanged keeps its widths
                 reduced = []
                 for child, widths in boxes:
-                    cut = reduce_box(child, objective, constraints, gamma, steps)
+                    cut = reduce(child, gamma, steps)
                     if cut is None:
                         stats.boxes_reduced_empty += 1
                     elif cut is child:

@@ -190,6 +190,10 @@ class TestProblemInstance:
         with pytest.raises(MMOptError, match="feasibility_oracle must be callable"):
             ProblemInstance(self.OBJECTIVE, (), self.BOX, "normal")
 
+    def test_reducer_must_be_callable(self):
+        with pytest.raises(MMOptError, match="reducer must be callable"):
+            ProblemInstance(self.OBJECTIVE, (), self.BOX, reducer="reduce_box")
+
 
 @pytest.mark.parametrize("fn", [None, 1.0, "x + y"])
 def test_mm_function_needs_a_callable(fn):

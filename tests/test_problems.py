@@ -4,6 +4,8 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmopt.core import STATUS_EPS_ETA_APPROXIMATE, SolverConfig, check_mm_property, make_box
 from mmopt.errors import InnerSolveFailed, InvalidNetwork
@@ -24,7 +26,7 @@ from mmopt.problems import (
     wsr_problem,
 )
 from mmopt.problems import _dinkelbach_aux_objective
-from mmopt.solver import solve
+from mmopt.solver import reduce_box, solve
 
 from oracles import (
     aloha_grid,
@@ -576,6 +578,187 @@ class TestEnergyFloors:
             assert (res.status, res.incumbent) == ("infeasible", None)
         with pytest.raises(InnerSolveFailed, match="status infeasible"):
             dinkelbach_gee(net, ENERGY_FAMILIES["gee"][1], SolverConfig(eta=0.01))
+
+
+class TestPowerReducer:
+    """The reducer that every floored power problem carries: closed-form
+    faces for the rate floors and the sum rate, line searches for the rest.
+    It never removes a feasible point above gamma (checked by the model
+    formulas on sampled points), and its lower corner is at least
+    ``reduce_box``'s, up to the margin by which it rounds each face outward."""
+
+    MARGIN = 1e-9  # feasibility._LEAST_POINT_MARGIN
+
+    @staticmethod
+    def network(k, seed, r_min, w=None, beta=None):
+        base = generate_channels(k, seed)
+        return replace(
+            base,
+            r_min=np.asarray(r_min, dtype=float),
+            w=base.w if w is None else np.asarray(w, dtype=float),
+            beta=base.beta if beta is None else np.asarray(beta, dtype=float),
+        )
+
+    @staticmethod
+    def assert_sound(net, box, gamma, reduced, rng, samples=300):
+        """No sampled point of ``box`` outside ``reduced`` (every one, when
+        ``reduced`` is None) meets every floor with a value above gamma."""
+        lo, hi = box.r, box.s
+        points = lo[:, None] + (hi - lo)[:, None] * rng.random((net.K, samples))
+        corners = np.array(np.meshgrid(*np.stack([lo, hi], axis=1), indexing="ij"))
+        points = np.concatenate([points, corners.reshape(net.K, -1)], axis=1)
+        if reduced is not None:
+            # points just below each lower face and just above each upper face
+            near = []
+            for i in range(net.K):
+                for face, step in ((reduced.r[i], -1.0), (reduced.s[i], 1.0)):
+                    p = reduced.r[:, None] + (reduced.s - reduced.r)[:, None] * rng.random(
+                        (net.K, 20)
+                    )
+                    p[i] = face + step * (1e-7 * abs(face) + 1e-12)
+                    near.append(p)
+            near = np.concatenate(near, axis=1)
+            inside_box = np.all((near >= lo[:, None]) & (near <= hi[:, None]), axis=0)
+            points = np.concatenate([points, near[:, inside_box]], axis=1)
+        rates = wsr_rates(net, points)
+        value = net.w @ rates
+        better = np.all(rates >= net.r_min[:, None] + 1e-9, axis=0) & (value > gamma + 1e-9)
+        if reduced is None:
+            assert not better.any()
+            return
+        inside = np.all(
+            (points >= reduced.r[:, None] - 1e-12) & (points <= reduced.s[:, None] + 1e-12),
+            axis=0,
+        )
+        assert not (better & ~inside).any()
+
+    @given(
+        st.integers(1, 4),
+        st.integers(0, 10_000),
+        st.lists(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]), min_size=4, max_size=4),
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=4, max_size=4),
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.just(-math.inf), st.floats(0.0, 1.2)),
+        st.integers(1, 8),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_keeps_every_feasible_point_above_gamma(
+        self, k, seed, r_min, w, box_seed, share, steps
+    ):
+        net = self.network(k, seed, r_min[:k], w=w[:k])
+        problem = wsr_problem(net)
+        if problem.reducer is None:  # no floor
+            assert not net.r_min.any()
+            return
+        rng = np.random.default_rng(box_seed)
+        lo, hi = random_box(rng, np.zeros(k), net.p_max)
+        if rng.random() < 0.2:  # a zero-width edge
+            i = rng.integers(k)
+            hi[i] = lo[i]
+        box = make_box(lo, hi)
+        # gamma as a share of the box's bound: from slack to no feasible point
+        gamma = share * problem.objective.eval(box.s, box.r) if share > -math.inf else share
+        reduced = problem.reducer(box, gamma, steps)
+        if reduced is not None and reduced is not box:
+            assert not reduced.r.flags.writeable and not reduced.s.flags.writeable
+            assert np.all(box.r <= reduced.r) and np.all(reduced.r <= reduced.s)
+            assert np.all(reduced.s <= box.s)
+            for i in np.flatnonzero(box.r == box.s):
+                assert reduced.r[i] == reduced.s[i] == box.r[i]
+        self.assert_sound(net, box, gamma, reduced, rng)
+        reference = reduce_box(box, problem.objective, problem.constraints, gamma, steps)
+        if reduced is not None and reference is not None:
+            # the shrink phase's exact faces lie above the bisection's bracket tops
+            assert np.all(reduced.r >= reference.r * (1.0 - 2 * self.MARGIN) - 1e-15)
+
+    def test_floor_faces_without_gamma(self):
+        # gamma = -inf cuts by the floors alone: the lower corner rises to
+        # (m r + c) (1 - margin) and every upper face stays where the floors allow
+        net = self.network(3, 8, [0.3, 0.3, 0.3])
+        problem = wsr_problem(net)
+        box = make_box(np.zeros(3), np.ones(3))
+        reduced = problem.reducer(box, -math.inf, 5)
+        gain = np.exp2(net.r_min) - 1.0
+        face = gain * net.sigma2 / net.alpha  # m r + c at r = 0
+        np.testing.assert_allclose(reduced.r, face * (1.0 - self.MARGIN), rtol=1e-12)
+        assert np.all(reduced.s <= 1.0)
+        self.assert_sound(net, box, -math.inf, reduced, np.random.default_rng(0))
+
+    def test_zero_weight_user_gets_no_objective_face(self):
+        net = self.network(3, 8, [0.3, 0.3, 0.3], w=[0.0, 1.0, 1.0])
+        problem = wsr_problem(net)
+        box = make_box(np.zeros(3), np.ones(3))
+        gamma = 0.6 * problem.objective.eval(box.s, box.r)
+        floors_only = problem.reducer(box, -math.inf, 5)
+        reduced = problem.reducer(box, gamma, 5)
+        # user 0's lower face is its floor's: its own power moves no weighted
+        # term; the others' rise above their floors' faces
+        assert reduced.r[0] == floors_only.r[0]
+        assert np.all(reduced.r[1:] > floors_only.r[1:])
+        self.assert_sound(net, box, gamma, reduced, np.random.default_rng(1))
+
+    def test_zero_cross_gain_caps_nothing(self):
+        # beta[1, 0] = 0: the one floor, user 1's, reads no power of user 0
+        # (m_10 = 0), so only y_2 is capped, at (s_1 - c_1) / m_12
+        beta = generate_channels(3, 8).beta.copy()
+        beta[1, 0] = 0.0
+        net = self.network(3, 8, [0.0, 0.3, 0.0], beta=beta)
+        problem = wsr_problem(net)
+        gain = 2.0**0.3 - 1.0
+        c1, m12 = gain * net.sigma2 / net.alpha[1], gain * beta[1, 2] / net.alpha[1]
+        box = make_box(np.zeros(3), (1.0, c1 + 0.5 * m12, 1.0))
+        reduced = problem.reducer(box, -math.inf, 5)
+        assert reduced.s[0] == 1.0
+        assert reduced.s[2] == pytest.approx(0.5, rel=1e-8)
+        self.assert_sound(net, box, -math.inf, reduced, np.random.default_rng(2))
+
+    def test_unmeetable_floor_falls_back_to_reduce_box(self):
+        # self-interference 0.5 with alpha 1 caps user 0's SINR at 2, below
+        # the 2^2 - 1 = 3 that a floor of 2 bits needs
+        beta = np.array([[0.5, 0.1], [0.1, 0.0]])
+        net = InterferenceNetwork(
+            alpha=(1.0, 1.0), beta=beta, sigma2=0.01, p_max=(1.0, 1.0), w=(1.0, 1.0),
+            r_min=(2.0, 0.1),
+        )
+        problem = wsr_problem(net)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            box = make_box(*random_box(rng, np.zeros(2), net.p_max))
+            gamma = float(rng.random())
+            got = problem.reducer(box, gamma, 5)
+            want = reduce_box(box, problem.objective, problem.constraints, gamma, 5)
+            if want is None or want is box:
+                assert got is want
+            else:
+                assert got.r.tobytes() == want.r.tobytes() and got.s.tobytes() == want.s.tobytes()
+        assert solve(problem, SolverConfig(eta=0.01, reduction_enabled=True)).status == "infeasible"
+
+    def test_only_floored_problems_carry_it(self):
+        net = generate_channels(3, 8)
+        energy = EnergyModel(phi=np.full(3, 5.0), p_circuit=np.ones(3))
+        assert wsr_problem(net).reducer is None
+        assert wmee_problem(net, energy).reducer is None
+        floored = floored_channels(3, 8, 0.3)
+        assert wsr_problem(floored).reducer is not None
+        assert wsr_problem(floored, "dm").reducer is not None
+        assert wmee_problem(floored, energy).reducer is not None
+
+    @pytest.mark.parametrize("representation", ["mmp", "dm"])
+    def test_runs_only_with_reduction_enabled(self, representation):
+        problem = wsr_problem(floored_channels(3, 8, 0.3), representation)
+        calls = []
+
+        def spy(box, gamma, steps):
+            calls.append(steps)
+            return problem.reducer(box, gamma, steps)
+
+        config = SolverConfig(eta=0.1, selection_rule="oldest-first", max_iterations=20_000)
+        off = solve(replace(problem, reducer=spy), config)
+        assert off.iterations > 0 and calls == []
+        on = solve(replace(problem, reducer=spy), replace(config, reduction_enabled=True))
+        assert on.status == off.status == "eta-optimal"
+        assert abs(on.value - off.value) <= 0.1
+        assert len(calls) == 2 * on.iterations and set(calls) == {10}
 
 
 def result_digest(res):
