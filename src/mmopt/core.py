@@ -241,10 +241,10 @@ class ProblemInstance:
     ``None`` only when the box holds no feasible point of value above
     ``gamma``, else a box inside ``box`` (``box`` itself when nothing is cut)
     that keeps every such point, with read-only corners.  A reducer carries
-    its own copy of the objective and the constraints (the power problems'
-    reducer inverts the rate floors and the sum rate in closed form), so a
-    copy of the problem with another objective or other constraints must
-    drop it (``reducer=None``).
+    its own copy of the objective and the constraints (the floored sum-rate
+    problems' reducer inverts the rate floors and the sum rate in closed
+    form), so a copy of the problem with another objective or other
+    constraints must drop it (``reducer=None``).
     """
 
     objective: MMFunction
@@ -299,9 +299,8 @@ class SolverConfig:
     ``reducer`` when it has one, else by :func:`~mmopt.solver.reduce_box`.
     ``reduction_bisection_steps`` is the number of halvings per line search
     of a conjunct that has no closed-form face: every conjunct of
-    ``reduce_box``, and only the objective's grow phase (or, for an
-    objective other than the sum rate, both phases) in the power problems'
-    reducer.
+    ``reduce_box``, and only the objective's grow phase in the floored
+    ``mmp`` sum-rate problems' reducer.
     ``epsilon_feasibility > 0`` admits incumbents whose constraints hold up
     to that slack; at 0 every incumbent, an oracle's included, meets every
     constraint exactly.  ``max_iterations`` and ``max_wall_time`` (seconds)

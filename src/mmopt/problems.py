@@ -41,7 +41,7 @@ from .feasibility import (
     least_point_test,
     mm_sufficient_test,
 )
-from .solver import _face_cuts, reduce_box, solve
+from .solver import _face_cuts, solve
 
 __all__ = [
     "REPRESENTATIONS",
@@ -241,17 +241,19 @@ def _floor_map(net: InterferenceNetwork) -> tuple[np.ndarray, np.ndarray] | tupl
     return m, scale * net.sigma2
 
 
-def _floor_hooks(net: InterferenceNetwork, objective: MMFunction, floors, sum_rate_weights):
+def _floor_hooks(net: InterferenceNetwork, floors, objective: MMFunction, sum_rate_weights):
     """The feasibility oracle and the reducer of a power problem under the
     WSR rate floors ``floors`` (see :func:`_power_problem`).
 
     Both read :func:`_floor_map`, built on the first call of either, and the
-    reducer the :class:`_SumRate` of ``sum_rate_weights`` (when given), built
-    on its first call, which keeps building a problem cheap.  When a floor
-    cannot be met, the oracle is the one-sided test, which then finds every
-    box infeasible, and the reducer is :func:`~mmopt.solver.reduce_box`.
-    Otherwise the oracle is :func:`~mmopt.feasibility.least_point_test`,
-    which decides every box, and the reducer is :func:`_reduce_power_box`.
+    reducer the :class:`_SumRate` of ``sum_rate_weights``, built on its first
+    call, which keeps building a problem cheap.  The reducer is ``None``
+    unless ``sum_rate_weights`` is given, that is unless ``objective`` is
+    the ``mmp`` weighted sum rate with these weights.  When a floor cannot
+    be met, the oracle is the one-sided test and the reducer empties every
+    box, both rightly, since no point meets the floor.  Otherwise the oracle
+    is :func:`~mmopt.feasibility.least_point_test`, which decides every box,
+    and the reducer is :func:`_reduce_power_box`.
     """
     built = sum_rate = None
 
@@ -271,22 +273,22 @@ def _floor_hooks(net: InterferenceNetwork, objective: MMFunction, floors, sum_ra
         nonlocal sum_rate
         affine = floor_map()
         if not affine:
-            return reduce_box(box, objective, floors, gamma, steps)
-        if sum_rate is None and sum_rate_weights is not None:
+            return None
+        if sum_rate is None:
             sum_rate = _SumRate(net, sum_rate_weights)
-        return _reduce_power_box(box, gamma, steps, objective, *affine, sum_rate)
+        return _reduce_power_box(box, gamma, steps, objective.eval, *affine, sum_rate)
 
-    return oracle, reducer
+    return oracle, None if sum_rate_weights is None else reducer
 
 
 _LN2 = math.log(2.0)
 
 
 class _SumRate:
-    """A network's weighted sum rate, with the closed-form faces it puts on
-    a box in the shrink phase of reduction.  The interference is one numpy
-    matrix-vector product; the rest runs on Python floats, which for a few
-    users is faster than numpy."""
+    """A network's weighted sum-rate terms, with the closed-form faces they
+    put on a box in the shrink phase of reduction.  The interference is one
+    numpy matrix-vector product; the rest runs on Python floats, which for a
+    few users is faster than numpy."""
 
     __slots__ = ("w", "alpha", "own", "cross", "s2")
 
@@ -311,10 +313,6 @@ class _SumRate:
             wk * math.log2(1.0 + ak * xk / (dk + bk * xk))
             for wk, ak, bk, dk, xk in zip(self.w, self.alpha, self.own, noise, x)
         ]
-
-    def value(self, x: np.ndarray, y: np.ndarray) -> float:
-        """``F(x, y)``, the sum of :meth:`terms`."""
-        return math.fsum(self.terms(x.tolist(), self.noise(y)))
 
     def faces(self, terms: list, noise: list, gamma: float) -> list:
         """Each ``x_i`` below which ``F(x, r) <= gamma`` with the other own
@@ -348,21 +346,21 @@ def _readonly(values: list) -> np.ndarray:
     return out
 
 
-def _reduce_power_box(box: BoxNd, gamma: float, steps: int, objective, m, c, sum_rate):
-    """:func:`~mmopt.solver.reduce_box` for a power problem whose rate floors
-    read ``p >= m p + c``, with the faces of the conjuncts that invert along
-    their lines set in closed form.
+def _reduce_power_box(box: BoxNd, gamma: float, steps: int, value, m, c, sum_rate):
+    """:func:`~mmopt.solver.reduce_box` for the ``mmp`` weighted sum rate
+    ``value`` (its ``eval``) under rate floors that read ``p >= m p + c``,
+    with the faces of the conjuncts that invert along their lines set in
+    closed form.
 
     Shrink phase (lower faces, the other own powers at ``s``, interference
-    at ``r``): floor i's face is ``(m r + c)_i``, and the objective's, when
-    it is the weighted sum rate ``sum_rate`` (a :class:`_SumRate`), its SINR
-    inverse; any other objective is line-searched by ``steps`` halvings over
-    what the floors leave of each line.  Grow phase (upper faces, own powers
-    at ``s``, interference from the new lower corner): floor ``k != i`` caps
-    ``y_i <= (s_k - c_k - sum_{j != i} m_kj y_j) / m_ki``, and the
-    objective, which has no inverse there, is line-searched over what is
-    left.  Every closed-form face is moved outward by the relative margin
-    ``_LEAST_POINT_MARGIN`` and clipped to the box.
+    at ``r``): floor i's face is ``(m r + c)_i``, and the objective's the
+    SINR inverse of its term i (:meth:`_SumRate.faces`).  Grow phase (upper
+    faces, own powers at ``s``, interference from the new lower corner):
+    floor ``k != i`` caps ``y_i <= (s_k - c_k - sum_{j != i} m_kj y_j) /
+    m_ki``, and the objective, which has no inverse there, is line-searched
+    by ``steps`` halvings over what is left.  Every closed-form face is moved
+    outward by the relative margin ``_LEAST_POINT_MARGIN`` and clipped to
+    the box.
 
     Returns what ``reduce_box`` returns: ``None`` when no feasible point
     above gamma remains, by the MM certificates on the box or on it with the
@@ -371,7 +369,6 @@ def _reduce_power_box(box: BoxNd, gamma: float, steps: int, objective, m, c, sum
     nothing is cut.
     """
     down, up = 1.0 - _LEAST_POINT_MARGIN, 1.0 + _LEAST_POINT_MARGIN
-    value = objective.eval if sum_rate is None else sum_rate.value
     r, s = box.r, box.s
     rl, sl, c = r.tolist(), s.tolist(), c.tolist()
 
@@ -382,26 +379,13 @@ def _reduce_power_box(box: BoxNd, gamma: float, steps: int, objective, m, c, sum
         return None if any(nk * down > sk for nk, sk in zip(need, sl)) else need
 
     need = floor_needs(r)
-    if need is None:
+    if need is None or value(s, r) <= gamma:
         return None
     lo = [nk * down for nk in need]  # the floors' faces
-    if sum_rate is None:
-        if value(s, r) <= gamma:
-            return None
-        if gamma > -math.inf:
-            start = np.minimum(np.maximum(lo, r), s)
-            holds = [lambda x: value(x, r) > gamma]
-            lo = start.tolist()
-            for i, v in _face_cuts(s, start - s, holds, steps).items():
-                lo[i] = v
-    else:
+    if gamma > -math.inf:
         noise = sum_rate.noise(r)
-        terms = sum_rate.terms(sl, noise)
-        if math.fsum(terms) <= gamma:
-            return None
-        if gamma > -math.inf:
-            faces = sum_rate.faces(terms, noise, gamma)
-            lo = [max(f, face * down) for f, face in zip(lo, faces)]
+        faces = sum_rate.faces(sum_rate.terms(sl, noise), noise, gamma)
+        lo = [max(f, face * down) for f, face in zip(lo, faces)]
     lo = [min(sk, max(rk, f)) for rk, sk, f in zip(rl, sl, lo)]
     if lo == rl:
         r_new = r
@@ -437,18 +421,20 @@ def _power_problem(
     corner test decides at its lower corner (``mm-conclusive``, no
     constraints).  The floors are built by :func:`_floors` like the ALOHA
     floors.  They share no monotone split, but each is an affine floor on
-    the powers, so the instance carries the exact oracle and the closed-form
-    reducer of :func:`_floor_hooks` (``custom-oracle``), and
-    ``epsilon_feasibility`` adds no candidate points: it applies to
-    undecided boxes of ``mm-sufficient-only`` only.  ``sum_rate_weights``
-    says that ``objective`` is the weighted sum rate with these weights,
-    whose faces the reducer then also sets in closed form.
+    the powers, so the instance carries the exact oracle of
+    :func:`_floor_hooks` (``custom-oracle``), and ``epsilon_feasibility``
+    adds no candidate points: it applies to undecided boxes of
+    ``mm-sufficient-only`` only.  ``sum_rate_weights`` says that
+    ``objective`` is the ``mmp`` weighted sum rate with these weights; the
+    instance then also carries the closed-form reducer of
+    :func:`_floor_hooks`, and every other objective is reduced by
+    :func:`~mmopt.solver.reduce_box`.
     """
     box = BoxNd(np.zeros(net.K), net.p_max)
     floors = _floors(net, _rate)
     if not floors:
         return ProblemInstance(objective, floors, box)
-    oracle, reducer = _floor_hooks(net, objective, floors, sum_rate_weights)
+    oracle, reducer = _floor_hooks(net, floors, objective, sum_rate_weights)
     return ProblemInstance(objective, floors, box, feasibility_oracle=oracle, reducer=reducer)
 
 

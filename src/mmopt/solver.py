@@ -48,9 +48,9 @@ drops those that hold there from all of its lines; each line then tests the
 rest at its far end and bisects on the ones that failed there (its
 *binding set*).  The multipliers are those of testing every conjunct at
 every step.  A problem that carries its own ``reducer`` (see
-:class:`~mmopt.core.ProblemInstance`) is reduced by it instead; the power
-problems' reducer sets the faces of the conjuncts that invert along their
-lines in closed form and line-searches only the rest.
+:class:`~mmopt.core.ProblemInstance`) is reduced by it instead; the floored
+sum-rate problems' reducer sets the faces of the conjuncts that invert along
+their lines in closed form and line-searches only the rest.
 
 Feasibility is decided per box by the test the problem's inputs imply (its
 ``feasibility_mode``, read once per solve): a user oracle when one is

@@ -581,11 +581,13 @@ class TestEnergyFloors:
 
 
 class TestPowerReducer:
-    """The reducer that every floored power problem carries: closed-form
-    faces for the rate floors and the sum rate, line searches for the rest.
+    """The reducer that the floored ``mmp`` sum-rate problem carries:
+    closed-form faces for the rate floors and the sum rate, a line search
+    for the objective's upper faces.
     It never removes a feasible point above gamma (checked by the model
-    formulas on sampled points), and its lower corner is at least
-    ``reduce_box``'s, up to the margin by which it rounds each face outward."""
+    formulas on sampled points and at the optimistic corner pair of each
+    slab it cuts off), and its lower corner is at least ``reduce_box``'s, up
+    to the margin by which it rounds each face outward."""
 
     MARGIN = 1e-9  # feasibility._LEAST_POINT_MARGIN
 
@@ -632,13 +634,40 @@ class TestPowerReducer:
         )
         assert not (better & ~inside).any()
 
+    @staticmethod
+    def assert_cuts_certified(net, box, gamma, reduced, step=1e-7):
+        """Each slab that ``reduced`` cuts off ``box`` fails a floor, or has a
+        value not above gamma, at its optimistic corner pair by the model
+        formulas: own powers at their largest, interference at its least,
+        and the cut coordinate a relative ``step`` past the face.  A sampled
+        point rarely lands where a grow-phase face matters; this pins it."""
+        if reduced is None or reduced is box:
+            return
+        own = np.diag(net.beta)
+
+        def hopeful(x, y):
+            # every floor met and a value above gamma with own powers x and
+            # interference y
+            rates = np.log2(1.0 + net.alpha * x / (net.sigma2 + own * x + net.beta @ y - own * y))
+            return np.all(rates >= net.r_min + 1e-9) and net.w @ rates > gamma + 1e-9
+
+        for i in range(net.K):
+            if reduced.r[i] > box.r[i]:  # the slab x_i < r_i, interference from box.r
+                x = box.s.copy()
+                x[i] = max(box.r[i], reduced.r[i] * (1.0 - step) - 1e-12)
+                assert not hopeful(x, box.r)
+            if reduced.s[i] < box.s[i]:  # the slab y_i > s_i, interference from reduced.r
+                y = reduced.r.copy()
+                y[i] = min(box.s[i], reduced.s[i] * (1.0 + step) + 1e-12)
+                assert not hopeful(box.s, y)
+
     @given(
         st.integers(1, 4),
         st.integers(0, 10_000),
         st.lists(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]), min_size=4, max_size=4),
         st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=4, max_size=4),
         st.integers(0, 2**32 - 1),
-        st.one_of(st.just(-math.inf), st.floats(0.0, 1.2)),
+        st.one_of(st.just(-math.inf), st.floats(-0.2, 1.1)),
         st.integers(1, 8),
     )
     @settings(max_examples=120, deadline=None)
@@ -656,8 +685,12 @@ class TestPowerReducer:
             i = rng.integers(k)
             hi[i] = lo[i]
         box = make_box(lo, hi)
-        # gamma as a share of the box's bound: from slack to no feasible point
-        gamma = share * problem.objective.eval(box.s, box.r) if share > -math.inf else share
+        # gamma as a share of the way from the value at a random point of the
+        # box, as an incumbent might have, to the box's bound: from slack to
+        # no feasible point
+        anchor = net.w @ wsr_rates(net, lo + rng.random(k) * (hi - lo))
+        bound = problem.objective.eval(box.s, box.r)
+        gamma = anchor + share * (bound - anchor) if share > -math.inf else share
         reduced = problem.reducer(box, gamma, steps)
         if reduced is not None and reduced is not box:
             assert not reduced.r.flags.writeable and not reduced.s.flags.writeable
@@ -666,6 +699,7 @@ class TestPowerReducer:
             for i in np.flatnonzero(box.r == box.s):
                 assert reduced.r[i] == reduced.s[i] == box.r[i]
         self.assert_sound(net, box, gamma, reduced, rng)
+        self.assert_cuts_certified(net, box, gamma, reduced)
         reference = reduce_box(box, problem.objective, problem.constraints, gamma, steps)
         if reduced is not None and reference is not None:
             # the shrink phase's exact faces lie above the bisection's bracket tops
@@ -683,6 +717,19 @@ class TestPowerReducer:
         np.testing.assert_allclose(reduced.r, face * (1.0 - self.MARGIN), rtol=1e-12)
         assert np.all(reduced.s <= 1.0)
         self.assert_sound(net, box, -math.inf, reduced, np.random.default_rng(0))
+
+    def test_objective_cuts_upper_faces_only_where_certified(self):
+        # on this box the floors cap no upper face, so each upper face that
+        # moves is set by the objective's line search
+        net = self.network(3, 8, [0.05, 0.05, 0.05])
+        problem = wsr_problem(net)
+        box = make_box(np.zeros(3), np.ones(3))
+        gamma = 0.6 * problem.objective.eval(box.s, box.r)
+        assert np.all(problem.reducer(box, -math.inf, 5).s == 1.0)
+        reduced = problem.reducer(box, gamma, 5)
+        assert np.all(reduced.s < 1.0)
+        self.assert_cuts_certified(net, box, gamma, reduced)
+        self.assert_sound(net, box, gamma, reduced, np.random.default_rng(4))
 
     def test_zero_weight_user_gets_no_objective_face(self):
         net = self.network(3, 8, [0.3, 0.3, 0.3], w=[0.0, 1.0, 1.0])
@@ -712,7 +759,7 @@ class TestPowerReducer:
         assert reduced.s[2] == pytest.approx(0.5, rel=1e-8)
         self.assert_sound(net, box, -math.inf, reduced, np.random.default_rng(2))
 
-    def test_unmeetable_floor_falls_back_to_reduce_box(self):
+    def test_unmeetable_floor_empties_every_box(self):
         # self-interference 0.5 with alpha 1 caps user 0's SINR at 2, below
         # the 2^2 - 1 = 3 that a floor of 2 bits needs
         beta = np.array([[0.5, 0.1], [0.1, 0.0]])
@@ -721,31 +768,21 @@ class TestPowerReducer:
             r_min=(2.0, 0.1),
         )
         problem = wsr_problem(net)
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            box = make_box(*random_box(rng, np.zeros(2), net.p_max))
-            gamma = float(rng.random())
-            got = problem.reducer(box, gamma, 5)
-            want = reduce_box(box, problem.objective, problem.constraints, gamma, 5)
-            if want is None or want is box:
-                assert got is want
-            else:
-                assert got.r.tobytes() == want.r.tobytes() and got.s.tobytes() == want.s.tobytes()
+        assert problem.reducer(problem.initial_box, -math.inf, 5) is None
         assert solve(problem, SolverConfig(eta=0.01, reduction_enabled=True)).status == "infeasible"
 
-    def test_only_floored_problems_carry_it(self):
+    def test_only_the_floored_mmp_sum_rate_carries_it(self):
         net = generate_channels(3, 8)
         energy = EnergyModel(phi=np.full(3, 5.0), p_circuit=np.ones(3))
         assert wsr_problem(net).reducer is None
         assert wmee_problem(net, energy).reducer is None
         floored = floored_channels(3, 8, 0.3)
         assert wsr_problem(floored).reducer is not None
-        assert wsr_problem(floored, "dm").reducer is not None
-        assert wmee_problem(floored, energy).reducer is not None
+        assert wsr_problem(floored, "dm").reducer is None
+        assert wmee_problem(floored, energy).reducer is None
 
-    @pytest.mark.parametrize("representation", ["mmp", "dm"])
-    def test_runs_only_with_reduction_enabled(self, representation):
-        problem = wsr_problem(floored_channels(3, 8, 0.3), representation)
+    def test_runs_only_with_reduction_enabled(self):
+        problem = wsr_problem(floored_channels(3, 8, 0.3))
         calls = []
 
         def spy(box, gamma, steps):
