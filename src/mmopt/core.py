@@ -36,7 +36,6 @@ __all__ = [
     "check_mm_property",
     "STATUS_ETA_OPTIMAL",
     "STATUS_RELATIVE_ETA_OPTIMAL",
-    "STATUS_EPS_ETA_APPROXIMATE",
     "STATUS_INFEASIBLE",
     "STATUS_ITERATION_LIMIT",
     "STATUS_TIME_LIMIT",
@@ -45,7 +44,6 @@ __all__ = [
 
 STATUS_ETA_OPTIMAL = "eta-optimal"
 STATUS_RELATIVE_ETA_OPTIMAL = "relative-eta-optimal"
-STATUS_EPS_ETA_APPROXIMATE = "eps-eta-approximate"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_ITERATION_LIMIT = "iteration-limit"
 STATUS_TIME_LIMIT = "time-limit"
@@ -231,9 +229,10 @@ class ProblemInstance:
     Feasible points come only from verdicts: an oracle offers one as the
     witness of a ``FEASIBLE_WITH_WITNESS`` verdict, and the solver takes it
     only if its shape is ``(dim,)`` (else ``DimensionMismatch``), it lies in
-    the box and every constraint holds there within
-    ``epsilon_feasibility``.  The solver keeps the witness array and
-    evaluates it once per branch, so an oracle must not change it afterwards.
+    the box and every constraint holds there exactly (``G(x, x) <= 0``).  An
+    oracle return value with no verdict ``kind`` raises ``MMOptError``.  The
+    solver keeps the witness array and evaluates it once per branch, so an
+    oracle must not change it afterwards.
 
     ``reducer``, a ``(box, gamma, steps) -> BoxNd | None`` callable, is the
     reduction step that runs in place of :func:`~mmopt.solver.reduce_box`
@@ -241,9 +240,9 @@ class ProblemInstance:
     ``None`` only when the box holds no feasible point of value above
     ``gamma``, else a box inside ``box`` (``box`` itself when nothing is cut)
     that keeps every such point, with read-only corners.  A reducer carries
-    its own copy of the objective and the constraints (the floored sum-rate
-    problems' reducer inverts the rate floors and the sum rate in closed
-    form), so a copy of the problem with another objective or other
+    its own copy of the objective and the constraints (the floored ``mmp``
+    sum-rate problem's reducer inverts the rate floors and the sum rate in
+    closed form), so a copy of the problem with another objective or other
     constraints must drop it (``reducer=None``).
     """
 
@@ -300,12 +299,10 @@ class SolverConfig:
     ``reduction_bisection_steps`` is the number of halvings per line search
     of a conjunct that has no closed-form face: every conjunct of
     ``reduce_box``, and only the objective's grow phase in the floored
-    ``mmp`` sum-rate problems' reducer.
-    ``epsilon_feasibility > 0`` admits incumbents whose constraints hold up
-    to that slack; at 0 every incumbent, an oracle's included, meets every
-    constraint exactly.  ``max_iterations`` and ``max_wall_time`` (seconds)
-    stop the loop with a limit status; ``trace_path`` (a ``str`` or an
-    ``os.PathLike``) names a CSV file that receives one row per iteration.
+    ``mmp`` sum-rate problem's reducer.  ``max_iterations`` and
+    ``max_wall_time`` (seconds) stop the loop with a limit status;
+    ``trace_path`` (a ``str`` or an ``os.PathLike``) names a CSV file that
+    receives one row per iteration.
     """
 
     eta: float = 0.01
@@ -313,7 +310,6 @@ class SolverConfig:
     selection_rule: str = "best-first"
     reduction_enabled: bool = False
     reduction_bisection_steps: int = 10
-    epsilon_feasibility: float = 0.0
     max_iterations: int | None = None
     max_wall_time: float | None = None
     trace_path: str | os.PathLike | None = None
@@ -329,9 +325,6 @@ class SolverConfig:
             raise MMOptError("reduction_enabled must be a bool")
         if not _is_count(self.reduction_bisection_steps, 1):
             raise MMOptError("reduction_bisection_steps must be an integer >= 1")
-        eps = self.epsilon_feasibility
-        if not (_is_finite_real(eps) and eps >= 0):
-            raise MMOptError(f"epsilon_feasibility must be finite and nonnegative, got {eps!r}")
         if self.max_iterations is not None and not _is_count(self.max_iterations, 0):
             raise MMOptError("max_iterations must be an integer >= 0")
         wall = self.max_wall_time

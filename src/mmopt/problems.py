@@ -19,8 +19,8 @@ import numpy as np
 
 from .calculus import mm_min, mm_ratio, mm_separable, mm_sum, mm_unimodal, mm_weighted_sum
 from .core import (
-    STATUS_EPS_ETA_APPROXIMATE,
     STATUS_ETA_OPTIMAL,
+    STATUS_INFEASIBLE,
     STATUS_RELATIVE_ETA_OPTIMAL,
     BoxNd,
     MMConstraint,
@@ -422,9 +422,7 @@ def _power_problem(
     constraints).  The floors are built by :func:`_floors` like the ALOHA
     floors.  They share no monotone split, but each is an affine floor on
     the powers, so the instance carries the exact oracle of
-    :func:`_floor_hooks` (``custom-oracle``), and ``epsilon_feasibility``
-    adds no candidate points: it applies to undecided boxes of
-    ``mm-sufficient-only`` only.  ``sum_rate_weights`` says that
+    :func:`_floor_hooks` (``custom-oracle``).  ``sum_rate_weights`` says that
     ``objective`` is the ``mmp`` weighted sum rate with these weights; the
     instance then also carries the closed-form reducer of
     :func:`_floor_hooks`, and every other objective is reduced by
@@ -576,23 +574,24 @@ def dinkelbach_gee(
     branch-and-bound on the difference-of-logs bound) and updating lam to
     the ratio the incumbent reaches on the :func:`gee_problem` objective;
     stops once the auxiliary optimum drops to ``_DINKELBACH_TOL``, and gives
-    up after ``_DINKELBACH_MAX_OUTER`` auxiliary solves.  An auxiliary solve
-    that is not (relative-)eta-optimal, nor eps-eta-approximate (the label
-    under a positive ``epsilon_feasibility``), such as an ``infeasible`` one
-    under floors that cannot be met, raises ``InnerSolveFailed``.  ``iterations``
-    and the four box counts of ``stats`` add up over the auxiliary solves
-    (``boxes_created`` counts one root each); the peak is the largest of
-    theirs.  Inner tolerance errors can leak into the result, so this
-    carries no end-to-end optimality guarantee; it serves as a cross-check
-    baseline.
+    up after ``_DINKELBACH_MAX_OUTER`` auxiliary solves.  The auxiliary
+    problems share the box and the floors of :func:`gee_problem`, so a first
+    auxiliary solve that ends ``infeasible`` (floors that cannot be met)
+    returns an ``infeasible`` result with no incumbent and value ``-inf``;
+    any other auxiliary solve that is not (relative-)eta-optimal raises
+    ``InnerSolveFailed``.  ``iterations`` and the four box counts of
+    ``stats`` add up over the auxiliary solves (``boxes_created`` counts one
+    root each); the peak is the largest of theirs.  Inner tolerance errors
+    can leak into the result, so this carries no end-to-end optimality
+    guarantee; it serves as a cross-check baseline.
     """
     ratio_of = gee_problem(net, energy).objective
     t0 = time.perf_counter()
     lam = 0.0
     total_iterations = 0
     stats = SolveStats()
-    ok_statuses = (STATUS_ETA_OPTIMAL, STATUS_RELATIVE_ETA_OPTIMAL, STATUS_EPS_ETA_APPROXIMATE)
-    for _ in range(_DINKELBACH_MAX_OUTER):
+    ok_statuses = (STATUS_ETA_OPTIMAL, STATUS_RELATIVE_ETA_OPTIMAL)
+    for outer in range(_DINKELBACH_MAX_OUTER):
         res = solve(_power_problem(net, _dinkelbach_aux_objective(net, energy, lam)), inner_config)
         total_iterations += res.iterations
         stats = SolveStats(
@@ -602,10 +601,13 @@ def dinkelbach_gee(
             stats.boxes_reduced_empty + res.stats.boxes_reduced_empty,
             max(stats.peak_region_count, res.stats.peak_region_count),
         )
-        if res.status not in ok_statuses or res.incumbent is None:
+        if outer == 0 and res.status == STATUS_INFEASIBLE:  # res.value is -inf: returned below
+            p, ratio = None, -math.inf
+        elif res.status not in ok_statuses or res.incumbent is None:
             raise InnerSolveFailed(f"auxiliary solve ended with status {res.status}")
-        p = res.incumbent
-        ratio = ratio_of.eval(p, p)
+        else:
+            p = res.incumbent
+            ratio = ratio_of.eval(p, p)
         if res.value <= _DINKELBACH_TOL:
             return SolverResult(
                 incumbent=p,
@@ -675,8 +677,7 @@ def aloha_problem(net: AlohaNetwork) -> ProblemInstance:
     feasible set, which best-first search on an exact bound rarely visits,
     so the instance runs in ``custom-oracle`` mode with an oracle that keeps
     every verdict of that test and offers an undecided box's midpoint as
-    the witness when it meets every floor.  In that mode
-    ``epsilon_feasibility`` adds no candidate points.
+    the witness when it meets every floor.
     """
     k = net.K
     objective = mm_sum([_aloha_utility_term(net, j) for j in range(k)])

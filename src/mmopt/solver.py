@@ -49,8 +49,8 @@ rest at its far end and bisects on the ones that failed there (its
 *binding set*).  The multipliers are those of testing every conjunct at
 every step.  A problem that carries its own ``reducer`` (see
 :class:`~mmopt.core.ProblemInstance`) is reduced by it instead; the floored
-sum-rate problems' reducer sets the faces of the conjuncts that invert along
-their lines in closed form and line-searches only the rest.
+``mmp`` sum-rate problem's reducer sets the faces of the conjuncts that
+invert along their lines in closed form and line-searches only the rest.
 
 Feasibility is decided per box by the test the problem's inputs imply (its
 ``feasibility_mode``, read once per solve): a user oracle when one is
@@ -59,7 +59,7 @@ given, else the exact corner test
 declares the same ``monotone_split``, else the one-sided test.  With an
 exact test (corner or oracle) the returned point is eta-optimal.  A point
 becomes the incumbent only if it lies in its box and meets every
-constraint within ``epsilon_feasibility``.  With the one-sided test only
+constraint exactly (``G(x, x) <= 0``).  With the one-sided test only
 (``mm-sufficient-only``), pruning by infeasibility needs the optimistic
 corner certificate and the search may not terminate on its own;
 iteration or wall-time limits then return the best incumbent with a limit
@@ -83,7 +83,6 @@ import time
 import numpy as np
 
 from .core import (
-    STATUS_EPS_ETA_APPROXIMATE,
     STATUS_ETA_OPTIMAL,
     STATUS_INFEASIBLE,
     STATUS_ITERATION_LIMIT,
@@ -98,7 +97,6 @@ from .core import (
     SolverResult,
     SolveStats,
     _is_count,
-    _is_finite_real,
     _is_real,
 )
 from .errors import DimensionMismatch, MMOptError, NonFiniteEntry, ZeroDiameterBox
@@ -296,7 +294,7 @@ def reduce_box(
 _INFEASIBLE = object()
 
 
-def _box_point(problem: ProblemInstance, epsilon: float):
+def _box_point(problem: ProblemInstance):
     """The problem's box step, ``box -> point | None | _INFEASIBLE``, chosen
     once per solve: the point the box's verdict offers (see
     :func:`find_incumbent`), None when it offers none, and ``_INFEASIBLE``
@@ -316,11 +314,15 @@ def _box_point(problem: ProblemInstance, epsilon: float):
         test = lambda box: mm_conclusive_test(box, constraints)  # noqa: E731
     else:
         test = lambda box: mm_sufficient_test(box, constraints)  # noqa: E731
-    undecided_offers_r = epsilon > 0.0 and problem.feasibility_oracle is None
 
     def point(box: BoxNd):
         verdict = test(box)
-        kind = verdict.kind
+        try:
+            kind = verdict.kind
+        except AttributeError:  # only an oracle can return a non-verdict
+            raise MMOptError(
+                f"feasibility_oracle must return a FeasibilityVerdict, got {verdict!r}"
+            ) from None
         if kind is Feasibility.INFEASIBLE:
             return _INFEASIBLE
         if kind is Feasibility.FEASIBLE_WITH_WITNESS:
@@ -330,38 +332,33 @@ def _box_point(problem: ProblemInstance, epsilon: float):
             return x
         if kind is Feasibility.FULLY_FEASIBLE:
             return box.r
-        if kind is Feasibility.UNKNOWN and undecided_offers_r:
-            return box.r
         return None
 
     return point
 
 
-def _admissible(constraints, box: BoxNd, x, epsilon: float) -> bool:
-    """Whether a candidate point lies in its box and meets every constraint within epsilon."""
-    return box.contains(x) and all(c.g.eval(x, x) <= epsilon for c in constraints)
+def _admissible(constraints, box: BoxNd, x) -> bool:
+    """Whether a candidate point lies in its box and meets every constraint exactly."""
+    return box.contains(x) and all(c.g.eval(x, x) <= 0.0 for c in constraints)
 
 
-def find_incumbent(box: BoxNd, problem: ProblemInstance, epsilon: float = 0.0):
+def find_incumbent(box: BoxNd, problem: ProblemInstance):
     """A feasible point in the box, or None when none can be produced.
 
     Returns None when the problem's box test (its ``feasibility_mode``)
     finds the box infeasible.  Otherwise the point comes from the verdict:
     the witness of a ``FEASIBLE_WITH_WITNESS`` verdict (the corner test of
-    ``mm-conclusive`` mode, or an oracle); the lower corner of a box
-    certified ``FULLY_FEASIBLE``; or, with ``epsilon > 0`` and no oracle,
-    the lower corner of an undecided box.  The point is returned only if it
-    lies in the box and meets every constraint within ``epsilon``.  A box
-    or a witness whose dimension is not the problem's raises
-    :class:`~mmopt.errors.DimensionMismatch`, and an ``epsilon`` that is not
-    a finite real number >= 0 raises :class:`~mmopt.errors.MMOptError`.
+    ``mm-conclusive`` mode, or an oracle), or the lower corner of a box
+    certified ``FULLY_FEASIBLE``; an undecided box offers none.  The point
+    is returned only if it lies in the box and meets every constraint
+    exactly.  A box or a witness whose dimension is not the problem's
+    raises :class:`~mmopt.errors.DimensionMismatch`, and an oracle return
+    value with no verdict ``kind`` raises :class:`~mmopt.errors.MMOptError`.
     """
-    if not (_is_finite_real(epsilon) and epsilon >= 0):
-        raise MMOptError(f"epsilon must be a finite real number >= 0, got {epsilon!r}")
     if box.dim != problem.dim:
         raise DimensionMismatch(f"box dimension {box.dim} != problem dimension {problem.dim}")
-    x = _box_point(problem, epsilon)(box)
-    if x is None or x is _INFEASIBLE or not _admissible(problem.constraints, box, x, epsilon):
+    x = _box_point(problem)(box)
+    if x is None or x is _INFEASIBLE or not _admissible(problem.constraints, box, x):
         return None
     return x
 
@@ -419,10 +416,9 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
     constraints = problem.constraints
     eta = config.eta
     relative = config.tolerance_mode == "relative"
-    eps = config.epsilon_feasibility
     steps = config.reduction_bisection_steps
     best_first = config.selection_rule == "best-first"
-    box_point = _box_point(problem, eps)
+    box_point = _box_point(problem)
     reduce = problem.reducer
     if reduce is None:
 
@@ -488,7 +484,7 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
                         value = join(up(x), down_r if x is r else down(x))
                     # the constraint check runs only for a point that would be taken
                     if incumbent is None or value > gamma:
-                        if _admissible(constraints, box, x, eps):
+                        if _admissible(constraints, box, x):
                             gamma = value
                             gamma_cut = cutoff(gamma)
                             incumbent = x
@@ -552,8 +548,6 @@ def solve(problem: ProblemInstance, config: SolverConfig | None = None) -> Solve
             status = STATUS_RESOLUTION_LIMIT
         elif incumbent is None:
             status = STATUS_INFEASIBLE
-        elif eps > 0.0:
-            status = STATUS_EPS_ETA_APPROXIMATE
         elif relative:
             status = STATUS_RELATIVE_ETA_OPTIMAL
         else:

@@ -29,7 +29,7 @@ def test_solver_config_takes_numpy_integers_and_zero_limits():
     assert config.reduction_bisection_steps == 3
     SolverConfig(max_iterations=0, max_wall_time=0.0)
     # numpy numbers pass where numbers are asked for
-    SolverConfig(eta=np.float64(0.1), epsilon_feasibility=np.float32(0), max_wall_time=np.int64(5))
+    SolverConfig(eta=np.float64(0.1), max_wall_time=np.int64(5))
 
 
 @pytest.mark.parametrize("value", ["off", 1, 0, None])
@@ -119,8 +119,6 @@ def test_box_contains_takes_only_numbers(point):
     [
         ("eta", True),
         ("eta", "0.1"),
-        ("epsilon_feasibility", False),
-        ("epsilon_feasibility", "0"),
         ("max_wall_time", True),
         ("max_wall_time", "5"),
     ],
@@ -130,7 +128,7 @@ def test_solver_config_numbers_reject_bools_and_strings(field, value):
         SolverConfig(**{field: value})
 
 
-@pytest.mark.parametrize("field", ["eta", "epsilon_feasibility"])
+@pytest.mark.parametrize("field", ["eta"])
 def test_solver_config_rejects_integers_past_the_float_range(field):
     # math.isfinite raises OverflowError on 10**400
     with pytest.raises(MMOptError, match=f"{field} must be"):

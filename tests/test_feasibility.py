@@ -311,7 +311,7 @@ class TestCornerTestMatchesReference:
     def solver_verdict(self, box, constraints):
         problem = ProblemInstance(self.OBJECTIVE[box.dim], constraints, box)
         assert problem.feasibility_mode == "mm-conclusive"
-        point = _box_point(problem, 0.0)(box)
+        point = _box_point(problem)(box)
         if point is _INFEASIBLE:
             return VERDICT_INFEASIBLE
         return FeasibilityVerdict(Feasibility.FEASIBLE_WITH_WITNESS, witness=point)

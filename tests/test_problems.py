@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmopt.core import STATUS_EPS_ETA_APPROXIMATE, SolverConfig, check_mm_property, make_box
+from mmopt.core import SolverConfig, check_mm_property, make_box
 from mmopt.errors import InnerSolveFailed, InvalidNetwork
 from mmopt.feasibility import Feasibility, mm_sufficient_test
 from mmopt.problems import (
@@ -506,13 +506,10 @@ class TestDinkelbach:
         direct = solve(gee_problem(net, energy), SolverConfig(eta=0.01))
         assert abs(res.value - direct.value) <= 0.02
 
-    def test_positive_epsilon_feasibility_keeps_the_solve(self):
-        # every auxiliary solve ended eps-eta-approximate, which raised InnerSolveFailed
+    def test_unfinished_auxiliary_solve_raises(self):
         net, energy = generate_channels(2, 0), EnergyModel(phi=[5, 5], p_circuit=1.0)
-        exact = dinkelbach_gee(net, energy, SolverConfig())
-        res = dinkelbach_gee(net, energy, SolverConfig(epsilon_feasibility=0.05))
-        assert res.status == STATUS_EPS_ETA_APPROXIMATE
-        assert res.value == exact.value and np.array_equal(res.incumbent, exact.incumbent)
+        with pytest.raises(InnerSolveFailed, match="status iteration-limit"):
+            dinkelbach_gee(net, energy, SolverConfig(max_iterations=0))
 
     def test_phi_of_wrong_size_rejected(self):
         energy = EnergyModel(phi=np.full(3, 5.0), p_circuit=1.0)
@@ -576,8 +573,11 @@ class TestEnergyFloors:
             assert energy_grid_max(net, energy, family) == -math.inf
             res = solve(build(net, energy), SolverConfig(eta=0.01))
             assert (res.status, res.incumbent) == ("infeasible", None)
-        with pytest.raises(InnerSolveFailed, match="status infeasible"):
-            dinkelbach_gee(net, ENERGY_FAMILIES["gee"][1], SolverConfig(eta=0.01))
+        # the auxiliary problems share GEE's box and floors, so the first one
+        # is infeasible too; that once raised InnerSolveFailed
+        res = dinkelbach_gee(net, ENERGY_FAMILIES["gee"][1], SolverConfig(eta=0.01))
+        assert (res.status, res.incumbent, res.value) == ("infeasible", None, -math.inf)
+        assert (res.iterations, astuple(res.stats)) == (0, (1, 1, 0, 0, 0))  # the root, pruned
 
 
 class TestPowerReducer:

@@ -453,39 +453,40 @@ class TestFindIncumbent:
         with pytest.raises(DimensionMismatch, match="box dimension 3 != problem dimension 2"):
             find_incumbent(make_box(np.zeros(3), np.ones(3)), prob)
 
-    def test_epsilon_admits_near_feasible_corner(self):
-        # undecided box whose lower corner violates the floor by 0.01
+    def test_undecided_box_offers_no_corner(self):
+        # the one-sided test leaves both boxes open: the first one's lower
+        # corner violates the floor by 0.01, the second one's meets it
         g = MMConstraint(MMFunction(1, lambda x, y: float(x[0] - 0.5 * y[0] - 0.24)))
         prob = ProblemInstance(
             MMFunction(1, lambda x, y: float(x[0])),
             (g,),
             make_box((0.0,), (1.0,)),
         )
-        box = make_box((0.5,), (0.9,))
-        assert g.g.eval(box.r, box.r) == pytest.approx(0.01)
-        assert find_incumbent(box, prob) is None
-        np.testing.assert_allclose(find_incumbent(box, prob, epsilon=0.02), [0.5])
+        for box, corner_g in ((make_box((0.5,), (0.9,)), 0.01), (make_box((0.4,), (0.9,)), -0.04)):
+            assert mm_sufficient_test(box, prob.constraints).kind is Feasibility.UNKNOWN
+            assert g.g.eval(box.r, box.r) == pytest.approx(corner_g)
+            assert find_incumbent(box, prob) is None
 
     def test_oracle_point_checked_at_the_solve_epsilon(self):
-        # the oracle offers a point that violates the constraint by 5e-10
+        # the oracle offers a point that violates the constraint by 5e-10;
+        # every constraint is checked exactly, with no slack
         g = MMConstraint(MMFunction(1, lambda x, y: float(x[0] - 0.5)))
         prob = offering(
             ProblemInstance(MMFunction(1, lambda x, y: float(x[0])), (g,), make_box((0,), (1,))),
             [0.5 + 5e-10],
         )
-        box = make_box((0.0,), (1.0,))
-        assert find_incumbent(box, prob) is None
-        np.testing.assert_array_equal(find_incumbent(box, prob, epsilon=1e-9), [0.5 + 5e-10])
-        # the point must lie in the box itself, not within a tolerance of it
-        assert find_incumbent(make_box((0.0,), (0.5,)), prob, epsilon=1e-9) is None
+        assert find_incumbent(make_box((0.0,), (1.0,)), prob) is None
 
-    @pytest.mark.parametrize("epsilon", [-1.0, float("nan"), float("inf"), True, "0.1"])
-    def test_epsilon_must_be_a_finite_real_at_least_zero(self, epsilon):
-        # each of these once returned a point
-        prob = ProblemInstance(MMFunction(1, lambda x, y: float(x[0])), (), make_box((0,), (1,)))
-        with pytest.raises(MMOptError, match="epsilon must be a finite real number >= 0"):
-            find_incumbent(prob.initial_box, prob, epsilon=epsilon)
-        np.testing.assert_array_equal(find_incumbent(prob.initial_box, prob, np.float64(0.1)), [0])
+    @pytest.mark.parametrize("returned", [True, None])
+    def test_oracle_must_return_a_verdict(self, returned):
+        # reading the kind of such a value once raised a bare AttributeError
+        base = wsr_problem(two_user_symmetric_net(r_min=0.4))
+        prob = replace(base, feasibility_oracle=lambda box: returned)
+        match = f"feasibility_oracle must return a FeasibilityVerdict, got {returned!r}"
+        with pytest.raises(MMOptError, match=match):
+            find_incumbent(prob.initial_box, prob)
+        with pytest.raises(MMOptError, match=match):
+            solve(prob, SolverConfig(eta=0.01))
 
 
 class TestRegionQueue:
@@ -719,9 +720,6 @@ class TestSolve:
             res = solve(offering(base, point, decide=True), SolverConfig(eta=0.01))
             assert (res.status, res.value) == ("eta-optimal", 0.4921875)
             assert g.g.eval(res.incumbent, res.incumbent) <= 0.0
-        prob = offering(base, [0.5 + 5e-10], decide=True)
-        res = solve(prob, SolverConfig(eta=0.01, epsilon_feasibility=1e-9))
-        assert (res.status, res.value) == ("eps-eta-approximate", 0.5 + 5e-10)
 
     def test_gamma_nondecreasing_in_trace(self, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -762,18 +760,17 @@ class TestSolve:
         assert res.status == "relative-eta-optimal"
         assert (1.0 + 0.01) * res.value >= wsr_grid_max(net, n=501) - 1e-9
 
-    def test_epsilon_mode_on_boundary_optimum(self):
+    def test_boundary_optimum_is_met_exactly(self):
+        # the optimum 0.6 lies on the constraint; the incumbent may not pass it
         g = MMConstraint(MMFunction(1, lambda x, y: float(x[0] - 0.6)))
         prob = ProblemInstance(
             MMFunction(1, lambda x, y: float(x[0])),
             (g,),
             make_box((0.0,), (1.0,)),
         )
-        res = solve(prob, SolverConfig(eta=0.001, epsilon_feasibility=0.01))
-        assert res.status == "eps-eta-approximate"
-        assert res.value >= 0.6 - 0.001
-        assert res.value <= 0.6 + 0.01 + 1e-9
-        assert g.g.eval(res.incumbent, res.incumbent) <= 0.01
+        res = solve(prob, SolverConfig(eta=0.001))
+        assert (res.status, res.value, res.iterations) == ("eta-optimal", 0.599609375, 12)
+        assert g.g.eval(res.incumbent, res.incumbent) <= 0.0
 
     def test_constraint_without_split_gets_the_one_sided_test(self):
         # maximize -x on [0, 1] subject to 0.5 - x <= 0; G(x, y) = 0.5 - y[0]
