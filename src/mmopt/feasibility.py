@@ -19,8 +19,8 @@ For a feasible set cut out by mixed monotonic constraints
 * Floors of the form ``x >= m x + c`` (``m >= 0``, ``c >= 0``; an affine
   standard interference function, as the WSR rate floors are) meet ``[r, s]``
   iff the least fixed point ``p*`` of ``p = max(r, m p + c)`` lies below
-  ``s``: :func:`least_point_test` finds ``p*`` by an active-set solve and
-  decides the boxes the one-sided test leaves open.
+  ``s``: :func:`least_point_test` finds ``p*`` by an active-set solve in
+  Python floats and decides the boxes the one-sided test leaves open.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from math import fsum
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -127,12 +129,46 @@ def _witness_verdict(w, constraints, otherwise: FeasibilityVerdict) -> Feasibili
 _LEAST_POINT_MARGIN = 1e-9
 
 
+def _solve(a: list, b: list) -> list | None:
+    """The solution of ``a x = b`` (``a`` a list of rows) by Gaussian
+    elimination with partial pivoting, LAPACK's ``gesv`` algorithm, in
+    Python floats; None when a pivot is exactly zero.  Overwrites ``a`` and
+    ``b``."""
+    n = len(b)
+    for j in range(n):
+        piv, big = j, abs(a[j][j])
+        for i in range(j + 1, n):
+            if abs(a[i][j]) > big:  # the first largest, as LAPACK's idamax
+                piv, big = i, abs(a[i][j])
+        if big == 0.0:
+            return None
+        a[j], a[piv] = a[piv], a[j]
+        b[j], b[piv] = b[piv], b[j]
+        top, bj = a[j], b[j]
+        for i in range(j + 1, n):
+            row = a[i]
+            f = row[j] / top[j]
+            if f != 0.0:
+                for t in range(j + 1, n):
+                    row[t] -= f * top[t]
+                b[i] -= f * bj
+    x = b
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        acc = x[i]
+        for t in range(i + 1, n):
+            acc -= row[t] * x[t]
+        x[i] = acc / row[i]
+    return x
+
+
 def least_point_test(
-    box: BoxNd, constraints: Sequence[MMConstraint], m: np.ndarray, c: np.ndarray
+    box: BoxNd, constraints: Sequence[MMConstraint], m, c
 ) -> FeasibilityVerdict:
     """Exact test for constraints whose feasible set is ``{x | x >= m x + c}``,
     with ``m`` (n x n) and ``c`` (n) nonnegative and ``c_k > 0`` wherever row
-    ``k`` of ``m`` is nonzero, on a box in the nonnegative orthant.
+    ``k`` of ``m`` is nonzero, on a box in the nonnegative orthant.  ``m`` and
+    ``c`` are numpy arrays or (nested) lists of Python floats.
 
     The one-sided :func:`mm_sufficient_test` runs first; its INFEASIBLE and
     FULLY_FEASIBLE verdicts stand.  Otherwise the least feasible point ``p*``
@@ -143,7 +179,10 @@ def least_point_test(
     ``(I - m_AA) p_A = m_{A,~A} r_~A + c_A`` with ``p_~A = r_~A``, and adds
     the rows that then bind.  Each solution lies below ``p*``.  A solution with
     an entry ``<= 0`` shows that ``m_AA`` has spectral radius at least 1, so
-    that no ``p*`` exists.
+    that no ``p*`` exists.  The active set runs in Python floats, each solve
+    by Gaussian elimination with partial pivoting, which for a few users is
+    faster than numpy's per-call overhead; each row sum of products is
+    their correctly rounded sum (``math.fsum``).
 
     Returns INFEASIBLE when no ``p*`` exists or it leaves ``s`` by more than a
     relative margin of 1e-9.  Otherwise the witness is ``p*`` raised by that
@@ -156,30 +195,38 @@ def least_point_test(
     verdict = mm_sufficient_test(box, constraints)
     if verdict.kind is not Feasibility.UNKNOWN:
         return verdict
-    r, s = box.r, box.s
+    if isinstance(m, np.ndarray):
+        m = m.tolist()
+    if isinstance(c, np.ndarray):
+        c = c.tolist()
+    r, s = box.r.tolist(), box.s.tolist()
+    rows = range(len(r))
     p = r
-    active = np.zeros(r.size, dtype=bool)
+    on = []  # the active set, in ascending order
     while True:
-        grow = ~active & (m @ p + c > r)
-        if not grow.any():
+        grow = [k for k in rows if k not in on and fsum(map(mul, m[k], p)) + c[k] > r[k]]
+        if not grow:
             break
-        active |= grow
-        # one system for all rows: p_k - (m p)_k = c_k on A, p_k = r_k off A
-        try:
-            p = np.linalg.solve(np.eye(r.size) - active[:, None] * m, np.where(active, c, r))
-        except np.linalg.LinAlgError:
+        on = sorted(on + grow)
+        off = [j for j in rows if j not in on]
+        # p_k - (m p)_k = c_k on A with p_j = r_j off A: a system in p_A alone
+        system = [[(1.0 if i == j else 0.0) - m[i][j] for j in on] for i in on]
+        rhs = [c[i] + fsum([m[i][j] * r[j] for j in off]) for i in on]
+        solution = _solve(system, rhs)
+        if solution is None or not all(map(math.isfinite, solution)):
             return VERDICT_UNKNOWN
-        if not np.isfinite(p).all():
-            return VERDICT_UNKNOWN
-        if (active & (p <= 0.0)).any():
+        if min(solution) <= 0.0:
             return VERDICT_INFEASIBLE
-        p = np.where(active, np.maximum(p, r), r)  # a solution is >= r up to roundoff
-        if (p * (1.0 - _LEAST_POINT_MARGIN) > s).any():
+        p = list(r)
+        for k, v in zip(on, solution):
+            if v > p[k]:  # a solution is >= r up to roundoff
+                p[k] = v
+        if any(pk * (1.0 - _LEAST_POINT_MARGIN) > sk for pk, sk in zip(p, s)):
             return VERDICT_INFEASIBLE
     # p* itself meets its binding floors only up to roundoff; (1 + margin) p*
     # meets them with a slack of margin * c_k
-    w = np.minimum(p * (1.0 + _LEAST_POINT_MARGIN), s)
-    w.flags.writeable = False
+    w = np.array([min(pk * (1.0 + _LEAST_POINT_MARGIN), sk) for pk, sk in zip(p, s)])
+    w.setflags(write=False)
     return _witness_verdict(w, constraints, VERDICT_UNKNOWN)
 
 

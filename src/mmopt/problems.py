@@ -14,6 +14,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
+from math import fsum
+from operator import mul
 
 import numpy as np
 
@@ -180,40 +183,168 @@ class AlohaNetwork:
 # weighted sum rate
 
 
-def _rate(net: InterferenceNetwork, k: int):
-    """Per-user rate as a plain ``(x, y) -> float`` with own power in the
-    increasing slot and interference in the decreasing slot
-    (self-interference stays with the own power)."""
-    a = float(net.alpha[k])
-    bkk = float(net.beta[k, k])
-    cross = np.array(net.beta[k])
-    cross[k] = 0.0
-    s2 = net.sigma2
+def _floats(v) -> list:
+    """A point as a list of Python floats: a list as it is, an array by
+    ``tolist``."""
+    if type(v) is list:
+        return v
+    try:
+        return v.tolist()
+    except AttributeError:  # a tuple or another sequence
+        return [float(t) for t in v]
+
+
+_LN2 = math.log(2.0)
+
+
+class _Kernel:
+    """An interference network's rate formulas in Python floats, built once
+    per problem and read by its sum rate, its rate floors, its least-point
+    oracle and its reducer; for a few users Python floats are faster than
+    numpy's per-call overhead.
+
+    Holds ``alpha``, the diagonal ``own`` of ``beta``, the ``cross`` rows of
+    ``beta`` with a zero diagonal, ``sigma2`` and the weights ``w`` as lists.
+    User k's rate with own power ``x_k`` under the interference of ``y`` is
+    ``log2(1 + alpha_k x_k / (D_k + beta_kk x_k))``, with the noise
+    ``D_k = sigma2 + sum_j cross_kj y_j``; self-interference stays with the
+    own power.  Each sum of products is their correctly rounded sum
+    (``math.fsum``), which no summation order and no Python version changes,
+    and the weighted rates are added in index order.  Points are lists of
+    floats or numpy arrays.
+    """
+
+    __slots__ = ("net", "w", "alpha", "own", "cross", "s2", "_affine")
+
+    def __init__(self, net: InterferenceNetwork, weights):
+        self.net = net
+        self.w = [float(v) for v in weights]
+        self.alpha = net.alpha.tolist()
+        self.cross = net.beta.tolist()
+        self.own = []
+        for k, row in enumerate(self.cross):
+            self.own.append(row[k])
+            row[k] = 0.0
+        self.s2 = net.sigma2
+        self._affine = None
+
+    def value(self, x, y) -> float:
+        """The weighted sum rate ``F(x, y)``."""
+        y = _floats(y)
+        s2 = self.s2
+        total = 0.0
+        for wk, ak, bk, row, xk in zip(self.w, self.alpha, self.own, self.cross, _floats(x)):
+            total += wk * math.log2(1.0 + ak * xk / (s2 + fsum(map(mul, row, y)) + bk * xk))
+        return total
+
+    def value_at(self, x: list):
+        """``y -> F(x, y)`` for fixed own powers ``x``, bit-equal to
+        :meth:`value`, for the reducer's line search: the products
+        ``alpha_k x_k`` and ``beta_kk x_k`` are made once."""
+        s2 = self.s2
+        parts = [
+            (wk, ak * xk, bk * xk, row)
+            for wk, ak, bk, row, xk in zip(self.w, self.alpha, self.own, self.cross, x)
+        ]
+
+        def value(y: list) -> float:
+            total = 0.0
+            for wk, signal, own, row in parts:
+                total += wk * math.log2(1.0 + signal / (s2 + fsum(map(mul, row, y)) + own))
+            return total
+
+        return value
+
+    def rate(self, k: int):
+        """User k's rate (unweighted) as a plain ``(x, y) -> float``, with own
+        power ``x_k`` in the increasing slot and the interference of ``y`` in
+        the decreasing slot."""
+        s2, ak, bk, row = self.s2, self.alpha[k], self.own[k], self.cross[k]
+
+        def rate(x, y) -> float:
+            xk = float(x[k])
+            return math.log2(1.0 + ak * xk / (s2 + fsum(map(mul, row, _floats(y))) + bk * xk))
+
+        return rate
+
+    def noise(self, y: list) -> list:
+        """Each user's noise plus interference ``D_k = sigma2 + sum_{j != k}
+        beta_kj y_j``."""
+        s2 = self.s2
+        return [s2 + fsum(map(mul, row, y)) for row in self.cross]
+
+    def terms(self, x: list, noise: list) -> list:
+        """The weighted rates ``w_k rate_k`` at own powers ``x`` over the
+        :meth:`noise` ``D``; :meth:`value` is their sum in index order."""
+        return [
+            wk * math.log2(1.0 + ak * xk / (dk + bk * xk))
+            for wk, ak, bk, dk, xk in zip(self.w, self.alpha, self.own, noise, x)
+        ]
+
+    def faces(self, x: list, y: list, gamma: float) -> list:
+        """Each ``x_i`` below which ``F(x', y) <= gamma``, where ``x'`` is
+        ``x`` with entry i lowered: the shrink phase's faces, with the other
+        own powers at ``s = x`` and the interference at ``r = y``.
+
+        Only term i reads ``x_i`` there, so the face inverts its SINR:
+        ``x_i = t D_i / (alpha_i - t beta_ii)`` with ``t = 2^((gamma -
+        rest) / w_i) - 1``, ``D_i`` the noise at ``y`` and ``rest`` the other
+        terms at ``(x, y)``.  A coordinate gets no face (``-inf``) when its
+        weight is zero, when its term exceeds ``gamma - rest`` at every
+        power, or when that would take a rate of more than 1,000 bits, which
+        only roundoff next to a tiny weight gives, since ``F(x, y) > gamma``.
+        """
+        noise = self.noise(y)
+        terms = self.terms(x, noise)
+        out = []
+        for i, (wi, ai, bi, di) in enumerate(zip(self.w, self.alpha, self.own, noise)):
+            face = -math.inf
+            if wi > 0.0:
+                bits = (gamma - fsum(terms[:i] + terms[i + 1 :])) / wi
+                if 0.0 < bits <= 1000.0:
+                    t = math.expm1(_LN2 * bits)
+                    den = ai - t * bi
+                    if den > 0.0:  # den <= 0 only by roundoff, as F(s, r) > gamma
+                        face = t * di / den
+            out.append(face)
+        return out
+
+    def floor_map(self) -> tuple[list, list] | tuple[()]:
+        """:func:`_floor_map` as lists of floats, built on first use, which
+        keeps building a problem cheap."""
+        if self._affine is None:
+            self._affine = tuple(a.tolist() for a in _floor_map(self.net))
+        return self._affine
+
+
+def _rate_mm(kernel: _Kernel, k: int, weight: float) -> MMFunction:
+    """``weight`` times user k's rate."""
+    rate = kernel.rate(k)
 
     def fn(x, y):
-        xk = float(x[k])
-        den = s2 + bkk * xk + float(cross.dot(y))
-        return math.log2(1.0 + a * xk / den)
+        return weight * rate(x, y)
 
-    return fn
+    return MMFunction(kernel.net.K, fn, name=f"rate{k}")
 
 
-def _rate_mm(net: InterferenceNetwork, k: int) -> MMFunction:
-    return MMFunction(net.K, _rate(net, k), name=f"rate{k}")
+def _sum_rate(kernel: _Kernel) -> MMFunction:
+    """The ``mmp`` weighted sum rate: each rate keeps its own power inside
+    its fraction."""
+    return MMFunction(kernel.net.K, kernel.value, name="wsr_mmp")
 
 
 def _floors(net: InterferenceNetwork | AlohaNetwork, rate) -> tuple[MMConstraint, ...]:
     """Minimum-rate constraints ``r_min[k] - rate_k(y, x) <= 0``, for the
     WSR and the ALOHA families alike.
 
-    ``rate(net, k)`` is user k's rate as a plain ``(x, y) -> float``,
+    ``rate(k)`` is user k's rate as a plain ``(x, y) -> float``,
     nondecreasing in ``x`` and nonincreasing in ``y``; the argument roles are
     swapped so that each gap is again nondecreasing in its first slot.
     Floors at zero are vacuous (rates are nonnegative) and are skipped.
     """
 
     def floor(k: int) -> MMConstraint:
-        rate_k = rate(net, k)
+        rate_k = rate(k)
         rmin = float(net.r_min[k])
 
         def fn(x, y):
@@ -241,120 +372,49 @@ def _floor_map(net: InterferenceNetwork) -> tuple[np.ndarray, np.ndarray] | tupl
     return m, scale * net.sigma2
 
 
-def _floor_hooks(net: InterferenceNetwork, floors, objective: MMFunction, sum_rate_weights):
+def _floor_hooks(kernel: _Kernel, floors, with_reducer: bool):
     """The feasibility oracle and the reducer of a power problem under the
     WSR rate floors ``floors`` (see :func:`_power_problem`).
 
-    Both read :func:`_floor_map`, built on the first call of either, and the
-    reducer the :class:`_SumRate` of ``sum_rate_weights``, built on its first
-    call, which keeps building a problem cheap.  The reducer is ``None``
-    unless ``sum_rate_weights`` is given, that is unless ``objective`` is
-    the ``mmp`` weighted sum rate with these weights.  When a floor cannot
-    be met, the oracle is the one-sided test and the reducer empties every
-    box, both rightly, since no point meets the floor.  Otherwise the oracle
-    is :func:`~mmopt.feasibility.least_point_test`, which decides every box,
+    Both read the kernel's floor map.  The reducer is ``None`` unless
+    ``with_reducer`` is set, that is unless the objective is the kernel's
+    own weighted sum rate.  When a floor cannot be met, the oracle is the
+    one-sided test and the reducer empties every box, both rightly, since
+    no point meets the floor.  Otherwise the oracle is
+    :func:`~mmopt.feasibility.least_point_test`, which decides every box,
     and the reducer is :func:`_reduce_power_box`.
     """
-    built = sum_rate = None
-
-    def floor_map():
-        nonlocal built
-        if built is None:
-            built = _floor_map(net)
-        return built
 
     def oracle(box: BoxNd):
-        affine = floor_map()
+        affine = kernel.floor_map()
         if not affine:
             return mm_sufficient_test(box, floors)
         return least_point_test(box, floors, *affine)
 
     def reducer(box: BoxNd, gamma: float, steps: int):
-        nonlocal sum_rate
-        affine = floor_map()
-        if not affine:
+        if not kernel.floor_map():
             return None
-        if sum_rate is None:
-            sum_rate = _SumRate(net, sum_rate_weights)
-        return _reduce_power_box(box, gamma, steps, objective.eval, *affine, sum_rate)
+        return _reduce_power_box(box, gamma, steps, kernel)
 
-    return oracle, None if sum_rate_weights is None else reducer
-
-
-_LN2 = math.log(2.0)
-
-
-class _SumRate:
-    """A network's weighted sum-rate terms, with the closed-form faces they
-    put on a box in the shrink phase of reduction.  The interference is one
-    numpy matrix-vector product; the rest runs on Python floats, which for a
-    few users is faster than numpy."""
-
-    __slots__ = ("w", "alpha", "own", "cross", "s2")
-
-    def __init__(self, net: InterferenceNetwork, weights):
-        self.w = [float(v) for v in weights]
-        self.alpha = net.alpha.tolist()
-        self.own = np.diag(net.beta).tolist()
-        self.cross = np.array(net.beta)
-        np.fill_diagonal(self.cross, 0.0)
-        self.s2 = net.sigma2
-
-    def noise(self, y: np.ndarray) -> list:
-        """Each user's noise plus interference ``D_k = sigma2 + sum_{j != k}
-        beta_kj y_j``."""
-        s2 = self.s2
-        return [s2 + v for v in self.cross.dot(y).tolist()]
-
-    def terms(self, x: list, noise: list) -> list:
-        """The weighted rates ``w_k rate_k`` at own powers ``x`` over
-        :meth:`noise` ``D``."""
-        return [
-            wk * math.log2(1.0 + ak * xk / (dk + bk * xk))
-            for wk, ak, bk, dk, xk in zip(self.w, self.alpha, self.own, noise, x)
-        ]
-
-    def faces(self, terms: list, noise: list, gamma: float) -> list:
-        """Each ``x_i`` below which ``F(x, r) <= gamma`` with the other own
-        powers at ``s``, from the :meth:`terms` at ``(s, r)``.
-
-        Only term i reads ``x_i`` there, so the face inverts its SINR:
-        ``x_i = t D_i / (alpha_i - t beta_ii)`` with ``t = 2^((gamma -
-        rest) / w_i) - 1`` and ``rest`` the other terms.  A coordinate gets
-        no face (``-inf``) when its weight is zero, when its term exceeds
-        ``gamma - rest`` at every power, or when that would take a rate of
-        more than 1,000 bits, which only roundoff next to a tiny weight
-        gives, since ``F(s, r) > gamma``.
-        """
-        out = []
-        for i, (wi, ai, bi, di) in enumerate(zip(self.w, self.alpha, self.own, noise)):
-            face = -math.inf
-            if wi > 0.0:
-                bits = (gamma - math.fsum(terms[:i] + terms[i + 1 :])) / wi
-                if 0.0 < bits <= 1000.0:
-                    t = math.expm1(_LN2 * bits)
-                    den = ai - t * bi
-                    if den > 0.0:  # den <= 0 only by roundoff, as F(s, r) > gamma
-                        face = t * di / den
-            out.append(face)
-        return out
+    return oracle, reducer if with_reducer else None
 
 
 def _readonly(values: list) -> np.ndarray:
     out = np.array(values)
-    out.flags.writeable = False
+    out.setflags(write=False)
     return out
 
 
-def _reduce_power_box(box: BoxNd, gamma: float, steps: int, value, m, c, sum_rate):
-    """:func:`~mmopt.solver.reduce_box` for the ``mmp`` weighted sum rate
-    ``value`` (its ``eval``) under rate floors that read ``p >= m p + c``,
-    with the faces of the conjuncts that invert along their lines set in
-    closed form.
+def _reduce_power_box(box: BoxNd, gamma: float, steps: int, kernel: _Kernel):
+    """:func:`~mmopt.solver.reduce_box` for the kernel's ``mmp`` weighted sum
+    rate under its rate floors, which read ``p >= m p + c``
+    (:meth:`_Kernel.floor_map`), with the faces of the conjuncts that invert
+    along their lines set in closed form.  Runs on lists of floats; only the
+    corners of the box it returns are arrays.
 
     Shrink phase (lower faces, the other own powers at ``s``, interference
     at ``r``): floor i's face is ``(m r + c)_i``, and the objective's the
-    SINR inverse of its term i (:meth:`_SumRate.faces`).  Grow phase (upper
+    SINR inverse of its term i (:meth:`_Kernel.faces`).  Grow phase (upper
     faces, own powers at ``s``, interference from the new lower corner):
     floor ``k != i`` caps ``y_i <= (s_k - c_k - sum_{j != i} m_kj y_j) /
     m_ki``, and the objective, which has no inverse there, is line-searched
@@ -369,77 +429,71 @@ def _reduce_power_box(box: BoxNd, gamma: float, steps: int, value, m, c, sum_rat
     nothing is cut.
     """
     down, up = 1.0 - _LEAST_POINT_MARGIN, 1.0 + _LEAST_POINT_MARGIN
-    r, s = box.r, box.s
-    rl, sl, c = r.tolist(), s.tolist(), c.tolist()
+    m, c = kernel.floor_map()
+    r, s = box.r.tolist(), box.s.tolist()
 
-    def floor_needs(y: np.ndarray) -> list | None:
+    def floor_needs(y: list) -> list | None:
         # each floor's least own power (m y + c)_k under the interference of
         # y, or None when one exceeds s by more than the margin
-        need = [ck + v for ck, v in zip(c, m.dot(y).tolist())]
-        return None if any(nk * down > sk for nk, sk in zip(need, sl)) else need
+        need = [ck + fsum(map(mul, row, y)) for row, ck in zip(m, c)]
+        return None if any(nk * down > sk for nk, sk in zip(need, s)) else need
 
+    value = kernel.value_at(s)  # y -> F(s, y)
     need = floor_needs(r)
-    if need is None or value(s, r) <= gamma:
+    if need is None or value(r) <= gamma:
         return None
     lo = [nk * down for nk in need]  # the floors' faces
     if gamma > -math.inf:
-        noise = sum_rate.noise(r)
-        faces = sum_rate.faces(sum_rate.terms(sl, noise), noise, gamma)
-        lo = [max(f, face * down) for f, face in zip(lo, faces)]
-    lo = [min(sk, max(rk, f)) for rk, sk, f in zip(rl, sl, lo)]
-    if lo == rl:
-        r_new = r
-    else:
-        r_new = _readonly(lo)
-        need = floor_needs(r_new)
-        if need is None or value(s, r_new) <= gamma:
+        lo = [max(f, face * down) for f, face in zip(lo, kernel.faces(s, r, gamma))]
+    lo = [min(sk, max(rk, f)) for rk, sk, f in zip(r, s, lo)]
+    if lo != r:
+        need = floor_needs(lo)
+        if need is None or value(lo) <= gamma:
             return None
 
-    # floor k holds at (s, r_new), so it caps each y_i with m_ki > 0
-    top = list(sl)
-    for row, nk, sk in zip(m.tolist(), need, sl):
+    # floor k holds at (s, lo), so it caps each y_i with m_ki > 0
+    top = list(s)
+    for row, nk, sk in zip(m, need, s):
         slack = sk - nk
         for i, mki in enumerate(row):
             if mki > 0.0:
                 top[i] = min(top[i], max(lo[i], (lo[i] + slack / mki) * up))
     if gamma > -math.inf:
-        holds = [lambda y: value(s, y) > gamma]
-        for i, v in _face_cuts(r_new, np.array(top) - r_new, holds, steps).items():
+        holds = [lambda y: value(y) > gamma]
+        step = [t - v for t, v in zip(top, lo)]
+        for i, v in _face_cuts(lo, step, holds, steps).items():
             top[i] = min(top[i], v)
-    if top == sl:
-        return box if r_new is r else BoxNd._trusted(r_new, s)
+    r_new = box.r if lo == r else _readonly(lo)
+    if top == s:
+        return box if r_new is box.r else BoxNd._trusted(r_new, box.s)
     return BoxNd._trusted(r_new, _readonly(top))
 
 
-def _power_problem(
-    net: InterferenceNetwork, objective: MMFunction, sum_rate_weights=None
-) -> ProblemInstance:
+def _power_problem(kernel: _Kernel, objective: MMFunction | None = None) -> ProblemInstance:
     """Maximize ``objective`` over the power box [0, p_max] under the
     network's rate floors: the one path of every power-control family.
 
     Without a positive ``r_min`` the feasible set is the whole box, which the
     corner test decides at its lower corner (``mm-conclusive``, no
-    constraints).  The floors are built by :func:`_floors` like the ALOHA
-    floors.  They share no monotone split, but each is an affine floor on
-    the powers, so the instance carries the exact oracle of
-    :func:`_floor_hooks` (``custom-oracle``).  ``sum_rate_weights`` says that
-    ``objective`` is the ``mmp`` weighted sum rate with these weights; the
-    instance then also carries the closed-form reducer of
+    constraints).  The floors read the kernel's rates through
+    :func:`_floors`, like the ALOHA floors.  They share no monotone split,
+    but each is an affine floor on the powers, so the instance carries the
+    exact oracle of :func:`_floor_hooks` (``custom-oracle``).  ``objective``
+    None is the kernel's own ``mmp`` weighted sum rate (:func:`_sum_rate`);
+    the instance then also carries the closed-form reducer of
     :func:`_floor_hooks`, and every other objective is reduced by
     :func:`~mmopt.solver.reduce_box`.
     """
+    net = kernel.net
+    with_reducer = objective is None
+    if with_reducer:
+        objective = _sum_rate(kernel)
     box = BoxNd(np.zeros(net.K), net.p_max)
-    floors = _floors(net, _rate)
+    floors = _floors(net, kernel.rate)
     if not floors:
         return ProblemInstance(objective, floors, box)
-    oracle, reducer = _floor_hooks(net, floors, objective, sum_rate_weights)
+    oracle, reducer = _floor_hooks(kernel, floors, with_reducer)
     return ProblemInstance(objective, floors, box, feasibility_oracle=oracle, reducer=reducer)
-
-
-def _mmp_objective(net: InterferenceNetwork, weights) -> MMFunction:
-    """Weighted sum of the per-user rates, each with its own power inside its
-    fraction."""
-    return mm_weighted_sum(weights, [_rate_mm(net, k) for k in range(net.K)])
 
 
 def _dm_objective(net: InterferenceNetwork, weights) -> MMFunction:
@@ -458,9 +512,7 @@ def _dm_objective(net: InterferenceNetwork, weights) -> MMFunction:
     return mm_separable(net.K, up, down, name="wsr_dm")
 
 
-# the weighted-sum-rate bound of each representation name
-_WSR_OBJECTIVES = {"mmp": _mmp_objective, "dm": _dm_objective}
-REPRESENTATIONS = tuple(_WSR_OBJECTIVES)
+REPRESENTATIONS = ("mmp", "dm")
 
 
 def wsr_problem(net: InterferenceNetwork, representation: str = "mmp") -> ProblemInstance:
@@ -472,17 +524,19 @@ def wsr_problem(net: InterferenceNetwork, representation: str = "mmp") -> Proble
     ``r_min`` entries become rate floors, decided exactly per box by the
     least feasible power vector (see :func:`_power_problem`).
     """
-    if representation not in _WSR_OBJECTIVES:
+    if representation not in REPRESENTATIONS:
         raise InvalidNetwork(f"unknown representation {representation!r}")
-    objective = _WSR_OBJECTIVES[representation](net, net.w)
-    return _power_problem(net, objective, net.w if representation == "mmp" else None)
+    kernel = _Kernel(net, net.w)
+    if representation == "mmp":
+        return _power_problem(kernel)
+    return _power_problem(kernel, _dm_objective(net, net.w))
 
 
 def bound_gap_mmp_vs_dm(net: InterferenceNetwork, box: BoxNd) -> float:
     """Bound of the difference-of-logs split minus the per-rate bound on a
     box; nonnegative up to roundoff, zero on degenerate boxes."""
     u_dm = _dm_objective(net, net.w).eval(box.s, box.r)
-    u_mmp = _mmp_objective(net, net.w).eval(box.s, box.r)
+    u_mmp = _Kernel(net, net.w).value(box.s, box.r)
     return u_dm - u_mmp
 
 
@@ -510,12 +564,13 @@ def gee_problem(net: InterferenceNetwork, energy: EnergyModel) -> ProblemInstanc
     floors, decided exactly per box (see :func:`_power_problem`).
     """
     draw = _power_draw(net, energy)
-    numerator = _mmp_objective(net, np.full(net.K, energy.bandwidth))
+    kernel = _Kernel(net, np.full(net.K, energy.bandwidth))
     denominator = MMFunction(net.K, lambda x, y: draw(x), name="power_draw")
-    return _power_problem(net, mm_ratio(numerator, denominator))
+    return _power_problem(kernel, mm_ratio(_sum_rate(kernel), denominator))
 
 
-def _per_user_efficiency_terms(net: InterferenceNetwork, energy: EnergyModel) -> list[MMFunction]:
+def _per_user_efficiency_terms(kernel: _Kernel, energy: EnergyModel) -> list[MMFunction]:
+    net = kernel.net
     if energy.phi.size != net.K:
         raise InvalidNetwork("phi dimension differs from the network")
     if not energy.per_user_circuit:
@@ -523,7 +578,7 @@ def _per_user_efficiency_terms(net: InterferenceNetwork, energy: EnergyModel) ->
     b = energy.bandwidth
     terms = []
     for k in range(net.K):
-        numerator = mm_weighted_sum([net.w[k] * b], [_rate_mm(net, k)])
+        numerator = _rate_mm(kernel, k, float(net.w[k] * b))
         phik = float(energy.phi[k])
         pck = float(energy.p_circuit[k])
 
@@ -537,13 +592,15 @@ def _per_user_efficiency_terms(net: InterferenceNetwork, energy: EnergyModel) ->
 def wsee_problem(net: InterferenceNetwork, energy: EnergyModel) -> ProblemInstance:
     """Weighted sum of per-user energy efficiencies, under the network's
     rate floors (see :func:`_power_problem`)."""
-    return _power_problem(net, mm_sum(_per_user_efficiency_terms(net, energy)))
+    kernel = _Kernel(net, net.w)
+    return _power_problem(kernel, mm_sum(_per_user_efficiency_terms(kernel, energy)))
 
 
 def wmee_problem(net: InterferenceNetwork, energy: EnergyModel) -> ProblemInstance:
     """Weighted minimum of per-user energy efficiencies, under the network's
     rate floors (see :func:`_power_problem`)."""
-    return _power_problem(net, mm_min(_per_user_efficiency_terms(net, energy)))
+    kernel = _Kernel(net, net.w)
+    return _power_problem(kernel, mm_min(_per_user_efficiency_terms(kernel, energy)))
 
 
 def _dinkelbach_aux_objective(
@@ -586,13 +643,15 @@ def dinkelbach_gee(
     guarantee; it serves as a cross-check baseline.
     """
     ratio_of = gee_problem(net, energy).objective
+    kernel = _Kernel(net, net.w)  # the auxiliary problems' floors
     t0 = time.perf_counter()
     lam = 0.0
     total_iterations = 0
     stats = SolveStats()
     ok_statuses = (STATUS_ETA_OPTIMAL, STATUS_RELATIVE_ETA_OPTIMAL)
     for outer in range(_DINKELBACH_MAX_OUTER):
-        res = solve(_power_problem(net, _dinkelbach_aux_objective(net, energy, lam)), inner_config)
+        aux = _power_problem(kernel, _dinkelbach_aux_objective(net, energy, lam))
+        res = solve(aux, inner_config)
         total_iterations += res.iterations
         stats = SolveStats(
             stats.boxes_created + res.stats.boxes_created,
@@ -681,7 +740,7 @@ def aloha_problem(net: AlohaNetwork) -> ProblemInstance:
     """
     k = net.K
     objective = mm_sum([_aloha_utility_term(net, j) for j in range(k)])
-    constraints = _floors(net, _aloha_rate)
+    constraints = _floors(net, partial(_aloha_rate, net))
 
     def oracle(box: BoxNd):
         verdict = mm_sufficient_test(box, constraints)

@@ -178,18 +178,23 @@ def _face_cuts(base, step, holds, steps: int) -> dict[int, float]:
     Line ``i`` moves coordinate ``i`` of ``base`` to ``base[i] + t * step[i]``
     for t in [0, 1]; each predicate in ``holds`` is true at t = 0 and
     monotone along every line.  The shrink phase passes ``step = -width``:
-    ``s + t * (-w)`` rounds exactly as ``s - t * w``.
+    ``s + t * (-w)`` rounds exactly as ``s - t * w``.  ``base`` and ``step``
+    are both numpy arrays or both lists of floats, and the predicates read
+    points of the same kind.
 
     Returns the new value of each coordinate whose multiplier, the top of
     the bracket left by ``steps`` halvings, is below 1.
     """
-    corner = base + step  # every t = 1 point lies between base and corner
+    listed = isinstance(base, list)
+    # every t = 1 point lies between base and corner
+    corner = [b + d for b, d in zip(base, step)] if listed else base + step
     holds = [h for h in holds if not h(corner)]  # the phase certificate
     if not holds:
         return {}
+    origins, deltas = (base, step) if listed else (base.tolist(), step.tolist())
     point = base.copy()
     cuts = {}
-    for i, (origin, delta) in enumerate(zip(base.tolist(), step.tolist())):
+    for i, (origin, delta) in enumerate(zip(origins, deltas)):
         if delta == 0.0:
             continue
         point[i] = origin + delta

@@ -7,6 +7,9 @@ the solver's earlier box reduction, and the three exact feasibility tests
 that the corner test replaced (:func:`normal_set_test_reference`,
 :func:`conormal_set_test_reference`, :func:`mm_conclusive_test_reference`),
 kept as written; the current code must agree with them bit for bit.
+:func:`least_point_test_reference` is the least-point test's earlier numpy
+active set, kept as written; the current code must agree with it up to the
+roundoff of its linear solves.
 """
 
 import numpy as np
@@ -345,3 +348,38 @@ def conormal_set_test_reference(box, nondecreasing):
         if float(h(s)) < 0.0:
             return FeasibilityVerdict(Feasibility.INFEASIBLE)
     return FeasibilityVerdict(Feasibility.FEASIBLE_WITH_WITNESS, witness=s)
+
+
+def least_point_test_reference(box, constraints, m, c, margin=1e-9):
+    """The least-point test with numpy: the one-sided verdicts, then the
+    active set solved by ``np.linalg.solve`` on the full system
+    ``(I - diag(A) m) p = where(A, c, r)``, then the witness
+    ``min((1 + margin) p*, s)`` checked against every constraint."""
+    r, s = box.r, box.s
+    if any(g.g.eval(r, s) > 0.0 for g in constraints):
+        return FeasibilityVerdict(Feasibility.INFEASIBLE)
+    if all(g.g.eval(s, r) <= 0.0 for g in constraints):
+        return FeasibilityVerdict(Feasibility.FULLY_FEASIBLE, witness=r)
+    m, c = np.asarray(m, dtype=float), np.asarray(c, dtype=float)
+    p = r
+    active = np.zeros(r.size, dtype=bool)
+    while True:
+        grow = ~active & (m @ p + c > r)
+        if not grow.any():
+            break
+        active |= grow
+        try:
+            p = np.linalg.solve(np.eye(r.size) - active[:, None] * m, np.where(active, c, r))
+        except np.linalg.LinAlgError:
+            return FeasibilityVerdict(Feasibility.UNKNOWN)
+        if not np.isfinite(p).all():
+            return FeasibilityVerdict(Feasibility.UNKNOWN)
+        if (active & (p <= 0.0)).any():
+            return FeasibilityVerdict(Feasibility.INFEASIBLE)
+        p = np.where(active, np.maximum(p, r), r)
+        if (p * (1.0 - margin) > s).any():
+            return FeasibilityVerdict(Feasibility.INFEASIBLE)
+    w = np.minimum(p * (1.0 + margin), s)
+    if any(g.g.eval(w, w) > 0.0 for g in constraints):
+        return FeasibilityVerdict(Feasibility.UNKNOWN)
+    return FeasibilityVerdict(Feasibility.FEASIBLE_WITH_WITNESS, witness=w)

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmopt.core import MMConstraint, MMFunction, ProblemInstance, make_box
 from mmopt.errors import EvaluationError, MissingMonotoneSplit
@@ -21,6 +23,7 @@ from mmopt.solver import _INFEASIBLE, _box_point
 
 from oracles import (
     conormal_set_test_reference,
+    least_point_test_reference,
     mm_conclusive_test_reference,
     normal_set_test_reference,
     random_box,
@@ -64,6 +67,19 @@ class TestVerdictConstants:
         c = linear_constraint(1, (1.0,), (0.0,), -1.0, split=frozenset({0}))
         assert mm_conclusive_test(make_box((2.0,), (3.0,)), (c,)) is VERDICT_INFEASIBLE
         assert VERDICT_UNKNOWN.witness is None and VERDICT_INFEASIBLE.witness is None
+
+
+def reference_least_point(r, m, c):
+    """The least fixed point of ``p = max(r, m p + c)`` by a long fixed-point
+    iteration from ``r`` (``m`` of spectral radius below 1), or None when it
+    has not settled."""
+    p = r
+    for _ in range(20_000):
+        nxt = np.maximum(r, m @ p + c)
+        if np.array_equal(nxt, p):
+            return p
+        p = nxt
+    return p if np.allclose(p, np.maximum(r, m @ p + c), rtol=1e-14, atol=0.0) else None
 
 
 def affine_floors(m, c):
@@ -128,6 +144,85 @@ class TestLeastPoint:
         strict = affine_floors(self.M, self.C + 0.05)
         verdict = least_point_test(make_box((0.0, 0.0), (1.0, 1.0)), strict, self.M, self.C)
         assert verdict is VERDICT_UNKNOWN
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_cyclic_floors_at_spectral_radius_one_are_singular(self, k):
+        # m is a cyclic shift: I - m is exactly singular, as the pivots show
+        m = np.roll(np.eye(k), 1, axis=1)
+        c = np.full(k, 0.1)
+        assert self.verdict(np.zeros(k), np.ones(k), m, c) is VERDICT_UNKNOWN
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_cyclic_floors_past_spectral_radius_one_are_infeasible(self, k):
+        # twice a cyclic shift: the one solve gives p = -0.1 / (2 - 1) < 0
+        m = 2.0 * np.roll(np.eye(k), 1, axis=1)
+        c = np.full(k, 0.1)
+        assert self.verdict(np.zeros(k), np.ones(k), m, c) is VERDICT_INFEASIBLE
+
+    def test_singular_leading_block_is_pivoted_past(self):
+        # rows 0 and 1 alone are singular (x0 >= x1 + ..., x1 >= x0 + ...), so
+        # elimination in row order meets a zero pivot; partial pivoting takes
+        # row 2 and finds p = (-0.3, -0.3, -0.2): no least point exists
+        m = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5], [0.5, 0.5, 0.0]])
+        c = np.full(3, 0.1)
+        assert self.verdict(np.zeros(3), np.ones(3), m, c) is VERDICT_INFEASIBLE
+
+    @staticmethod
+    def random_floors(rng, k):
+        """Nonnegative ``m`` with a zero diagonal and spectral radius below
+        0.95, and ``c > 0`` on the rows with a floor (``m``'s other rows 0)."""
+        floored = rng.random(k) < 0.8
+        floored[rng.integers(k)] = True
+        m = rng.random((k, k)) * (rng.random((k, k)) < 0.7) * floored[:, None]
+        np.fill_diagonal(m, 0.0)
+        radius = max(abs(np.linalg.eigvals(m)))
+        if radius > 0.0:
+            m *= rng.uniform(0.0, 0.95) / radius
+        return m, np.where(floored, rng.uniform(0.01, 1.0, k), 0.0)
+
+    @staticmethod
+    def random_boxes(rng, m, c, count):
+        """Boxes around the least point of the nonnegative orthant, from far
+        below it to well above it."""
+        least = np.linalg.solve(np.eye(c.size) - m, c)
+        scale = np.maximum(least, 1e-3)
+        for _ in range(count):
+            lo = scale * rng.uniform(0.0, 1.3, c.size) * (rng.random(c.size) < 0.7)
+            yield make_box(lo, lo + scale * rng.uniform(0.0, 1.5, c.size))
+
+    def agree_with_numpy(self, k, seed, boxes=20):
+        """The verdicts of the Python-float active set and of the numpy one
+        in ``oracles``, compared box by box; returns the verdict kinds seen."""
+        rng = np.random.default_rng(seed)
+        m, c = self.random_floors(rng, k)
+        floors = affine_floors(m, c)
+        kinds = set()
+        for box in self.random_boxes(rng, m, c, boxes):
+            got = least_point_test(box, floors, m, c)
+            ref = least_point_test_reference(box, floors, m, c)
+            kinds.add(got.kind)
+            # the least point of [r, inf) decides; skip boxes whose upper
+            # corner lies within twice the margin of it
+            p_star = reference_least_point(box.r, m, c)
+            if p_star is not None and np.any(np.abs(box.s - p_star) <= 2e-9 * p_star):
+                continue
+            assert got.kind is ref.kind, (box, got.kind, ref.kind)
+            if ref.witness is not None:
+                np.testing.assert_allclose(got.witness, ref.witness, rtol=1e-12, atol=0.0)
+                assert not got.witness.flags.writeable
+        return kinds
+
+    @given(st.integers(2, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_a_numpy_solve(self, k, seed):
+        self.agree_with_numpy(k, seed)
+
+    def test_random_floors_reach_every_verdict(self):
+        kinds = set()
+        for k in range(2, 9):
+            for seed in range(6):
+                kinds |= self.agree_with_numpy(k, seed)
+        assert kinds == set(Feasibility) - {Feasibility.UNKNOWN}
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_wsr_floors_against_a_grid(self, k):

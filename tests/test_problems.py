@@ -25,7 +25,7 @@ from mmopt.problems import (
     wsee_problem,
     wsr_problem,
 )
-from mmopt.problems import _dinkelbach_aux_objective
+from mmopt.problems import _dinkelbach_aux_objective, _Kernel
 from mmopt.solver import reduce_box, solve
 
 from oracles import (
@@ -262,35 +262,70 @@ class TestWsr:
             p = rng.random(3)
             assert mmp.eval(p, p) == pytest.approx(dm.eval(p, p), abs=1e-12)
 
-    def test_float_leaves_bit_equal_to_numpy_scalar_arithmetic(self):
-        # the rate leaves and the weighted sum compute in Python floats; each
-        # IEEE operation matches the numpy-scalar formula, so values are equal
-        net = generate_channels(3, seed=5)
+    def test_float_leaves_bit_equal_to_the_python_float_formula(self):
+        # the objective, the floors and the kernel's rates all run the one
+        # Python-float formula: the interference as the correctly rounded sum
+        # of its products, then the noise, then the self-interference, and
+        # the weighted rates added in index order; no numpy, so no BLAS
+        # build, takes part
+        net = generate_channels(4, seed=5)
         beta = np.array(net.beta)
-        np.fill_diagonal(beta, [0.0, 0.3, 0.7])
+        np.fill_diagonal(beta, [0.0, 0.3, 0.7, 0.2])
+        weights = (0.5, 1.0, 2.0, 1.5)
         net = InterferenceNetwork(
             alpha=net.alpha,
             beta=beta,
             sigma2=net.sigma2,
             p_max=net.p_max,
-            w=(0.5, 1.0, 2.0),
-            r_min=(0.1, 0.2, 0.3),
+            w=weights,
+            r_min=(0.1, 0.2, 0.3, 0.1),
         )
         prob = wsr_problem(net)
+        kernel = _Kernel(net, net.w)
+        b, a, s2 = beta.tolist(), net.alpha.tolist(), net.sigma2
+
+        def rate(k, x, y):
+            d = math.fsum(b[k][j] * y[j] for j in range(4) if j != k)
+            return math.log2(1.0 + a[k] * x[k] / (s2 + d + b[k][k] * x[k]))
+
         rng = np.random.default_rng(7)
         for _ in range(500):
-            x, y = rng.random(3), rng.random(3)
-            rates, gaps = [], []
-            for k in range(3):
-                cross = np.array(beta[k])
-                cross[k] = 0.0
-                bkk, a = float(beta[k, k]), float(net.alpha[k])
-                den = net.sigma2 + bkk * x[k] + float(np.dot(cross, y))
-                rates.append(math.log2(1.0 + a * x[k] / den))
-                den = net.sigma2 + bkk * y[k] + float(np.dot(cross, x))
-                gaps.append(float(net.r_min[k]) - math.log2(1.0 + a * y[k] / den))
-            assert prob.objective.eval(x, y) == sum(wk * v for wk, v in zip(net.w, rates))
+            x, y = rng.random(4), rng.random(4)
+            xl, yl = x.tolist(), y.tolist()
+            total = 0.0
+            for k, wk in enumerate(weights):
+                total += wk * rate(k, xl, yl)
+            assert prob.objective.eval(x, y) == prob.objective.eval(xl, yl) == total
+            assert kernel.value_at(xl)(yl) == total
+            in_order = 0.0
+            for term in kernel.terms(xl, kernel.noise(yl)):
+                in_order += term
+            assert in_order == total
+            assert [kernel.rate(k)(x, y) for k in range(4)] == [rate(k, xl, yl) for k in range(4)]
+            gaps = [float(net.r_min[k]) - rate(k, yl, xl) for k in range(4)]
             assert [c.g.eval(x, y) for c in prob.constraints] == gaps
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 8, 12])
+    def test_kernel_matches_the_numpy_model_formula(self, k):
+        # the kernel's F and rates against net.beta @ p (perfbench's
+        # workloads._wsr_rates), at self-interference and without it: equal
+        # within a few ulps relative, or a few ulps of the log's argument
+        # 1 + SINR, to which the summation order moves a small rate
+        rng = np.random.default_rng(k)
+        ulps = 8 * np.finfo(float).eps
+        for seed in range(20):
+            net = generate_channels(k, seed)
+            beta = net.beta + np.diag(rng.random(k) * (seed % 2))
+            net = replace(net, beta=beta, w=rng.random(k))
+            kernel = _Kernel(net, net.w)
+            objective = wsr_problem(net).objective
+            for _ in range(20):
+                p = rng.random(k) * 10.0 ** rng.uniform(-3, 1)
+                rates = np.log2(1.0 + net.alpha * p / (net.sigma2 + net.beta @ p))
+                got = [kernel.rate(i)(p, p) for i in range(k)]
+                np.testing.assert_allclose(got, rates, rtol=ulps, atol=ulps)
+                value = net.w @ rates
+                assert objective.eval(p, p) == pytest.approx(value, rel=ulps, abs=ulps * net.w.sum())
 
     def test_modes(self):
         # no floors: the corner test, which has no constraint to evaluate

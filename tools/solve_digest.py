@@ -83,9 +83,13 @@ def digest(w: workloads.Workload) -> tuple[int, str, int, Counter]:
     return len(instances), sha.hexdigest(), failed, statuses
 
 
+# the solver configuration of every energy-efficiency solve
+ENERGY_CONFIG = SolverConfig(eta=0.01, max_iterations=20_000)
+
+
 def energy_runs(r_min: float):
     """(label, run, keep stats) per energy-efficiency solve, where
-    ``run(config)`` returns the result."""
+    ``run(config)`` returns the result (``tools/ab_solve.py`` reads this too)."""
     for k in (2, 3):
         for seed in range(4):
             net = replace(generate_channels(k, seed), r_min=np.full(k, r_min))
@@ -107,7 +111,7 @@ def energy_digest(r_min: float) -> tuple[int, str, Counter]:
     solves = 0
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = Path(tmp) / "trace.csv"
-        config = SolverConfig(eta=0.01, max_iterations=20_000, trace_path=str(trace_path))
+        config = replace(ENERGY_CONFIG, trace_path=str(trace_path))
         for label, run, with_stats in energy_runs(r_min):
             solves += 1
             try:
