@@ -236,7 +236,9 @@ class ProblemInstance:
 
     ``reducer``, a ``(box, gamma, steps) -> BoxNd | None`` callable, is the
     reduction step that runs in place of :func:`~mmopt.solver.reduce_box`
-    when ``reduction_enabled`` is set.  It keeps ``reduce_box``'s contract:
+    when ``reduction_enabled`` is set; ``steps`` is the configured
+    ``reduction_bisection_steps``, which a reducer that runs no bisection
+    ignores.  It keeps ``reduce_box``'s contract:
     ``None`` only when the box holds no feasible point of value above
     ``gamma``, else a box inside ``box`` (``box`` itself when nothing is cut)
     that keeps every such point, with read-only corners.  A reducer carries
@@ -297,9 +299,10 @@ class SolverConfig:
     ``reduction_enabled`` (a bool) shrinks every child, by the problem's
     ``reducer`` when it has one, else by :func:`~mmopt.solver.reduce_box`.
     ``reduction_bisection_steps`` is the number of halvings per line search
-    of a conjunct that has no closed-form face: every conjunct of
-    ``reduce_box``, and only the objective's grow phase in the floored
-    ``mmp`` sum-rate problem's reducer.  ``max_iterations`` and
+    of :func:`~mmopt.solver.reduce_box`, and governs it alone: the floored
+    ``mmp`` sum-rate problem's reducer inverts the floors and the own-power
+    term in closed form and cuts the upper faces by two verified secant
+    steps on a convex line.  ``max_iterations`` and
     ``max_wall_time`` (seconds) stop the loop with a limit status;
     ``trace_path`` (a ``str`` or an ``os.PathLike``) names a CSV file that
     receives one row per iteration.

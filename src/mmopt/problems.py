@@ -44,7 +44,7 @@ from .feasibility import (
     least_point_test,
     mm_sufficient_test,
 )
-from .solver import _face_cuts, solve
+from .solver import solve
 
 __all__ = [
     "REPRESENTATIONS",
@@ -204,8 +204,9 @@ class _Kernel:
     numpy's per-call overhead.
 
     Holds ``alpha``, the diagonal ``own`` of ``beta``, the ``cross`` rows of
-    ``beta`` with a zero diagonal, ``sigma2`` and the weights ``w`` as lists.
-    User k's rate with own power ``x_k`` under the interference of ``y`` is
+    ``beta`` with a zero diagonal, ``sigma2`` and the weights ``w`` as lists,
+    and builds the floor map and each column's readers on first use.  User
+    k's rate with own power ``x_k`` under the interference of ``y`` is
     ``log2(1 + alpha_k x_k / (D_k + beta_kk x_k))``, with the noise
     ``D_k = sigma2 + sum_j cross_kj y_j``; self-interference stays with the
     own power.  Each sum of products is their correctly rounded sum
@@ -214,7 +215,7 @@ class _Kernel:
     floats or numpy arrays.
     """
 
-    __slots__ = ("net", "w", "alpha", "own", "cross", "s2", "_affine")
+    __slots__ = ("net", "w", "alpha", "own", "cross", "s2", "_floors", "_readers")
 
     def __init__(self, net: InterferenceNetwork, weights):
         self.net = net
@@ -226,7 +227,7 @@ class _Kernel:
             self.own.append(row[k])
             row[k] = 0.0
         self.s2 = net.sigma2
-        self._affine = None
+        self._floors = self._readers = None
 
     def value(self, x, y) -> float:
         """The weighted sum rate ``F(x, y)``."""
@@ -236,24 +237,6 @@ class _Kernel:
         for wk, ak, bk, row, xk in zip(self.w, self.alpha, self.own, self.cross, _floats(x)):
             total += wk * math.log2(1.0 + ak * xk / (s2 + fsum(map(mul, row, y)) + bk * xk))
         return total
-
-    def value_at(self, x: list):
-        """``y -> F(x, y)`` for fixed own powers ``x``, bit-equal to
-        :meth:`value`, for the reducer's line search: the products
-        ``alpha_k x_k`` and ``beta_kk x_k`` are made once."""
-        s2 = self.s2
-        parts = [
-            (wk, ak * xk, bk * xk, row)
-            for wk, ak, bk, row, xk in zip(self.w, self.alpha, self.own, self.cross, x)
-        ]
-
-        def value(y: list) -> float:
-            total = 0.0
-            for wk, signal, own, row in parts:
-                total += wk * math.log2(1.0 + signal / (s2 + fsum(map(mul, row, y)) + own))
-            return total
-
-        return value
 
     def rate(self, k: int):
         """User k's rate (unweighted) as a plain ``(x, y) -> float``, with own
@@ -281,21 +264,21 @@ class _Kernel:
             for wk, ak, bk, dk, xk in zip(self.w, self.alpha, self.own, noise, x)
         ]
 
-    def faces(self, x: list, y: list, gamma: float) -> list:
+    def faces(self, noise: list, terms: list, gamma: float) -> list:
         """Each ``x_i`` below which ``F(x', y) <= gamma``, where ``x'`` is
-        ``x`` with entry i lowered: the shrink phase's faces, with the other
-        own powers at ``s = x`` and the interference at ``r = y``.
+        ``x`` with entry i lowered, given the :meth:`noise` ``noise`` at
+        ``y`` and the :meth:`terms` ``terms`` at ``(x, y)``: the shrink
+        phase's faces, with the other own powers at ``s = x`` and the
+        interference at ``r = y``.
 
         Only term i reads ``x_i`` there, so the face inverts its SINR:
         ``x_i = t D_i / (alpha_i - t beta_ii)`` with ``t = 2^((gamma -
-        rest) / w_i) - 1``, ``D_i`` the noise at ``y`` and ``rest`` the other
-        terms at ``(x, y)``.  A coordinate gets no face (``-inf``) when its
-        weight is zero, when its term exceeds ``gamma - rest`` at every
-        power, or when that would take a rate of more than 1,000 bits, which
-        only roundoff next to a tiny weight gives, since ``F(x, y) > gamma``.
+        rest) / w_i) - 1`` and ``rest`` the other terms.  A coordinate gets
+        no face (``-inf``) when its weight is zero, when its term exceeds
+        ``gamma - rest`` at every power, or when that would take a rate of
+        more than 1,000 bits, which only roundoff next to a tiny weight
+        gives, since ``F(x, y) > gamma``.
         """
-        noise = self.noise(y)
-        terms = self.terms(x, noise)
         out = []
         for i, (wi, ai, bi, di) in enumerate(zip(self.w, self.alpha, self.own, noise)):
             face = -math.inf
@@ -309,12 +292,23 @@ class _Kernel:
             out.append(face)
         return out
 
-    def floor_map(self) -> tuple[list, list] | tuple[()]:
+    def floor_map(self) -> tuple[list, list, list] | tuple[()]:
         """:func:`_floor_map` as lists of floats, built on first use, which
         keeps building a problem cheap."""
-        if self._affine is None:
-            self._affine = tuple(a.tolist() for a in _floor_map(self.net))
-        return self._affine
+        if self._floors is None:
+            self._floors = tuple(a.tolist() for a in _floor_map(self.net))
+        return self._floors
+
+    def readers(self) -> list:
+        """Per column i, each user k whose noise reads ``y_i`` (``cross_ki
+        > 0``) with that gain, in index order; built on first use."""
+        if self._readers is None:
+            cross = self.cross
+            self._readers = [
+                [(k, row[i]) for k, row in enumerate(cross) if row[i] > 0.0]
+                for i in range(len(cross))
+            ]
+        return self._readers
 
 
 def _rate_mm(kernel: _Kernel, k: int, weight: float) -> MMFunction:
@@ -355,12 +349,15 @@ def _floors(net: InterferenceNetwork | AlohaNetwork, rate) -> tuple[MMConstraint
     return tuple(floor(k) for k in range(net.K) if net.r_min[k] > 0)
 
 
-def _floor_map(net: InterferenceNetwork) -> tuple[np.ndarray, np.ndarray] | tuple[()]:
-    """The WSR rate floors as ``p >= m p + c``, or ``()`` when one cannot be met.
+def _floor_map(net: InterferenceNetwork) -> tuple[np.ndarray, ...] | tuple[()]:
+    """The WSR rate floors as ``p >= m p + c``, with the factors ``scale``
+    that make ``(m p + c)_k = scale_k D_k(p)``, or ``()`` when one cannot be
+    met.
 
-    Floor k reads ``p_k >= g_k (sigma2 + sum_{j != k} beta_kj p_j)
-    / (alpha_k - g_k beta_kk)`` with ``g_k = 2^r_min[k] - 1``; a floor with
-    ``alpha_k <= g_k beta_kk`` holds at no power.  Rows without a floor are 0.
+    Floor k reads ``p_k >= scale_k (sigma2 + sum_{j != k} beta_kj p_j)``
+    with ``scale_k = g_k / (alpha_k - g_k beta_kk)`` and ``g_k = 2^r_min[k]
+    - 1``; a floor with ``alpha_k <= g_k beta_kk`` holds at no power.  Rows
+    without a floor are 0.
     """
     gain = np.exp2(net.r_min) - 1.0
     den = net.alpha - gain * np.diag(net.beta)
@@ -369,32 +366,34 @@ def _floor_map(net: InterferenceNetwork) -> tuple[np.ndarray, np.ndarray] | tupl
     scale = gain / den
     m = scale[:, None] * net.beta
     np.fill_diagonal(m, 0.0)
-    return m, scale * net.sigma2
+    return m, scale * net.sigma2, scale
 
 
 def _floor_hooks(kernel: _Kernel, floors, with_reducer: bool):
     """The feasibility oracle and the reducer of a power problem under the
     WSR rate floors ``floors`` (see :func:`_power_problem`).
 
-    Both read the kernel's floor map.  The reducer is ``None`` unless
-    ``with_reducer`` is set, that is unless the objective is the kernel's
-    own weighted sum rate.  When a floor cannot be met, the oracle is the
-    one-sided test and the reducer empties every box, both rightly, since
-    no point meets the floor.  Otherwise the oracle is
-    :func:`~mmopt.feasibility.least_point_test`, which decides every box,
-    and the reducer is :func:`_reduce_power_box`.
+    Both read the kernel's floor map, the oracle its ``(m, c)`` and the
+    reducer its ``scale``.  The reducer is ``None`` unless ``with_reducer``
+    is set, that is unless the objective is the kernel's own weighted sum
+    rate; it ignores the solver's ``steps``, as it runs no bisection.  When
+    a floor cannot be met, the oracle is the one-sided test and the reducer
+    empties every box, both rightly, since no point meets the floor.
+    Otherwise the oracle is :func:`~mmopt.feasibility.least_point_test`,
+    which decides every box, and the reducer is :func:`_reduce_power_box`.
     """
 
     def oracle(box: BoxNd):
         affine = kernel.floor_map()
         if not affine:
             return mm_sufficient_test(box, floors)
-        return least_point_test(box, floors, *affine)
+        return least_point_test(box, floors, affine[0], affine[1])
 
     def reducer(box: BoxNd, gamma: float, steps: int):
-        if not kernel.floor_map():
+        affine = kernel.floor_map()
+        if not affine:
             return None
-        return _reduce_power_box(box, gamma, steps, kernel)
+        return _reduce_power_box(box, gamma, kernel, affine[2])
 
     return oracle, reducer if with_reducer else None
 
@@ -405,22 +404,46 @@ def _readonly(values: list) -> np.ndarray:
     return out
 
 
-def _reduce_power_box(box: BoxNd, gamma: float, steps: int, kernel: _Kernel):
+def _in_order(terms: list) -> float:
+    """The sum of ``terms`` in index order, as :meth:`_Kernel.value` adds
+    them."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
+# secant steps per upper face of the objective in _reduce_power_box
+_SECANT_STEPS = 2
+
+
+def _reduce_power_box(box: BoxNd, gamma: float, kernel: _Kernel, scale: list):
     """:func:`~mmopt.solver.reduce_box` for the kernel's ``mmp`` weighted sum
-    rate under its rate floors, which read ``p >= m p + c``
-    (:meth:`_Kernel.floor_map`), with the faces of the conjuncts that invert
-    along their lines set in closed form.  Runs on lists of floats; only the
-    corners of the box it returns are arrays.
+    rate under its rate floors, whose least own powers are ``scale_k D_k``
+    (:func:`_floor_map`), with no line search.  Runs on lists of floats;
+    only the corners of the box it returns are arrays.
+
+    Everything at a corner pair comes from one :meth:`_Kernel.noise` vector
+    ``D`` at the interference corner: the floors' least own powers
+    ``scale_k D_k``, the :meth:`_Kernel.terms` at ``(s, y)``, whose sum is
+    the certificate ``F(s, y)``, and the objective's SINR faces.  It is made
+    at ``r`` and once more at the new lower corner ``lo``.
 
     Shrink phase (lower faces, the other own powers at ``s``, interference
-    at ``r``): floor i's face is ``(m r + c)_i``, and the objective's the
+    at ``r``): floor i's face is ``scale_i D_i``, and the objective's the
     SINR inverse of its term i (:meth:`_Kernel.faces`).  Grow phase (upper
-    faces, own powers at ``s``, interference from the new lower corner):
-    floor ``k != i`` caps ``y_i <= (s_k - c_k - sum_{j != i} m_kj y_j) /
-    m_ki``, and the objective, which has no inverse there, is line-searched
-    by ``steps`` halvings over what is left.  Every closed-form face is moved
-    outward by the relative margin ``_LEAST_POINT_MARGIN`` and clipped to
-    the box.
+    faces, own powers at ``s``, interference from ``lo``): floor ``k != i``
+    caps ``y_i <= lo_i + (s_k / scale_k - D_k) / beta_ki``.  The objective
+    has no inverse there, but along line i, ``F(s, lo + t e_i)`` is convex
+    and decreasing in t: term i does not read ``y_i``, and every other term
+    is convex and decreasing in its noise, which is affine in t.  So the
+    chord from ``(0, F(s, lo))`` to any point at or below gamma lies above
+    the curve, and its root is a sound face.  Unless ``F`` at the upper
+    corner is above gamma (no line can cut), a line whose end is at or
+    below gamma takes ``_SECANT_STEPS`` such roots, each accepted only when
+    the value computed there, from the terms that read ``y_i``, is at or
+    below gamma.  Every face is moved outward by the relative margin
+    ``_LEAST_POINT_MARGIN`` and clipped to the box.
 
     Returns what ``reduce_box`` returns: ``None`` when no feasible point
     above gamma remains, by the MM certificates on the box or on it with the
@@ -429,40 +452,73 @@ def _reduce_power_box(box: BoxNd, gamma: float, steps: int, kernel: _Kernel):
     nothing is cut.
     """
     down, up = 1.0 - _LEAST_POINT_MARGIN, 1.0 + _LEAST_POINT_MARGIN
-    m, c = kernel.floor_map()
     r, s = box.r.tolist(), box.s.tolist()
 
-    def floor_needs(y: list) -> list | None:
-        # each floor's least own power (m y + c)_k under the interference of
-        # y, or None when one exceeds s by more than the margin
-        need = [ck + fsum(map(mul, row, y)) for row, ck in zip(m, c)]
-        return None if any(nk * down > sk for nk, sk in zip(need, s)) else need
+    def corner(y: list):
+        # the noise and terms at (s, y) and their sum F(s, y), or None when
+        # a floor's least own power exceeds s by more than the margin or the
+        # sum is not above gamma
+        noise = kernel.noise(y)
+        for ck, dk, sk in zip(scale, noise, s):
+            if ck * dk * down > sk:
+                return None
+        terms = kernel.terms(s, noise)
+        value = _in_order(terms)
+        return None if value <= gamma else (noise, terms, value)
 
-    value = kernel.value_at(s)  # y -> F(s, y)
-    need = floor_needs(r)
-    if need is None or value(r) <= gamma:
+    at = corner(r)
+    if at is None:
         return None
-    lo = [nk * down for nk in need]  # the floors' faces
-    if gamma > -math.inf:
-        lo = [max(f, face * down) for f, face in zip(lo, kernel.faces(s, r, gamma))]
-    lo = [min(sk, max(rk, f)) for rk, sk, f in zip(r, s, lo)]
+    noise, terms, value = at
+    # the floors' faces, and the objective's where it has them
+    faces = kernel.faces(noise, terms, gamma) if gamma > -math.inf else [-math.inf] * len(s)
+    lo = [
+        min(sk, max(rk, ck * dk * down, face * down))
+        for rk, sk, ck, dk, face in zip(r, s, scale, noise, faces)
+    ]
     if lo != r:
-        need = floor_needs(lo)
-        if need is None or value(lo) <= gamma:
+        at = corner(lo)
+        if at is None:
             return None
+        noise, terms, value = at
 
-    # floor k holds at (s, lo), so it caps each y_i with m_ki > 0
+    # floor k holds at (s, lo), so it caps each y_i with beta_ki > 0; a user
+    # without a floor caps nothing (slack inf)
     top = list(s)
-    for row, nk, sk in zip(m, need, s):
-        slack = sk - nk
-        for i, mki in enumerate(row):
-            if mki > 0.0:
-                top[i] = min(top[i], max(lo[i], (lo[i] + slack / mki) * up))
-    if gamma > -math.inf:
-        holds = [lambda y: value(y) > gamma]
-        step = [t - v for t, v in zip(top, lo)]
-        for i, v in _face_cuts(lo, step, holds, steps).items():
-            top[i] = min(top[i], v)
+    slack = [sk / ck - dk if ck > 0.0 else math.inf for ck, dk, sk in zip(scale, noise, s)]
+    columns = kernel.readers()
+    for i, readers in enumerate(columns):
+        for k, bki in readers:
+            face = (lo[i] + slack[k] / bki) * up
+            if face < top[i]:
+                top[i] = max(lo[i], face)
+    if gamma > -math.inf and _in_order(kernel.terms(s, kernel.noise(top))) <= gamma:
+        w, signal = kernel.w, [ak * sk for ak, sk in zip(kernel.alpha, s)]
+        own = [bk * sk for bk, sk in zip(kernel.own, s)]
+
+        def along(readers: list, rest: float, t: float) -> float:
+            # F(s, lo + t e_i): the terms that do not read y_i are rest
+            total = rest
+            for k, bki in readers:
+                total += w[k] * math.log2(1.0 + signal[k] / (noise[k] + bki * t + own[k]))
+            return total
+
+        for i, readers in enumerate(columns):
+            end = top[i] - lo[i]
+            if end == 0.0 or not readers:
+                continue
+            rest = value - fsum([terms[k] for k, _ in readers])
+            hi, f_hi = end, along(readers, rest, end)
+            if f_hi > gamma:
+                continue
+            for _ in range(_SECANT_STEPS):
+                t = hi * ((value - gamma) / (value - f_hi))
+                f = along(readers, rest, t)
+                if f > gamma:
+                    break
+                hi, f_hi = t, f
+            if hi < end:
+                top[i] = min(top[i], max(lo[i], (lo[i] + hi) * up))
     r_new = box.r if lo == r else _readonly(lo)
     if top == s:
         return box if r_new is box.r else BoxNd._trusted(r_new, box.s)

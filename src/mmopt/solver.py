@@ -49,8 +49,9 @@ rest at its far end and bisects on the ones that failed there (its
 *binding set*).  The multipliers are those of testing every conjunct at
 every step.  A problem that carries its own ``reducer`` (see
 :class:`~mmopt.core.ProblemInstance`) is reduced by it instead; the floored
-``mmp`` sum-rate problem's reducer sets the faces of the conjuncts that
-invert along their lines in closed form and line-searches only the rest.
+``mmp`` sum-rate problem's reducer sets the floors' faces and the
+objective's lower faces in closed form and cuts the objective's upper faces
+by secant steps along convex lines, with no bisection.
 
 Feasibility is decided per box by the test the problem's inputs imply (its
 ``feasibility_mode``, read once per solve): a user oracle when one is
@@ -178,20 +179,16 @@ def _face_cuts(base, step, holds, steps: int) -> dict[int, float]:
     Line ``i`` moves coordinate ``i`` of ``base`` to ``base[i] + t * step[i]``
     for t in [0, 1]; each predicate in ``holds`` is true at t = 0 and
     monotone along every line.  The shrink phase passes ``step = -width``:
-    ``s + t * (-w)`` rounds exactly as ``s - t * w``.  ``base`` and ``step``
-    are both numpy arrays or both lists of floats, and the predicates read
-    points of the same kind.
+    ``s + t * (-w)`` rounds exactly as ``s - t * w``.
 
     Returns the new value of each coordinate whose multiplier, the top of
     the bracket left by ``steps`` halvings, is below 1.
     """
-    listed = isinstance(base, list)
-    # every t = 1 point lies between base and corner
-    corner = [b + d for b, d in zip(base, step)] if listed else base + step
-    holds = [h for h in holds if not h(corner)]  # the phase certificate
+    # every t = 1 point lies between base and the corner base + step
+    holds = [h for h in holds if not h(base + step)]  # the phase certificate
     if not holds:
         return {}
-    origins, deltas = (base, step) if listed else (base.tolist(), step.tolist())
+    origins, deltas = base.tolist(), step.tolist()
     point = base.copy()
     cuts = {}
     for i, (origin, delta) in enumerate(zip(origins, deltas)):

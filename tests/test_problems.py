@@ -296,7 +296,6 @@ class TestWsr:
             for k, wk in enumerate(weights):
                 total += wk * rate(k, xl, yl)
             assert prob.objective.eval(x, y) == prob.objective.eval(xl, yl) == total
-            assert kernel.value_at(xl)(yl) == total
             in_order = 0.0
             for term in kernel.terms(xl, kernel.noise(yl)):
                 in_order += term
@@ -617,8 +616,8 @@ class TestEnergyFloors:
 
 class TestPowerReducer:
     """The reducer that the floored ``mmp`` sum-rate problem carries:
-    closed-form faces for the rate floors and the sum rate, a line search
-    for the objective's upper faces.
+    closed-form faces for the rate floors and the sum rate, two verified
+    secant steps along a convex line for the objective's upper faces.
     It never removes a feasible point above gamma (checked by the model
     formulas on sampled points and at the optimistic corner pair of each
     slab it cuts off), and its lower corner is at least ``reduce_box``'s, up
@@ -765,6 +764,88 @@ class TestPowerReducer:
         assert np.all(reduced.s < 1.0)
         self.assert_cuts_certified(net, box, gamma, reduced)
         self.assert_sound(net, box, gamma, reduced, np.random.default_rng(4))
+
+    @staticmethod
+    def model_value(net, x, y):
+        """``F(x, y)`` by the model formula of ``tests/oracles.py``, for a
+        network without self-interference: user k's rate at ``y`` with its
+        own entry set to ``x_k``."""
+        assert not np.diag(net.beta).any()
+        own = np.eye(net.K, dtype=bool)
+        return sum(net.w[k] * wsr_rates(net, np.where(own[k], x, y))[k] for k in range(net.K))
+
+    def test_objective_upper_faces_lie_between_the_true_face_and_the_line_end(self):
+        # the face the objective sets on line i (own powers at s, the other
+        # interference at the new lower corner) is no lower than the root of
+        # the model formula, found by 60 halvings, and no higher than the end
+        net = self.network(3, 8, [0.05, 0.05, 0.05])
+        problem = wsr_problem(net)
+        box = make_box(np.zeros(3), np.ones(3))
+        gamma = 0.6 * problem.objective.eval(box.s, box.r)
+        reduced = problem.reducer(box, gamma, 5)
+        assert np.all(reduced.s < box.s)
+        for i in range(net.K):
+            y = reduced.r.copy()
+            above, below = reduced.r[i], box.s[i]
+            y[i] = below
+            assert self.model_value(net, box.s, y) <= gamma
+            for _ in range(60):
+                y[i] = 0.5 * (above + below)
+                if self.model_value(net, box.s, y) > gamma:
+                    above = y[i]
+                else:
+                    below = y[i]
+            assert above <= reduced.s[i] <= box.s[i]
+
+    @given(
+        st.integers(2, 4),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=4, max_size=4),
+        st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_objective_is_convex_along_each_upper_face_line(self, k, seed, w, zero_share):
+        # the secant cut rests on this: F(s, lo + t e_i) has nonnegative
+        # second differences in t, with zero weights, zero cross gains and
+        # self-interference among the draws
+        rng = np.random.default_rng(seed)
+        beta = rng.exponential(size=(k, k)) * (rng.random((k, k)) >= zero_share)
+        beta[np.diag_indices(k)] *= rng.random() < 0.5
+        net = InterferenceNetwork(
+            alpha=rng.exponential(size=k), beta=beta, sigma2=10.0 ** rng.uniform(-3, 0),
+            p_max=np.ones(k), w=w[:k], r_min=np.zeros(k),
+        )
+        value = _Kernel(net, net.w).value
+        lo, s = random_box(rng, np.zeros(k), net.p_max)
+        t = np.linspace(0.0, 1.0, 17)
+        for i in range(k):
+            f = []
+            for ti in t:
+                y = lo.copy()
+                y[i] = lo[i] + ti * (s[i] - lo[i])
+                f.append(value(s, y))
+            f = np.array(f)
+            assert np.all(np.diff(f) <= 1e-12 * (1.0 + abs(f[0])))  # decreasing
+            second = f[:-2] - 2.0 * f[1:-1] + f[2:]
+            assert np.all(second >= -1e-12 * (1.0 + abs(f[0])))
+
+    def test_steps_do_not_reach_it(self):
+        # the reducer runs no bisection, so the solver's halvings per line
+        # search change none of its boxes
+        rng = np.random.default_rng(11)
+        for seed in range(12):
+            net = self.network(3, seed, rng.choice([0.0, 0.05, 0.3], 3) + [0.05, 0.0, 0.0])
+            problem = wsr_problem(net)
+            for _ in range(25):
+                box = make_box(*random_box(rng, np.zeros(3), net.p_max))
+                bound = problem.objective.eval(box.s, box.r)
+                gamma = rng.choice([-math.inf, rng.uniform(0.3, 1.0) * bound])
+                one, ten = problem.reducer(box, gamma, 1), problem.reducer(box, gamma, 10)
+                if one is None or one is box:
+                    assert ten is one
+                else:
+                    assert one.r.tobytes() == ten.r.tobytes()
+                    assert one.s.tobytes() == ten.s.tobytes()
 
     def test_zero_weight_user_gets_no_objective_face(self):
         net = self.network(3, 8, [0.3, 0.3, 0.3], w=[0.0, 1.0, 1.0])

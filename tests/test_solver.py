@@ -864,7 +864,9 @@ class TestGoldenTrace:
     least-point test of the floors and the power problems' closed-form
     reducer (with ``reduce_box`` it took 196 iterations, peak 34, to the
     value 4.22664610380826; now 4.226287443067227, within its eta of 0.1,
-    at an incumbent that meets every floor).  The ALOHA case was recorded
+    at an incumbent that meets every floor), and re-recorded when the
+    reducer's objective upper faces became secant cuts in place of
+    bisections (the counts and the value stayed).  The ALOHA case was recorded
     with the exact separable bound and the midpoint incumbent step; on that
     bound the two-user symmetric instance solves at the root, so a
     three-user draw that runs the loop takes its place.
@@ -893,7 +895,7 @@ class TestGoldenTrace:
                 max_iterations=20_000,
             ),
             ("eta-optimal", 182, 28),
-            "e17cb87aa78cbd85539f4a5c2b303e8c1c14df711ad85fe23ff9c2cebe443d76",
+            "9a20c82b565208c6e6d89b85aab181f878271cfb1d26ffa8a6dbfd164037ac47",
         ),
         "aloha3-draw3000": (
             lambda: aloha_problem(generate_aloha(3, 3000)),
